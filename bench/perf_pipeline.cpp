@@ -88,9 +88,10 @@ void BM_FullRound6Aps(benchmark::State& state) {
 BENCHMARK(BM_FullRound6Aps)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(6);
 
 // --- stage-level benches (DESIGN.md §15) -------------------------------
-// One number per pipeline stage, through the same Stage::run_into
-// boundary the pipeline drives, so the eig-vs-sweep cost split the
-// ROADMAP items 1-2 target is visible stage by stage — not just in the
+// One number per pipeline stage — Stage::run_into for sanitize, cluster
+// and localize, the estimator's stage_subspace/stage_spectrum entry
+// points for the two MUSIC phases — so the eig-vs-sweep cost split the
+// ROADMAP items 3-4 target is visible stage by stage, not just in the
 // end-to-end group numbers above.
 
 void BM_Stage_Sanitize(benchmark::State& state) {
@@ -113,16 +114,12 @@ void BM_Stage_Subspace(benchmark::State& state) {
   // folded into the subspace phase, matching the telemetry buckets).
   auto& f = fixture();
   const JointMusicEstimator est(f.link, JointMusicConfig{});
-  const SmoothingStage smooth(est);
-  const SubspaceStage subspace(est);
   const CsiPacket& packet = f.captures[0].packets[0];
   Workspace ws;
-  StageContext ctx;
-  ctx.ws = &ws;
   for (auto _ : state) {
     Workspace::Frame frame(ws);
-    const CMatrixView x = smooth.run_into(ctx, ConstCMatrixView(packet.csi));
-    benchmark::DoNotOptimize(subspace.run_into(ctx, ConstCMatrixView(x)));
+    benchmark::DoNotOptimize(
+        est.stage_subspace(ConstCMatrixView(packet.csi), ws));
   }
 }
 BENCHMARK(BM_Stage_Subspace);
@@ -132,20 +129,15 @@ void BM_Stage_Spectrum(benchmark::State& state) {
   // frame, each iteration sweeps the pseudospectrum and extracts peaks.
   auto& f = fixture();
   const JointMusicEstimator est(f.link, JointMusicConfig{});
-  const SmoothingStage smooth(est);
-  const SubspaceStage subspace(est);
-  const SpectrumStage spectrum(est);
   const CsiPacket& packet = f.captures[0].packets[0];
   Workspace ws;
-  StageContext ctx;
-  ctx.ws = &ws;
   Workspace::Frame outer(ws);
-  const CMatrixView x = smooth.run_into(ctx, ConstCMatrixView(packet.csi));
-  const SubspacesRef sub = subspace.run_into(ctx, ConstCMatrixView(x));
+  const SubspacesRef sub =
+      est.stage_subspace(ConstCMatrixView(packet.csi), ws);
   std::vector<PathEstimate> out(est.config().max_paths);
   for (auto _ : state) {
     Workspace::Frame frame(ws);
-    benchmark::DoNotOptimize(spectrum.run_into(ctx, SpectrumIn{sub, out}));
+    benchmark::DoNotOptimize(est.stage_spectrum(sub, ws, out));
   }
 }
 BENCHMARK(BM_Stage_Spectrum);
@@ -155,19 +147,12 @@ void BM_Stage_Cluster(benchmark::State& state) {
   // estimates (the kCluster telemetry bucket end to end).
   auto& f = fixture();
   const JointMusicEstimator est(f.link, JointMusicConfig{});
-  const std::size_t max_paths = est.config().max_paths;
-  Workspace ws;
   std::vector<PathEstimate> pooled;
-  {
-    Workspace::Frame frame(ws);
-    std::vector<PathEstimate> slots(max_paths);
-    for (const auto& packet : f.captures[0].packets) {
-      const std::size_t n =
-          est.estimate_into(ConstCMatrixView(packet.csi), ws, slots);
-      pooled.insert(pooled.end(), slots.begin(),
-                    slots.begin() + static_cast<std::ptrdiff_t>(n));
-    }
+  for (const auto& packet : f.captures[0].packets) {
+    const std::vector<PathEstimate> estimates = est.estimate(packet.csi);
+    pooled.insert(pooled.end(), estimates.begin(), estimates.end());
   }
+  Workspace ws;
   const ClusterStage cluster(f.link, DirectPathConfig{});
   const DirectPathStage direct_path;
   Rng rng(21);

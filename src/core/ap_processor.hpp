@@ -105,7 +105,7 @@ struct ApOutcome {
   /// rung's pipeline run (or the last rung attempted, when the chain
   /// fell through to RSSI/failed). Times sum over the group's packets;
   /// peaks are per-phase maxima across packets. This is the per-round
-  /// eig-vs-sweep cost split ROADMAP items 1-2 need in production, not
+  /// eig-vs-sweep cost split ROADMAP items 3-4 need in production, not
   /// just in microbenches.
   StageBreakdown stage_breakdown;
 };

@@ -54,22 +54,4 @@ CMatrixView smoothed_csi(ConstCMatrixView csi, Workspace& ws,
   return x;
 }
 
-CMatrix spatially_smoothed_snapshots(const CMatrix& csi, std::size_t ant_len) {
-  const std::size_t m_ant = csi.rows();
-  const std::size_t n_sub = csi.cols();
-  SPOTFI_EXPECTS(ant_len >= 1 && ant_len <= m_ant,
-                 "antenna subarray length out of range");
-  const std::size_t shifts = m_ant - ant_len + 1;
-  CMatrix x(ant_len, shifts * n_sub);
-  std::size_t col = 0;
-  for (std::size_t da = 0; da < shifts; ++da) {
-    for (std::size_t n = 0; n < n_sub; ++n, ++col) {
-      for (std::size_t a = 0; a < ant_len; ++a) {
-        x(a, col) = csi(da + a, n);
-      }
-    }
-  }
-  return x;
-}
-
 }  // namespace spotfi

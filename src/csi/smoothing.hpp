@@ -39,6 +39,9 @@ struct SmoothingConfig {
 /// Builds the smoothed CSI matrix from one packet's antennas x subcarriers
 /// CSI. Column (da, ds) holds the subarray starting at antenna da,
 /// subcarrier ds; columns are ordered antenna-shift-major to match Fig. 4.
+/// With sub_len = 1 this is the antenna-only forward spatial smoothing of
+/// the classic MUSIC baseline (Sec. 3.1.1): every subcarrier of every
+/// antenna subarray is one snapshot.
 [[nodiscard]] CMatrix smoothed_csi(const CMatrix& csi,
                                    const SmoothingConfig& cfg = {});
 
@@ -46,13 +49,5 @@ struct SmoothingConfig {
 /// until the caller's enclosing frame closes. Identical layout/values.
 [[nodiscard]] CMatrixView smoothed_csi(ConstCMatrixView csi, Workspace& ws,
                                        const SmoothingConfig& cfg = {});
-
-/// Smoothing for the classic antenna-only MUSIC baseline (Sec. 3.1.1):
-/// each column of the CSI (one subcarrier) is a snapshot of the M-antenna
-/// array; forward spatial smoothing over antenna subarrays of length
-/// `ant_len` multiplies the snapshot count and decorrelates coherent
-/// multipath. Returns an ant_len x (M - ant_len + 1)*N matrix.
-[[nodiscard]] CMatrix spatially_smoothed_snapshots(const CMatrix& csi,
-                                                   std::size_t ant_len);
 
 }  // namespace spotfi

@@ -145,7 +145,7 @@ HermitianEigRef eigh(ConstCMatrixView input, Workspace& ws) {
   result.off_diagonal_residual = final_mass / (scale * scale);
   if (sweep == kMaxSweeps && final_mass > tol) {
     // Surface the partial decomposition with diagnostics instead of a
-    // bare convergence throw; callers (noise_subspace, ESPRIT) decide.
+    // bare convergence throw; callers decide (noise_subspace throws).
     result.converged = false;
     count_numerics(&NumericsCounters::eigh_nonconverged);
   }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "linalg/eig_general.hpp"
-#include "linalg/hermitian_eig.hpp"
 #include "music/steering.hpp"
 
 namespace spotfi {
@@ -109,31 +108,17 @@ std::size_t JointEspritEstimator::estimate_into(
       noise_subspace(ConstCMatrixView(x), sub_cfg, ws);
   const std::size_t dim = x.rows();
   const std::size_t n_signal = sub.n_signal;
-  // Signal basis: the top-n_signal eigenvectors of the covariance. The
-  // model-order split above keeps only the noise columns, so the
-  // decomposition runs once more for the signal side — same cost shape
-  // as the value path, all scratch on the arena.
-  const CMatrixView g = workspace_matrix<cplx>(ws, dim, dim);
-  gram_into<cplx>(x, g);
-  const HermitianEigRef eig = eigh(ConstCMatrixView(g), ws);
-  if (!eig.converged) return 0;  // no trustworthy signal basis
-  const CMatrixView es = workspace_matrix<cplx>(ws, dim, n_signal);
-  for (std::size_t k = 0; k < n_signal; ++k) {
-    for (std::size_t i = 0; i < dim; ++i) {
-      es(i, k) = eig.eigenvectors(i, dim - n_signal + k);
-    }
-  }
 
   // Shift-invariance operators.
-  const ConstCMatrixView es_view(es);
+  const ConstCMatrixView es = sub.signal;
   const CMatrixView es_sub_lo =
-      select_rows(es_view, config_.smoothing, true, false, ws);
+      select_rows(es, config_.smoothing, true, false, ws);
   const CMatrixView es_sub_hi =
-      select_rows(es_view, config_.smoothing, true, true, ws);
+      select_rows(es, config_.smoothing, true, true, ws);
   const CMatrixView es_ant_lo =
-      select_rows(es_view, config_.smoothing, false, false, ws);
+      select_rows(es, config_.smoothing, false, false, ws);
   const CMatrixView es_ant_hi =
-      select_rows(es_view, config_.smoothing, false, true, ws);
+      select_rows(es, config_.smoothing, false, true, ws);
 
   CMatrixView f_tau, f_phi;
   try {

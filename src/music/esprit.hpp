@@ -38,13 +38,12 @@ class JointEspritEstimator {
   /// height).
   [[nodiscard]] std::vector<PathEstimate> estimate(const CMatrix& csi) const;
 
-  /// Workspace-assisted packet path: the large front-end buffers (smoothed
-  /// matrix, covariance, both eigendecompositions, signal-basis slab) come
-  /// out of `ws`; the small n_signal-sized shift-operator solves still use
-  /// the value kernels (ESPRIT is the off-default estimator — only its
-  /// dominant allocations move to the arena). Writes at most
-  /// `config().max_paths` estimates into `out` and returns the count.
-  /// Bit-identical to estimate(), which wraps this path.
+  /// Zero-allocation packet path: the smoothed matrix, the one
+  /// eigendecomposition (whose signal half noise_subspace returns
+  /// alongside the model order) and the shift-operator and path-power
+  /// solves all run on `ws` scratch. Writes at most `config().max_paths`
+  /// estimates into `out` and returns the count. Bit-identical to
+  /// estimate(), which wraps this path.
   [[nodiscard]] std::size_t estimate_into(ConstCMatrixView csi, Workspace& ws,
                                           std::span<PathEstimate> out) const;
 

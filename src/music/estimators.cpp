@@ -86,41 +86,32 @@ void JointMusicEstimator::spectrum_values(ConstCMatrixView noise,
   }
 }
 
-AoaTofSpectrum JointMusicEstimator::spectrum_from_subspace(
-    const Subspaces& sub) const {
+AoaTofSpectrum JointMusicEstimator::spectrum(const CMatrix& csi) const {
+  Workspace& ws = thread_workspace();
+  Workspace::Frame frame(ws);
+  const SubspacesRef sub = stage_subspace(ConstCMatrixView(csi), ws);
   AoaTofSpectrum sp;
   sp.aoa_grid_rad = aoa_axis_->grid;
   sp.tof_grid_s = tof_axis_->grid;
   sp.values = RMatrix(sp.aoa_grid_rad.size(), sp.tof_grid_s.size());
-  spectrum_values(ConstCMatrixView(sub.noise), thread_workspace(),
-                  sp.values.view());
+  spectrum_values(sub.noise, ws, sp.values.view());
   return sp;
 }
 
-AoaTofSpectrum JointMusicEstimator::spectrum(const CMatrix& csi) const {
-  SPOTFI_EXPECTS(csi.rows() == link_.n_antennas &&
-                     csi.cols() == link_.n_subcarriers,
-                 "CSI shape disagrees with the link config");
-  const CMatrix x = smoothed_csi(csi, config_.smoothing);
-  return spectrum_from_subspace(noise_subspace(x, config_.subspace));
-}
-
-CMatrixView JointMusicEstimator::stage_smooth(ConstCMatrixView csi,
-                                              Workspace& ws) const {
-  SPOTFI_EXPECTS(csi.rows() == link_.n_antennas &&
-                     csi.cols() == link_.n_subcarriers,
-                 "CSI shape disagrees with the link config");
-  return smoothed_csi(csi, ws, config_.smoothing);
-}
-
-SubspacesRef JointMusicEstimator::stage_subspace(ConstCMatrixView smoothed,
+SubspacesRef JointMusicEstimator::stage_subspace(ConstCMatrixView csi,
                                                  Workspace& ws) const {
-  return noise_subspace(smoothed, config_.subspace, ws);
+  SPOTFI_EXPECTS(csi.rows() == link_.n_antennas &&
+                     csi.cols() == link_.n_subcarriers,
+                 "CSI shape disagrees with the link config");
+  const CMatrixView x = smoothed_csi(csi, ws, config_.smoothing);
+  return noise_subspace(ConstCMatrixView(x), config_.subspace, ws);
 }
 
 std::size_t JointMusicEstimator::stage_spectrum(
     const SubspacesRef& sub, Workspace& ws,
     std::span<PathEstimate> out) const {
+  SPOTFI_EXPECTS(out.size() >= config_.max_paths,
+                 "stage_spectrum output span smaller than max_paths");
   const RMatrixView values = workspace_matrix<double>(
       ws, aoa_axis_->grid.size(), tof_axis_->grid.size());
   spectrum_values(sub.noise, ws, values);
@@ -165,22 +156,13 @@ std::size_t JointMusicEstimator::stage_spectrum(
   return n_out;
 }
 
-std::size_t JointMusicEstimator::estimate_into(
-    ConstCMatrixView csi, Workspace& ws, std::span<PathEstimate> out) const {
-  SPOTFI_EXPECTS(out.size() >= config_.max_paths,
-                 "estimate_into output span smaller than max_paths");
-  Workspace::Frame frame(ws);
-  const CMatrixView x = stage_smooth(csi, ws);
-  const SubspacesRef sub = stage_subspace(ConstCMatrixView(x), ws);
-  return stage_spectrum(sub, ws, out);
-}
-
 std::vector<PathEstimate> JointMusicEstimator::estimate(
     const CMatrix& csi) const {
   Workspace& ws = thread_workspace();
   Workspace::Frame frame(ws);
   const std::span<PathEstimate> buf = ws.take<PathEstimate>(config_.max_paths);
-  const std::size_t n = estimate_into(ConstCMatrixView(csi), ws, buf);
+  const SubspacesRef sub = stage_subspace(ConstCMatrixView(csi), ws);
+  const std::size_t n = stage_spectrum(sub, ws, buf);
   return {buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n)};
 }
 
@@ -200,12 +182,17 @@ AoaSpectrum MusicAoaEstimator::spectrum(const CMatrix& csi) const {
                      csi.cols() == link_.n_subcarriers,
                  "CSI shape disagrees with the link config");
   const std::size_t ant_len = ant_len_;
-  const CMatrix x = ant_len == link_.n_antennas
-                        ? csi
-                        : spatially_smoothed_snapshots(csi, ant_len);
+  // Forward spatial smoothing (Sec. 3.1.1) is the joint smoothing with a
+  // one-subcarrier subarray: every subcarrier of every antenna subarray
+  // is one snapshot. With the full array (ant_len = M) it is the CSI.
+  Workspace& ws = thread_workspace();
+  Workspace::Frame frame(ws);
+  const CMatrixView x =
+      smoothed_csi(ConstCMatrixView(csi), ws,
+                   SmoothingConfig{.sub_len = 1, .ant_len = ant_len});
   SubspaceConfig sub_cfg = config_.subspace;
   sub_cfg.max_signal_dims = std::min(sub_cfg.max_signal_dims, ant_len - 1);
-  const Subspaces sub = noise_subspace(x, sub_cfg);
+  const SubspacesRef sub = noise_subspace(ConstCMatrixView(x), sub_cfg, ws);
 
   AoaSpectrum sp;
   sp.aoa_grid_rad = aoa_axis_->grid;

@@ -79,32 +79,22 @@ class JointMusicEstimator {
   /// peaks. CSI must be antennas x subcarriers per the link config.
   [[nodiscard]] std::vector<PathEstimate> estimate(const CMatrix& csi) const;
 
-  /// Zero-allocation packet path: the same pipeline, but every scratch
-  /// buffer (smoothed matrix, covariance, eigendecomposition, spectrum
-  /// grid, peak list) is checked out of `ws` and the estimates are
-  /// written into `out`, which must hold at least `config().max_paths`
-  /// entries. Returns the number of estimates written. Bit-identical to
-  /// estimate() — the value overload is a wrapper over this path.
-  [[nodiscard]] std::size_t estimate_into(ConstCMatrixView csi, Workspace& ws,
-                                          std::span<PathEstimate> out) const;
-
   /// The pseudospectrum (for inspection / the spectrum_explorer example).
   [[nodiscard]] AoaTofSpectrum spectrum(const CMatrix& csi) const;
 
-  // -- piecewise stage entry points (src/pipeline wraps these as typed
-  // stages; estimate_into composes exactly these three, so the staged
-  // and monolithic paths are one code path and bit-identical) ----------
+  // -- the two stage entry points: estimate() and the pipeline's
+  // MusicEstimateStage compose exactly these, metered as the kSubspace
+  // and kSpectrum phases. All scratch comes out of the caller's arena.
 
-  /// Smoothed-CSI construction (Fig. 4) on the caller's arena. The
-  /// returned view lives until the enclosing frame closes.
-  [[nodiscard]] CMatrixView stage_smooth(ConstCMatrixView csi,
-                                         Workspace& ws) const;
-  /// Noise-subspace split of a smoothed matrix (Algorithm 2, line 5).
-  [[nodiscard]] SubspacesRef stage_subspace(ConstCMatrixView smoothed,
+  /// Shape check, smoothed-CSI construction (Fig. 4) and noise-subspace
+  /// split (Algorithm 2, line 5) of one packet's CSI. The returned views
+  /// live until the enclosing frame closes.
+  [[nodiscard]] SubspacesRef stage_subspace(ConstCMatrixView csi,
                                             Workspace& ws) const;
   /// Pseudospectrum sweep + peak extraction: writes at most
-  /// config().max_paths estimates into `out`, returns the count. The
-  /// spectrum grid and peak list are arena scratch.
+  /// config().max_paths estimates into `out`, which must hold at least
+  /// that many, and returns the count. The spectrum grid and peak list
+  /// are arena scratch.
   [[nodiscard]] std::size_t stage_spectrum(const SubspacesRef& sub,
                                            Workspace& ws,
                                            std::span<PathEstimate> out) const;
@@ -117,11 +107,9 @@ class JointMusicEstimator {
   [[nodiscard]] bool tof_axis_wraps() const { return tof_wraps_; }
 
  private:
-  [[nodiscard]] AoaTofSpectrum spectrum_from_subspace(
-      const Subspaces& sub) const;
-  /// Core pseudospectrum sweep shared by both pipelines: reads a noise
-  /// basis view, takes its g-table scratch from `ws`, writes into the
-  /// caller-provided grid.
+  /// Core pseudospectrum sweep shared by stage_spectrum() and spectrum():
+  /// reads a noise basis view, takes its g-table scratch from `ws`,
+  /// writes into the caller-provided grid.
   void spectrum_values(ConstCMatrixView noise, Workspace& ws,
                        RMatrixView values) const;
 

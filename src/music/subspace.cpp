@@ -22,11 +22,7 @@ void require_converged(bool converged, double off_diagonal_residual) {
   }
 }
 
-void require_converged(const HermitianEig& eig) {
-  require_converged(eig.converged, eig.off_diagonal_residual);
-}
-
-/// Shared model-order selection on ascending eigenvalues (Algorithm 2,
+/// Model-order selection on ascending eigenvalues (Algorithm 2,
 /// line 5, plus the MDL/AIC information criteria and the dimension caps).
 std::size_t select_signal_dims(std::span<const double> eigenvalues,
                                std::size_t n_snapshots,
@@ -50,24 +46,6 @@ std::size_t select_signal_dims(std::span<const double> eigenvalues,
   n_signal = std::min(n_signal, max_signal);
   n_signal = std::max<std::size_t>(n_signal, 1);
   return n_signal;
-}
-
-Subspaces split(const HermitianEig& eig, std::size_t n_signal) {
-  const std::size_t dim = eig.eigenvalues.size();
-  SPOTFI_EXPECTS(n_signal < dim, "signal subspace must leave noise dims");
-  const std::size_t n_noise = dim - n_signal;
-
-  Subspaces s;
-  s.n_signal = n_signal;
-  s.eigenvalues = eig.eigenvalues;
-  s.noise = CMatrix(dim, n_noise);
-  // Eigenvalues are ascending, so the first n_noise columns are noise.
-  for (std::size_t j = 0; j < n_noise; ++j) {
-    for (std::size_t i = 0; i < dim; ++i) {
-      s.noise(i, j) = eig.eigenvectors(i, j);
-    }
-  }
-  return s;
 }
 
 }  // namespace
@@ -112,19 +90,6 @@ std::size_t estimate_model_order(std::span<const double> eigenvalues,
   return best_k;
 }
 
-Subspaces noise_subspace(const CMatrix& measurement,
-                         const SubspaceConfig& config) {
-  SPOTFI_EXPECTS(measurement.rows() >= 2, "measurement matrix too small");
-  SPOTFI_EXPECTS(config.relative_threshold > 0.0 &&
-                     config.relative_threshold < 1.0,
-                 "relative_threshold must be in (0, 1)");
-  const HermitianEig eig = eigh(measurement.gram());
-  require_converged(eig);
-  const std::size_t n_signal =
-      select_signal_dims(eig.eigenvalues, measurement.cols(), config);
-  return split(eig, n_signal);
-}
-
 SubspacesRef noise_subspace(ConstCMatrixView measurement,
                             const SubspaceConfig& config, Workspace& ws) {
   SPOTFI_EXPECTS(measurement.rows() >= 2, "measurement matrix too small");
@@ -134,9 +99,9 @@ SubspacesRef noise_subspace(ConstCMatrixView measurement,
   const std::size_t dim = measurement.rows();
 
   // Results first (they outlive the scratch frame): the eigenvalue copy
-  // and a dim x dim slab whose leading columns become the noise basis.
+  // and a dim x dim slab holding every eigenvector.
   const std::span<double> evals_out = ws.take<double>(dim);
-  const CMatrixView noise_store = workspace_matrix<cplx>(ws, dim, dim);
+  const CMatrixView basis = workspace_matrix<cplx>(ws, dim, dim);
 
   std::size_t n_signal = 0;
   {
@@ -146,32 +111,23 @@ SubspacesRef noise_subspace(ConstCMatrixView measurement,
     const HermitianEigRef eig = eigh(ConstCMatrixView(g), ws);
     require_converged(eig.converged, eig.off_diagonal_residual);
     n_signal = select_signal_dims(eig.eigenvalues, measurement.cols(), config);
-    const std::size_t n_noise = dim - n_signal;
     std::copy(eig.eigenvalues.begin(), eig.eigenvalues.end(),
               evals_out.begin());
-    // Eigenvalues are ascending, so the first n_noise columns are noise.
     for (std::size_t i = 0; i < dim; ++i) {
       const cplx* src = eig.eigenvectors.row_ptr(i);
-      cplx* dst = noise_store.row_ptr(i);
-      std::copy(src, src + n_noise, dst);
+      std::copy(src, src + dim, basis.row_ptr(i));
     }
   }
 
+  // Eigenvalues are ascending, so the leading dim - n_signal columns are
+  // the noise basis and the trailing n_signal the signal basis.
+  const std::size_t n_noise = dim - n_signal;
   SubspacesRef s;
+  s.noise = basis.block(0, 0, dim, n_noise);
+  s.signal = basis.block(0, n_noise, dim, n_signal);
   s.n_signal = n_signal;
   s.eigenvalues = evals_out;
-  // The noise basis is the leading-column window of the slab; row stride
-  // stays `dim`.
-  s.noise = ConstCMatrixView(noise_store.data(), dim, dim - n_signal, dim);
   return s;
-}
-
-Subspaces noise_subspace_fixed(const CMatrix& measurement,
-                               std::size_t n_signal) {
-  SPOTFI_EXPECTS(measurement.rows() >= 2, "measurement matrix too small");
-  const HermitianEig eig = eigh(measurement.gram());
-  require_converged(eig);
-  return split(eig, n_signal);
 }
 
 }  // namespace spotfi

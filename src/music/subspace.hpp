@@ -1,9 +1,9 @@
-// Signal/noise subspace split for MUSIC.
+// Signal/noise subspace split for MUSIC and ESPRIT.
 //
 // Algorithm 2, line 5: "construct E_N whose columns are eigenvectors of
-// X X^H corresponding to eigenvalues smaller than a threshold". We expose
-// the threshold split plus a fixed-dimension variant used by tests and the
-// ArrayTrack baseline.
+// X X^H corresponding to eigenvalues smaller than a threshold". One
+// eigendecomposition yields both halves: the noise basis MUSIC sweeps and
+// the signal basis ESPRIT's shift-invariance solve reads.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -39,38 +39,30 @@ struct SubspaceConfig {
     std::span<const double> eigenvalues_ascending, std::size_t n_snapshots,
     OrderMethod method = OrderMethod::kMdl);
 
-struct Subspaces {
-  /// Noise-subspace basis; columns are orthonormal eigenvectors.
-  CMatrix noise;
+/// The split eigenbasis of one covariance. Both bases are column
+/// windows of one dim x dim slab of orthonormal eigenvectors (row stride
+/// dim), living in the caller's Workspace until its enclosing frame
+/// closes.
+struct SubspacesRef {
+  /// Noise-subspace basis: the eigenvectors of the dim - n_signal
+  /// smallest eigenvalues, ascending.
+  ConstCMatrixView noise;
+  /// Signal-subspace basis: the eigenvectors of the n_signal largest
+  /// eigenvalues, ascending.
+  ConstCMatrixView signal;
   /// Estimated number of propagation paths (signal dimensions).
   std::size_t n_signal = 0;
   /// Eigenvalues of the covariance, ascending (diagnostics/tests).
-  RVector eigenvalues;
-};
-
-/// Splits the eigenvectors of covariance = X X^H (X = measurement matrix)
-/// into signal and noise subspaces by eigenvalue threshold.
-[[nodiscard]] Subspaces noise_subspace(const CMatrix& measurement,
-                                       const SubspaceConfig& config = {});
-
-/// Arena variant of Subspaces: the basis and eigenvalues live in the
-/// caller's Workspace until its enclosing frame closes.
-struct SubspacesRef {
-  ConstCMatrixView noise;
-  std::size_t n_signal = 0;
   std::span<const double> eigenvalues;
 };
 
-/// Zero-allocation subspace split: covariance, eigendecomposition, and
-/// the split all run on `ws` scratch; same arithmetic (and bits) as the
-/// value overload. Throws NumericalError when the eigendecomposition
-/// does not converge, like the value overload.
+/// Splits the eigenvectors of covariance = X X^H (X = measurement matrix)
+/// into signal and noise subspaces at the configured model order. The
+/// covariance, the eigendecomposition and the split all run on `ws`
+/// scratch. Throws NumericalError when the eigendecomposition does not
+/// converge.
 [[nodiscard]] SubspacesRef noise_subspace(ConstCMatrixView measurement,
                                           const SubspaceConfig& config,
                                           Workspace& ws);
-
-/// Same split with an explicitly chosen signal dimension.
-[[nodiscard]] Subspaces noise_subspace_fixed(const CMatrix& measurement,
-                                             std::size_t n_signal);
 
 }  // namespace spotfi

@@ -1,13 +1,13 @@
 // Typed estimation stages (ROADMAP: the pull-based stage pipeline).
 //
-// Every step of SpotFi's estimation — sanitize, smoothing, subspace,
-// spectrum, cluster, direct-path, localize — is wrapped as a
-// Stage<In, Out> running over the PR-5 Workspace arenas. The stage
-// boundary is what lets the open ROADMAP items land independently: an
-// iterative eigensolver replaces the subspace stage, a coarse-to-fine
-// SIMD sweep replaces the spectrum stage, and the PR-1 fallback ladder
-// plus the PR-6 shed levels become *stage substitutions* (which
-// estimate stage runs) instead of ad-hoc branches.
+// Every step of SpotFi's estimation runs over the Workspace arenas as a
+// stage: sanitize, cluster, direct-path and localize as Stage<In, Out>,
+// and per-packet super-resolution as one estimate stage (MUSIC or
+// ESPRIT). MUSIC's two phases are the estimator's stage_subspace and
+// stage_spectrum, so a direct eigensolver (ROADMAP item 3) and a
+// coarse-to-fine sweep (item 4) each land in one place. The fallback
+// ladder plus the shed levels are *stage substitutions* (which estimate
+// stage runs) instead of ad-hoc branches.
 //
 // Stage contract (DESIGN.md §15):
 //  - Stages are immutable after construction and shareable across
@@ -33,8 +33,8 @@ class Rng;
 
 /// Telemetry buckets for the stage breakdown. Smoothing is folded into
 /// kSubspace (the two always run back-to-back and smoothing is ~free
-/// next to the eigendecomposition), matching the ROADMAP items-1/2
-/// cost split the breakdown exists to measure.
+/// next to the eigendecomposition), matching the eigensolver-vs-sweep
+/// cost split (ROADMAP items 3/4) the breakdown exists to measure.
 enum class StagePhase : std::uint8_t {
   kSanitize = 0,
   kSubspace,

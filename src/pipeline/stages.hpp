@@ -41,72 +41,6 @@ class SanitizeStage final : public Stage<ConstCMatrixView, ConstCMatrixView> {
   bool enabled_;
 };
 
-/// Smoothed-CSI construction (Fig. 4). Metered under kSubspace — see
-/// StagePhase for why smoothing has no bucket of its own.
-class SmoothingStage final : public Stage<ConstCMatrixView, CMatrixView> {
- public:
-  explicit SmoothingStage(const JointMusicEstimator& est) : est_(&est) {}
-
-  [[nodiscard]] StagePhase phase() const override {
-    return StagePhase::kSubspace;
-  }
-  [[nodiscard]] const char* name() const override { return "smoothing"; }
-
- private:
-  [[nodiscard]] CMatrixView do_run(StageContext& ctx,
-                                   const ConstCMatrixView& in) const override {
-    return est_->stage_smooth(in, *ctx.ws);
-  }
-
-  const JointMusicEstimator* est_;
-};
-
-/// Noise-subspace split (Algorithm 2 line 5) — the eigendecomposition
-/// ROADMAP item 1 will replace behind this boundary.
-class SubspaceStage final : public Stage<ConstCMatrixView, SubspacesRef> {
- public:
-  explicit SubspaceStage(const JointMusicEstimator& est) : est_(&est) {}
-
-  [[nodiscard]] StagePhase phase() const override {
-    return StagePhase::kSubspace;
-  }
-  [[nodiscard]] const char* name() const override { return "subspace"; }
-
- private:
-  [[nodiscard]] SubspacesRef do_run(StageContext& ctx,
-                                    const ConstCMatrixView& in) const override {
-    return est_->stage_subspace(in, *ctx.ws);
-  }
-
-  const JointMusicEstimator* est_;
-};
-
-struct SpectrumIn {
-  SubspacesRef sub;
-  std::span<PathEstimate> out;
-};
-
-/// Pseudospectrum sweep + peak extraction — the grid sweep ROADMAP
-/// item 2 will replace behind this boundary. Returns the number of
-/// estimates written into in.out.
-class SpectrumStage final : public Stage<SpectrumIn, std::size_t> {
- public:
-  explicit SpectrumStage(const JointMusicEstimator& est) : est_(&est) {}
-
-  [[nodiscard]] StagePhase phase() const override {
-    return StagePhase::kSpectrum;
-  }
-  [[nodiscard]] const char* name() const override { return "spectrum"; }
-
- private:
-  [[nodiscard]] std::size_t do_run(StageContext& ctx,
-                                   const SpectrumIn& in) const override {
-    return est_->stage_spectrum(in.sub, *ctx.ws, in.out);
-  }
-
-  const JointMusicEstimator* est_;
-};
-
 /// One packet's CSI -> path estimates. This is the substitution point
 /// of the fallback/shed ladder: which concrete estimate stage the
 /// pipeline runs IS the fidelity decision (MUSIC full grid, MUSIC
@@ -124,23 +58,25 @@ class PacketEstimateStage {
   [[nodiscard]] virtual const char* name() const = 0;
 };
 
-/// MUSIC estimate composed from the smoothing/subspace/spectrum stages,
-/// so per-phase telemetry attributes the eig-vs-sweep split. No frame
-/// of its own: intermediates and outputs live in the caller's frame
-/// (the per-packet frame the pipeline opens).
+/// MUSIC estimate: the estimator's two stage entry points, metered as
+/// kSubspace (smoothing + eigendecomposition + split) and kSpectrum
+/// (grid sweep + peaks) so per-phase telemetry attributes the
+/// eig-vs-sweep split. No frame of its own: intermediates and outputs
+/// live in the caller's frame (the per-packet frame the pipeline opens).
 class MusicEstimateStage final : public PacketEstimateStage {
  public:
-  explicit MusicEstimateStage(const JointMusicEstimator& est)
-      : est_(&est), smooth_(est), subspace_(est), spectrum_(est) {}
+  explicit MusicEstimateStage(const JointMusicEstimator& est) : est_(&est) {}
 
   [[nodiscard]] std::size_t run_into(
       StageContext& ctx, ConstCMatrixView csi,
       std::span<PathEstimate> out) const override {
-    SPOTFI_EXPECTS(out.size() >= est_->config().max_paths,
-                   "estimate_into output span smaller than max_paths");
-    const CMatrixView x = smooth_.run_into(ctx, csi);
-    const SubspacesRef sub = subspace_.run_into(ctx, ConstCMatrixView(x));
-    return spectrum_.run_into(ctx, SpectrumIn{sub, out});
+    SubspacesRef sub;
+    {
+      StageMeter meter(ctx, StagePhase::kSubspace);
+      sub = est_->stage_subspace(csi, *ctx.ws);
+    }
+    StageMeter meter(ctx, StagePhase::kSpectrum);
+    return est_->stage_spectrum(sub, *ctx.ws, out);
   }
 
   [[nodiscard]] std::size_t max_paths() const override {
@@ -150,9 +86,6 @@ class MusicEstimateStage final : public PacketEstimateStage {
 
  private:
   const JointMusicEstimator* est_;
-  SmoothingStage smooth_;
-  SubspaceStage subspace_;
-  SpectrumStage spectrum_;
 };
 
 /// Search-free shift-invariance estimate (the ESPRIT fallback rung).

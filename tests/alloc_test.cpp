@@ -174,10 +174,10 @@ TEST(ZeroAlloc, ArenaHighWaterMarkIsPinned) {
 
 TEST(ZeroAlloc, StagedPacketPathAllocatesNothing) {
   // The same contract through the typed stage interfaces directly
-  // (DESIGN.md §15): sanitize -> smoothing -> subspace -> spectrum as
-  // individual Stage::run_into calls, WITH the telemetry sink armed —
-  // neither the virtual-dispatch boundary nor the StageMeter may touch
-  // the heap after warm-up.
+  // (DESIGN.md §15): the sanitize stage, then the MUSIC estimate stage
+  // (its metered subspace and spectrum phases), WITH the telemetry sink
+  // armed — neither the virtual-dispatch boundary nor the StageMeter may
+  // touch the heap after warm-up.
   const auto packets = synthesize_group(4);
   const JointMusicEstimator est(kLink, JointMusicConfig{});
   const SanitizeStage sanitize(kLink, true);

@@ -101,9 +101,9 @@ TEST(RunningStats, MeanVarianceMinMax) {
 
 TEST(RunningStats, EmptySampleThrows) {
   RunningStats s;
-  EXPECT_THROW(s.mean(), ContractViolation);
-  EXPECT_THROW(s.population_variance(), ContractViolation);
-  EXPECT_THROW(s.min(), ContractViolation);
+  EXPECT_THROW((void)s.mean(), ContractViolation);
+  EXPECT_THROW((void)s.population_variance(), ContractViolation);
+  EXPECT_THROW((void)s.min(), ContractViolation);
 }
 
 TEST(Percentile, MedianOfOddAndEvenSamples) {
@@ -132,9 +132,9 @@ TEST(Percentile, SingleElement) {
 TEST(Percentile, RejectsBadArguments) {
   const std::vector<double> v{1.0};
   const std::vector<double> empty;
-  EXPECT_THROW(percentile(empty, 50.0), ContractViolation);
-  EXPECT_THROW(percentile(v, -1.0), ContractViolation);
-  EXPECT_THROW(percentile(v, 101.0), ContractViolation);
+  EXPECT_THROW((void)percentile(empty, 50.0), ContractViolation);
+  EXPECT_THROW((void)percentile(v, -1.0), ContractViolation);
+  EXPECT_THROW((void)percentile(v, 101.0), ContractViolation);
 }
 
 TEST(Cdf, FullCdfIsMonotone) {
@@ -217,7 +217,7 @@ TEST(LinkConfig, TwentyMhzVariantHalvesSpacing) {
 
 TEST(LinkConfig, SubcarrierIndexOutOfRangeThrows) {
   const LinkConfig link = LinkConfig::intel5300_40mhz();
-  EXPECT_THROW(link.subcarrier_hz(30), ContractViolation);
+  EXPECT_THROW((void)link.subcarrier_hz(30), ContractViolation);
 }
 
 TEST(Contracts, ExpectsThrowsWithContext) {

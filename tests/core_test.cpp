@@ -124,10 +124,10 @@ TEST(Selection, RulesPickTheRightClusters) {
 }
 
 TEST(Selection, EmptyClustersThrow) {
-  EXPECT_THROW(select_spotfi({}), ContractViolation);
-  EXPECT_THROW(select_smallest_tof({}), ContractViolation);
-  EXPECT_THROW(select_strongest({}), ContractViolation);
-  EXPECT_THROW(select_oracle({}, 0.0), ContractViolation);
+  EXPECT_THROW((void)select_spotfi({}), ContractViolation);
+  EXPECT_THROW((void)select_smallest_tof({}), ContractViolation);
+  EXPECT_THROW((void)select_strongest({}), ContractViolation);
+  EXPECT_THROW((void)select_oracle({}, 0.0), ContractViolation);
 }
 
 // --- ApProcessor on synthesized captures ---
@@ -298,11 +298,11 @@ TEST(Tracker, PredictExtrapolatesVelocity) {
 
 TEST(Tracker, ContractViolations) {
   LocationTracker tracker;
-  EXPECT_THROW(tracker.position(), ContractViolation);
-  EXPECT_THROW(tracker.predict(1.0), ContractViolation);
+  EXPECT_THROW((void)tracker.position(), ContractViolation);
+  EXPECT_THROW((void)tracker.predict(1.0), ContractViolation);
   tracker.update({0.0, 0.0}, 5.0);
   EXPECT_THROW(tracker.update({0.0, 0.0}, 4.0), ContractViolation);
-  EXPECT_THROW(tracker.predict(4.0), ContractViolation);
+  EXPECT_THROW((void)tracker.predict(4.0), ContractViolation);
   TrackerConfig bad;
   bad.measurement_sigma = 0.0;
   EXPECT_THROW(LocationTracker{bad}, ContractViolation);

@@ -255,20 +255,23 @@ TEST(Smoothing, RankEqualsPathCountForFewPaths) {
 TEST(Smoothing, InvalidSubarrayThrows) {
   SmoothingConfig cfg;
   cfg.sub_len = 31;
-  EXPECT_THROW(smoothed_cols(3, 30, cfg), ContractViolation);
+  EXPECT_THROW((void)smoothed_cols(3, 30, cfg), ContractViolation);
   cfg.sub_len = 15;
   cfg.ant_len = 4;
-  EXPECT_THROW(smoothed_cols(3, 30, cfg), ContractViolation);
+  EXPECT_THROW((void)smoothed_cols(3, 30, cfg), ContractViolation);
 }
 
 TEST(SpatialSmoothing, SnapshotLayout) {
+  // The antenna-only snapshots of the MUSIC-AoA baseline are the joint
+  // smoothing with a one-subcarrier subarray: column da * N + n holds
+  // antennas da .. da + ant_len - 1 of subcarrier n.
   CMatrix csi(3, 4);
   for (std::size_t m = 0; m < 3; ++m) {
     for (std::size_t n = 0; n < 4; ++n) {
       csi(m, n) = cplx(static_cast<double>(10 * m + n), 0.0);
     }
   }
-  const CMatrix x = spatially_smoothed_snapshots(csi, 2);
+  const CMatrix x = smoothed_csi(csi, {.sub_len = 1, .ant_len = 2});
   ASSERT_EQ(x.rows(), 2u);
   ASSERT_EQ(x.cols(), 8u);  // 2 antenna shifts x 4 subcarriers
   EXPECT_EQ(x(0, 0), csi(0, 0));

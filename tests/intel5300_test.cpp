@@ -86,7 +86,7 @@ TEST(Csitool, TotalRssMatchesToolFormula) {
 
 TEST(Csitool, NoRssiThrows) {
   BfeeRecord rec;
-  EXPECT_THROW(rec.total_rss_dbm(), ContractViolation);
+  EXPECT_THROW((void)rec.total_rss_dbm(), ContractViolation);
 }
 
 TEST(Csitool, PermutationDecoding) {

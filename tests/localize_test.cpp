@@ -120,10 +120,10 @@ TEST(SpotFiLocalizer, ZeroLikelihoodApsIgnored) {
 TEST(SpotFiLocalizer, TooFewObservationsThrow) {
   const SpotFiLocalizer localizer;
   std::vector<ApObservation> obs(1);
-  EXPECT_THROW(localizer.locate(obs), ContractViolation);
+  EXPECT_THROW((void)localizer.locate(obs), ContractViolation);
   std::vector<ApObservation> two(2);
   two[0].likelihood = 0.0;  // only one usable
-  EXPECT_THROW(localizer.locate(two), ContractViolation);
+  EXPECT_THROW((void)localizer.locate(two), ContractViolation);
 }
 
 TEST(SpotFiLocalizer, ObjectiveIsZeroAtTruthWithTrueModel) {
@@ -200,7 +200,7 @@ TEST(Triangulation, DegenerateParallelBearingsThrow) {
   obs[1].pose = ArrayPose{{0.0, 5.0}, 0.0};
   obs[0].direct_aoa_rad = obs[1].direct_aoa_rad = 0.0;  // both look +x
   obs[0].likelihood = obs[1].likelihood = 1.0;
-  EXPECT_THROW(triangulate_aoa(obs), NumericalError);
+  EXPECT_THROW((void)triangulate_aoa(obs), NumericalError);
 }
 
 TEST(Trilateration, ExactRangesRecoverLocation) {
@@ -222,7 +222,7 @@ TEST(Trilateration, ExactRangesRecoverLocation) {
 
 TEST(Trilateration, RequiresThreeAps) {
   std::vector<ApObservation> obs(2);
-  EXPECT_THROW(trilaterate_rssi(obs), ContractViolation);
+  EXPECT_THROW((void)trilaterate_rssi(obs), ContractViolation);
 }
 
 TEST(SpectrumAt, InterpolatesAndClamps) {
@@ -263,7 +263,7 @@ TEST(ArrayTrackLocate, InvalidConfigThrows) {
   std::vector<ApSpectrum> spectra(2);
   ArrayTrackConfig cfg;
   cfg.grid_step_m = 0.0;
-  EXPECT_THROW(arraytrack_locate(spectra, cfg), ContractViolation);
+  EXPECT_THROW((void)arraytrack_locate(spectra, cfg), ContractViolation);
 }
 
 // --- GDOP ---
@@ -317,10 +317,11 @@ TEST(Gdop, MoreApsReduceError) {
 TEST(Gdop, DegenerateGeometryThrows) {
   const std::vector<ArrayPose> collinear{ArrayPose{{-5.0, 0.0}, 0.0},
                                          ArrayPose{{-10.0, 0.0}, 0.0}};
-  EXPECT_THROW(bearing_gdop(collinear, {0.0, 0.0}, deg_to_rad(3.0)),
+  EXPECT_THROW((void)bearing_gdop(collinear, {0.0, 0.0}, deg_to_rad(3.0)),
                NumericalError);
-  EXPECT_THROW(bearing_gdop({}, {0.0, 0.0}, 0.05), ContractViolation);
-  EXPECT_THROW(bearing_gdop(collinear, {0.0, 0.0}, 0.0), ContractViolation);
+  EXPECT_THROW((void)bearing_gdop({}, {0.0, 0.0}, 0.05), ContractViolation);
+  EXPECT_THROW((void)bearing_gdop(collinear, {0.0, 0.0}, 0.0),
+               ContractViolation);
 }
 
 }  // namespace

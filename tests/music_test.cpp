@@ -95,12 +95,23 @@ TEST(Steering, TofPeriodMatchesSpacing) {
 
 // --- subspace ---
 
+/// Hermitian inner product of column i of u with column j of v.
+cplx column_dot(ConstCMatrixView u, std::size_t i, ConstCMatrixView v,
+                std::size_t j) {
+  cplx acc{};
+  for (std::size_t r = 0; r < u.rows(); ++r) {
+    acc += std::conj(u(r, i)) * v(r, j);
+  }
+  return acc;
+}
+
 TEST(Subspace, SinglePathYieldsOneSignalDimension) {
   const auto synth = ideal_synth();
   const auto p = make_path(10.0, 40.0, 0.0);
   const CMatrix x =
       smoothed_csi(synth.ideal_csi(std::span<const PathComponent>(&p, 1)));
-  const Subspaces sub = noise_subspace(x);
+  Workspace ws;
+  const SubspacesRef sub = noise_subspace(x, {}, ws);
   EXPECT_EQ(sub.n_signal, 1u);
   EXPECT_EQ(sub.noise.cols(), x.rows() - 1);
 }
@@ -111,42 +122,81 @@ TEST(Subspace, ThreePathsYieldThreeSignalDimensions) {
                                          make_path(10.0, 90.0, -2.0),
                                          make_path(55.0, 160.0, -4.0)};
   const CMatrix x = smoothed_csi(synth.ideal_csi(paths));
-  const Subspaces sub = noise_subspace(x);
+  Workspace ws;
+  const SubspacesRef sub = noise_subspace(x, {}, ws);
   EXPECT_EQ(sub.n_signal, 3u);
 }
 
 TEST(Subspace, NoiseVectorsOrthogonalToSteering) {
   // The MUSIC property: noise eigenvectors are orthogonal to the steering
-  // vectors of the true paths.
+  // vectors of the true paths, which therefore lie in the signal
+  // subspace ESPRIT reads. The two bases partition one orthonormal
+  // eigenbasis.
   const auto synth = ideal_synth();
   const std::vector<PathComponent> paths{make_path(-25.0, 50.0, 0.0),
                                          make_path(35.0, 120.0, -3.0)};
   const CMatrix x = smoothed_csi(synth.ideal_csi(paths));
-  const Subspaces sub = noise_subspace(x);
+  Workspace ws;
+  const SubspacesRef sub = noise_subspace(x, {}, ws);
   ASSERT_EQ(sub.n_signal, 2u);
+  ASSERT_EQ(sub.signal.cols(), sub.n_signal);
+  EXPECT_EQ(sub.noise.cols() + sub.signal.cols(), x.rows());
   for (const auto& p : paths) {
     const CVector a = joint_steering(p.aoa_rad, p.tof_s, 2, 15, kLink);
+    const ConstCMatrixView a_col(a.data(), a.size(), 1);
     for (std::size_t e = 0; e < sub.noise.cols(); ++e) {
-      const cplx proj = dot(sub.noise.col(e), a);
+      const cplx proj = column_dot(sub.noise, e, a_col, 0);
       EXPECT_LT(std::abs(proj), 1e-6) << "path and noise vector " << e;
+    }
+    // Residual of a after projection onto span(signal).
+    CVector residual = a;
+    for (std::size_t k = 0; k < sub.signal.cols(); ++k) {
+      const cplx c = column_dot(sub.signal, k, a_col, 0);
+      for (std::size_t i = 0; i < residual.size(); ++i) {
+        residual[i] -= c * sub.signal(i, k);
+      }
+    }
+    EXPECT_LE(norm2(residual), 1e-6 * norm2(a)) << "path off the signal span";
+  }
+  for (std::size_t k = 0; k < sub.signal.cols(); ++k) {
+    for (std::size_t l = 0; l < sub.signal.cols(); ++l) {
+      const double expected = k == l ? 1.0 : 0.0;
+      EXPECT_LT(std::abs(column_dot(sub.signal, k, sub.signal, l) - expected),
+                1e-10)
+          << "signal columns " << k << ", " << l;
+    }
+    for (std::size_t e = 0; e < sub.noise.cols(); ++e) {
+      EXPECT_LT(std::abs(column_dot(sub.signal, k, sub.noise, e)), 1e-10)
+          << "signal column " << k << ", noise column " << e;
     }
   }
 }
 
 TEST(Subspace, FixedSplitHonored) {
+  // max_signal_dims pins the split whenever more paths than that clear
+  // the eigenvalue threshold: five resolvable paths, a split fixed at 4.
   const auto synth = ideal_synth();
-  const auto p = make_path(0.0, 40.0, 0.0);
-  const CMatrix x =
-      smoothed_csi(synth.ideal_csi(std::span<const PathComponent>(&p, 1)));
-  const Subspaces sub = noise_subspace_fixed(x, 4);
+  const std::vector<PathComponent> paths{
+      make_path(-60.0, 20.0, 0.0), make_path(-30.0, 70.0, 0.0),
+      make_path(0.0, 120.0, 0.0), make_path(30.0, 170.0, 0.0),
+      make_path(60.0, 220.0, 0.0)};
+  const CMatrix x = smoothed_csi(synth.ideal_csi(paths));
+  Workspace ws;
+  ASSERT_EQ(noise_subspace(x, {}, ws).n_signal, 5u);
+  SubspaceConfig cfg;
+  cfg.max_signal_dims = 4;
+  const SubspacesRef sub = noise_subspace(x, cfg, ws);
   EXPECT_EQ(sub.n_signal, 4u);
   EXPECT_EQ(sub.noise.cols(), x.rows() - 4);
+  EXPECT_EQ(sub.signal.cols(), 4u);
 }
 
 TEST(Subspace, BadThresholdThrows) {
   SubspaceConfig cfg;
   cfg.relative_threshold = 0.0;
-  EXPECT_THROW(noise_subspace(CMatrix(4, 4), cfg), ContractViolation);
+  Workspace ws;
+  EXPECT_THROW((void)noise_subspace(CMatrix(4, 4), cfg, ws),
+               ContractViolation);
 }
 
 // --- peaks ---
@@ -370,7 +420,6 @@ TEST(JointMusic, DefaultGridSizesArePinned) {
 // --- model order estimation ---
 
 TEST(ModelOrder, MdlCountsPathsOnCleanData) {
-  const auto synth = ideal_synth();
   std::vector<PathComponent> paths;
   const double aoas[] = {-50.0, -10.0, 15.0, 45.0};
   const double tofs[] = {20e-9, 60e-9, 110e-9, 170e-9};
@@ -410,17 +459,16 @@ TEST(ModelOrder, AicAtLeastMdl) {
 
 TEST(ModelOrder, RejectsBadArguments) {
   const RVector one{1.0};
-  EXPECT_THROW(estimate_model_order(one, 10, OrderMethod::kMdl),
+  EXPECT_THROW((void)estimate_model_order(one, 10, OrderMethod::kMdl),
                ContractViolation);
   const RVector ok{1.0, 2.0};
-  EXPECT_THROW(estimate_model_order(ok, 0, OrderMethod::kMdl),
+  EXPECT_THROW((void)estimate_model_order(ok, 0, OrderMethod::kMdl),
                ContractViolation);
-  EXPECT_THROW(estimate_model_order(ok, 10, OrderMethod::kThreshold),
+  EXPECT_THROW((void)estimate_model_order(ok, 10, OrderMethod::kThreshold),
                ContractViolation);
 }
 
 TEST(Subspace, MdlMethodPluggedIntoNoiseSubspace) {
-  const auto synth = ideal_synth();
   const std::vector<PathComponent> paths{make_path(-30.0, 30.0, 0.0),
                                          make_path(10.0, 90.0, -2.0)};
   ImpairmentConfig imp;
@@ -431,7 +479,8 @@ TEST(Subspace, MdlMethodPluggedIntoNoiseSubspace) {
   const auto packet = noisy.synthesize(paths, 0.0, rng);
   SubspaceConfig cfg;
   cfg.order_method = OrderMethod::kMdl;
-  const Subspaces sub = noise_subspace(smoothed_csi(packet.csi), cfg);
+  Workspace ws;
+  const SubspacesRef sub = noise_subspace(smoothed_csi(packet.csi), cfg, ws);
   EXPECT_EQ(sub.n_signal, 2u);
 }
 

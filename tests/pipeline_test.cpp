@@ -1,9 +1,9 @@
 // The stage-pipeline equivalence suite (DESIGN.md §15): the staged
-// estimation path must be byte-identical to the monolithic kernels it
-// wraps, at every thread count, for every fallback/shed entry stage —
-// and the deferred (prepare/execute/complete) round lifecycle plus the
-// cross-session batch scheduler must reproduce the serial per-session
-// outputs bit for bit.
+// estimation path must be byte-identical at every thread count, for
+// every fallback/shed entry stage — and the deferred
+// (prepare/execute/complete) round lifecycle plus the cross-session
+// batch scheduler must reproduce the serial per-session outputs bit for
+// bit.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -43,46 +43,41 @@ ServerConfig office_server_config(std::size_t threads) {
   return cfg;
 }
 
-// --- staged composition == monolithic kernel, bit for bit --------------
+// --- metered stage path == value API, bit for bit ----------------------
 
 TEST(StageEquivalence, ComposedMusicStagesMatchEstimateInto) {
+  // MusicEstimateStage::run_into composes stage_subspace and
+  // stage_spectrum into the caller's span under two meters; with the
+  // telemetry sink armed it must write exactly what estimate() returns.
   const auto captures = office_captures(3);
   const JointMusicEstimator est(kLink, JointMusicConfig{});
-  const std::size_t max_paths = est.config().max_paths;
+  const MusicEstimateStage stage(est);
+  ASSERT_EQ(stage.max_paths(), est.config().max_paths);
   Workspace ws;
+  StageBreakdown bd;
 
   for (const auto& packet : captures[0].packets) {
-    std::vector<PathEstimate> mono(max_paths);
-    std::vector<PathEstimate> staged(max_paths);
-
-    std::size_t n_mono = 0;
-    {
-      Workspace::Frame frame(ws);
-      n_mono = est.estimate_into(ConstCMatrixView(packet.csi), ws, mono);
-    }
-
-    // The same packet through the individual stages, composed by hand.
+    const std::vector<PathEstimate> value = est.estimate(packet.csi);
+    std::vector<PathEstimate> staged(stage.max_paths());
     std::size_t n_staged = 0;
     {
       Workspace::Frame frame(ws);
       StageContext ctx;
       ctx.ws = &ws;
-      const SmoothingStage smooth(est);
-      const SubspaceStage subspace(est);
-      const SpectrumStage spectrum(est);
-      const CMatrixView x =
-          smooth.run_into(ctx, ConstCMatrixView(packet.csi));
-      const SubspacesRef sub = subspace.run_into(ctx, ConstCMatrixView(x));
-      n_staged = spectrum.run_into(ctx, SpectrumIn{sub, staged});
+      ctx.breakdown = &bd;
+      ctx.frame = &frame;
+      n_staged = stage.run_into(ctx, ConstCMatrixView(packet.csi), staged);
     }
 
-    ASSERT_EQ(n_mono, n_staged);
-    for (std::size_t i = 0; i < n_mono; ++i) {
-      EXPECT_EQ(mono[i].aoa_rad, staged[i].aoa_rad) << i;
-      EXPECT_EQ(mono[i].tof_s, staged[i].tof_s) << i;
-      EXPECT_EQ(mono[i].power, staged[i].power) << i;
+    ASSERT_EQ(value.size(), n_staged);
+    for (std::size_t i = 0; i < n_staged; ++i) {
+      EXPECT_EQ(value[i].aoa_rad, staged[i].aoa_rad) << i;
+      EXPECT_EQ(value[i].tof_s, staged[i].tof_s) << i;
+      EXPECT_EQ(value[i].power, staged[i].power) << i;
     }
   }
+  EXPECT_GT(bd.seconds[static_cast<std::size_t>(StagePhase::kSubspace)], 0.0);
+  EXPECT_GT(bd.seconds[static_cast<std::size_t>(StagePhase::kSpectrum)], 0.0);
 }
 
 // --- entry-stage sweep: 1 vs 4 threads, bitwise -----------------------
@@ -150,7 +145,7 @@ TEST(StageTelemetry, RobustRoundCarriesAStageBreakdown) {
   const StageBreakdown& bd = round.stage_breakdown;
   EXPECT_TRUE(bd.any());
   // The MUSIC path must attribute work to every phase it runs: the
-  // eigendecomposition and the grid sweep (the ROADMAP items-1/2 cost
+  // eigendecomposition and the grid sweep (the ROADMAP items-3/4 cost
   // split this telemetry exists to measure), clustering, and fusion.
   EXPECT_GT(bd.seconds[static_cast<std::size_t>(StagePhase::kSubspace)], 0.0);
   EXPECT_GT(bd.seconds[static_cast<std::size_t>(StagePhase::kSpectrum)], 0.0);

@@ -318,7 +318,7 @@ TEST(Streaming, ContractChecks) {
   EXPECT_THROW(server.push(0, packet, rng), ContractViolation);
   server.add_ap(ArrayPose{});
   EXPECT_THROW(server.push(0, packet, rng), ContractViolation);  // 1 AP
-  EXPECT_THROW(server.buffered(5), ContractViolation);
+  EXPECT_THROW((void)server.buffered(5), ContractViolation);
   StreamingConfig bad;
   bad.group_size = 0;
   EXPECT_THROW(StreamingLocalizer(kLink, bad), ContractViolation);
@@ -338,8 +338,8 @@ TEST(Streaming, UnknownApIdThrowsWithClearMessage) {
     EXPECT_NE(what.find("6 APs registered"), std::string::npos) << what;
   }
   // Health accessors share the bounds contract.
-  EXPECT_THROW(server.ap_health(99), ContractViolation);
-  EXPECT_THROW(server.ap_state(99), ContractViolation);
+  EXPECT_THROW((void)server.ap_health(99), ContractViolation);
+  EXPECT_THROW((void)server.ap_state(99), ContractViolation);
 }
 
 // --- AP health state machine: property-style interleavings ---

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/angles.hpp"
 #include "testbed/experiment.hpp"
@@ -13,12 +14,23 @@ namespace {
 
 const LinkConfig kLink = LinkConfig::intel5300_40mhz();
 
-class DeploymentInvariants
-    : public ::testing::TestWithParam<Deployment (*)()> {};
+// One deployment under test. PrintTo gives the case its deployment name,
+// which ctest shows as the test name suffix; printing a bare function
+// pointer would name the case after its load address, a different name
+// on every build.
+struct DeploymentCase {
+  const char* name;
+  Deployment (*make)();
+};
+
+void PrintTo(const DeploymentCase& c, std::ostream* os) { *os << c.name; }
+
+class DeploymentInvariants : public ::testing::TestWithParam<DeploymentCase> {};
 
 TEST_P(DeploymentInvariants, GeometryIsWellFormed) {
-  const Deployment d = GetParam()();
+  const Deployment d = GetParam().make();
   EXPECT_FALSE(d.name.empty());
+  EXPECT_EQ(d.name, GetParam().name);
   EXPECT_GE(d.aps.size(), 2u);
   EXPECT_GE(d.targets.size(), 20u);
   EXPECT_GT(d.plan.wall_count(), 3u);
@@ -55,10 +67,11 @@ TEST_P(DeploymentInvariants, GeometryIsWellFormed) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllDeployments, DeploymentInvariants,
-                         ::testing::Values(&office_deployment,
-                                           &high_nlos_deployment,
-                                           &corridor_deployment));
+INSTANTIATE_TEST_SUITE_P(
+    AllDeployments, DeploymentInvariants,
+    ::testing::Values(DeploymentCase{"office", &office_deployment},
+                      DeploymentCase{"high-nlos", &high_nlos_deployment},
+                      DeploymentCase{"corridor", &corridor_deployment}));
 
 TEST(Deployment, OfficeMatchesPaperScale) {
   const Deployment d = office_deployment();
@@ -84,7 +97,7 @@ TEST(Deployment, CorridorHas25Targets) {
 
 TEST(Deployment, LosHelpers) {
   const Deployment d = high_nlos_deployment();
-  EXPECT_THROW(is_los(d, d.aps.size(), {1.0, 1.0}), ContractViolation);
+  EXPECT_THROW((void)is_los(d, d.aps.size(), {1.0, 1.0}), ContractViolation);
   // A target inside a room is NLoS to the far bottom APs.
   EXPECT_FALSE(is_los(d, 2, {8.0, 8.0}));
 }

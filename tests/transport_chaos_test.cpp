@@ -355,7 +355,7 @@ TEST(TransportChaos, RacingConnectionsKeepInvariantsUnderThreads) {
   TransportConfig cfg;
   cfg.rto_initial_s = 0.05;
   cfg.heartbeat_interval_s = 0.2;
-  cfg.liveness_timeout_s = 5.0;  // sender/receiver clocks drift freely
+  cfg.liveness_timeout_s = 5.0;  // a descheduled thread is not a dead link
   for (std::size_t c = 0; c < kConnections; ++c) {
     cfg.seed = 100 + c;
     conns[c].link = std::make_unique<LinkSimulator>(model, 10 + c);
@@ -377,29 +377,39 @@ TEST(TransportChaos, RacingConnectionsKeepInvariantsUnderThreads) {
         cfg);
   }
 
+  // Every thread reads one shared monotonic clock, as the two ends of a
+  // real link share physical time. Per-thread clocks that advance a
+  // fixed step per loop drift apart by seconds whenever the scheduler
+  // favors one thread, and once a handshake's round trip outgrows the
+  // reconnect backoff cap every connect-ack answers an epoch the sender
+  // has already abandoned, so the connection never establishes.
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto now_s = [t0] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < kConnections; ++c) {
     Connection* conn = &conns[c];
     // Producer: one thread per connection drives send + sender.tick.
-    threads.emplace_back([conn] {
+    threads.emplace_back([conn, now_s] {
       std::uint64_t next = 1;
-      double t = 0.0;
       while (!conn->stop.load(std::memory_order_relaxed)) {
+        const double t = now_s();
         if (next <= kFrames) {
           CsiPacket p = marked_packet(next);
           if (conn->sender->send(0, p, t).has_value()) ++next;
         }
         conn->sender->tick(t);
-        t += 0.002;
         std::this_thread::yield();
       }
     });
     // Consumer: one thread per connection drives receiver.tick.
-    threads.emplace_back([conn] {
-      double t = 0.0;
+    threads.emplace_back([conn, now_s] {
       while (!conn->stop.load(std::memory_order_relaxed)) {
-        conn->receiver->tick(t);
-        t += 0.002;
+        conn->receiver->tick(now_s());
         std::this_thread::yield();
       }
     });
