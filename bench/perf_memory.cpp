@@ -20,6 +20,7 @@
 #include "common/angles.hpp"
 #include "common/workspace.hpp"
 #include "core/ap_processor.hpp"
+#include "csi/sanitize.hpp"
 
 namespace {
 

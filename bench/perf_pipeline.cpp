@@ -14,7 +14,7 @@
 
 #include "common/parallel.hpp"
 #include "core/session_manager.hpp"
-#include "pipeline/stages.hpp"
+#include "csi/sanitize.hpp"
 #include "testbed/experiment.hpp"
 
 namespace {
@@ -88,23 +88,21 @@ void BM_FullRound6Aps(benchmark::State& state) {
 BENCHMARK(BM_FullRound6Aps)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(6);
 
 // --- stage-level benches (DESIGN.md §15) -------------------------------
-// One number per pipeline stage — Stage::run_into for sanitize, cluster
-// and localize, the estimator's stage_subspace/stage_spectrum entry
-// points for the two MUSIC phases — so the eig-vs-sweep cost split the
-// ROADMAP items 3-4 target is visible stage by stage, not just in the
-// end-to-end group numbers above.
+// One number per StageBreakdown phase — the kernel each phase meters:
+// sanitize_tof, the estimator's stage_subspace/stage_spectrum entry
+// points for the two MUSIC phases, cluster_path_estimates plus
+// select_spotfi, and the localizer solve — so the eig-vs-sweep cost
+// split the ROADMAP items 2-3 target is visible stage by stage, not just
+// in the end-to-end group numbers above.
 
 void BM_Stage_Sanitize(benchmark::State& state) {
   auto& f = fixture();
-  const SanitizeStage sanitize(f.link, true);
   const CsiPacket& packet = f.captures[0].packets[0];
   Workspace ws;
-  StageContext ctx;
-  ctx.ws = &ws;
   for (auto _ : state) {
     Workspace::Frame frame(ws);
     benchmark::DoNotOptimize(
-        sanitize.run_into(ctx, ConstCMatrixView(packet.csi)));
+        sanitize_tof(ConstCMatrixView(packet.csi), f.link, ws));
   }
 }
 BENCHMARK(BM_Stage_Sanitize);
@@ -153,19 +151,13 @@ void BM_Stage_Cluster(benchmark::State& state) {
     pooled.insert(pooled.end(), estimates.begin(), estimates.end());
   }
   Workspace ws;
-  const ClusterStage cluster(f.link, DirectPathConfig{});
-  const DirectPathStage direct_path;
   Rng rng(21);
-  StageContext ctx;
-  ctx.ws = &ws;
-  ctx.rng = &rng;
   const std::size_t n_packets = f.captures[0].packets.size();
   for (auto _ : state) {
     Workspace::Frame frame(ws);
-    const auto clusters =
-        cluster.run_into(ctx, ClusterIn{pooled, n_packets});
-    benchmark::DoNotOptimize(direct_path.run_into(
-        ctx, DirectPathIn{clusters, &f.captures[0].pose, -40.0}));
+    const auto clusters = cluster_path_estimates(pooled, f.link, n_packets,
+                                                 rng, DirectPathConfig{}, ws);
+    benchmark::DoNotOptimize(select_spotfi(clusters));
   }
 }
 BENCHMARK(BM_Stage_Cluster);
@@ -176,14 +168,11 @@ void BM_Stage_Localize(benchmark::State& state) {
   cfg.area_min = f.runner.deployment().area_min;
   cfg.area_max = f.runner.deployment().area_max;
   const SpotFiLocalizer localizer(cfg);
-  const LocalizeStage localize(localizer);
   Workspace ws;
-  StageContext ctx;
-  ctx.ws = &ws;
   for (auto _ : state) {
     Workspace::Frame frame(ws);
-    benchmark::DoNotOptimize(localize.run_into(
-        ctx, std::span<const ApObservation>(f.observations)));
+    benchmark::DoNotOptimize(localizer.locate(
+        std::span<const ApObservation>(f.observations), ws));
   }
 }
 BENCHMARK(BM_Stage_Localize);

@@ -1,5 +1,6 @@
 #include "core/ap_processor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 
@@ -46,20 +47,101 @@ ApProcessor::ApProcessor(LinkConfig link, ArrayPose pose,
       config_(std::move(config)),
       music_(link_, config_.music),
       esprit_(link_, config_.esprit),
-      sanitize_stage_(link_, config_.sanitize),
       music_stage_(music_),
-      esprit_stage_(esprit_),
-      cluster_stage_(link_, config_.direct_path),
-      direct_path_stage_() {}
+      esprit_stage_(esprit_) {}
 
-EstimationPipeline ApProcessor::make_pipeline(
-    const PacketEstimateStage& estimate) const {
-  EstimationPipeline::Stages stages;
-  stages.sanitize = &sanitize_stage_;
-  stages.estimate = &estimate;
-  stages.cluster = &cluster_stage_;
-  stages.direct_path = &direct_path_stage_;
-  return EstimationPipeline(stages, config_.pool);
+const PacketEstimateStage& ApProcessor::primary_stage() const {
+  if (config_.front_end == FrontEnd::kMusic) return music_stage_;
+  return esprit_stage_;
+}
+
+std::size_t ApProcessor::estimate_in_frame(const PacketEstimateStage& estimate,
+                                           const CsiPacket& packet,
+                                           const StageContext& ctx,
+                                           std::span<PathEstimate> out) const {
+  ConstCMatrixView csi(packet.csi);
+  {
+    StageMeter meter(ctx, StagePhase::kSanitize);
+    if (config_.sanitize) csi = sanitize_tof(csi, link_, *ctx.ws);
+  }
+  return estimate.run_into(ctx, csi, out);
+}
+
+ApResult ApProcessor::run_group(const PacketEstimateStage& estimate,
+                                std::span<const CsiPacket> packets, Rng& rng,
+                                StageBreakdown* breakdown,
+                                std::size_t* ws_peak_out) const {
+  struct PacketOutput {
+    std::size_t count = 0;
+    std::size_t ws_peak_bytes = 0;
+    NumericsCounters numerics;
+    StageBreakdown breakdown;
+  };
+
+  ThreadPool* const pool = config_.pool;
+  const std::size_t max_paths = estimate.max_paths();
+  std::vector<PacketOutput> outputs(packets.size());
+  std::vector<PathEstimate> slots(packets.size() * max_paths);
+  const auto run_packet = [&](std::size_t i) {
+    // Detached: counters travel home in the task output and are merged
+    // by the dispatching thread below, never through the thread-local
+    // scope stack (which a pool worker does not share with the caller).
+    NumericsScope scope{kDetachedScope};
+    Workspace& ws = pool != nullptr ? pool->workspace() : thread_workspace();
+    Workspace::Frame frame(ws);
+    PacketOutput& output = outputs[i];
+    const StageContext ctx{
+        .ws = &ws,
+        .breakdown = breakdown != nullptr ? &output.breakdown : nullptr,
+        .frame = &frame};
+    output.count = estimate_in_frame(
+        estimate, packets[i], ctx,
+        std::span<PathEstimate>(slots).subspan(i * max_paths, max_paths));
+    output.numerics = scope.counters();
+    output.ws_peak_bytes = frame.peak_bytes();
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(packets.size(), run_packet);
+  } else {
+    for (std::size_t i = 0; i < packets.size(); ++i) run_packet(i);
+  }
+
+  ApResult result;
+  double rssi_sum = 0.0;
+  std::size_t total = 0;
+  std::size_t ws_peak = 0;
+  for (const auto& output : outputs) total += output.count;
+  result.pooled_estimates.reserve(total);
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const auto packet_slots = std::span<const PathEstimate>(slots).subspan(
+        i * max_paths, outputs[i].count);
+    result.pooled_estimates.insert(result.pooled_estimates.end(),
+                                   packet_slots.begin(), packet_slots.end());
+    count_numerics(outputs[i].numerics);
+    if (breakdown != nullptr) breakdown->merge(outputs[i].breakdown);
+    rssi_sum += packets[i].rssi_dbm;
+    ws_peak = std::max(ws_peak, outputs[i].ws_peak_bytes);
+  }
+  SPOTFI_EXPECTS(!result.pooled_estimates.empty(),
+                 "super-resolution produced no path estimates");
+
+  Workspace& ws = pool != nullptr ? pool->workspace() : thread_workspace();
+  Workspace::Frame frame(ws);
+  StageMeter meter({.breakdown = breakdown, .frame = &frame},
+                   StagePhase::kCluster);
+  result.clusters = cluster_path_estimates(result.pooled_estimates, link_,
+                                           packets.size(), rng,
+                                           config_.direct_path, ws);
+  if (ws_peak_out != nullptr) {
+    *ws_peak_out = std::max(ws_peak, frame.peak_bytes());
+  }
+  const ClusterSummary& direct =
+      result.clusters[select_spotfi(result.clusters)];
+  result.observation.pose = pose_;
+  result.observation.direct_aoa_rad = direct.mean_aoa_rad;
+  result.observation.likelihood = direct.likelihood;
+  result.observation.rssi_dbm = rssi_sum / static_cast<double>(packets.size());
+  return result;
 }
 
 ApResult ApProcessor::process(std::span<const CsiPacket> packets,
@@ -73,16 +155,7 @@ ApResult ApProcessor::process(std::span<const CsiPacket> packets,
                    "quality screen rejected every packet in the group");
     packets = screened;
   }
-
-  const PacketEstimateStage& estimate =
-      config_.front_end == FrontEnd::kMusic
-          ? static_cast<const PacketEstimateStage&>(music_stage_)
-          : static_cast<const PacketEstimateStage&>(esprit_stage_);
-  const EstimationPipeline pipeline = make_pipeline(estimate);
-  SpanPacketSource source(packets);
-  StageContext ctx;
-  ctx.rng = &rng;
-  return pipeline.run_group(ctx, source, pose_);
+  return run_group(primary_stage(), packets, rng, nullptr, nullptr);
 }
 
 std::size_t ApProcessor::max_paths() const {
@@ -96,13 +169,7 @@ std::size_t ApProcessor::estimate_packet(const CsiPacket& packet,
   SPOTFI_EXPECTS(out.size() >= max_paths(),
                  "estimate_packet output span below max_paths()");
   Workspace::Frame frame(ws);
-  StageContext ctx;
-  ctx.ws = &ws;
-  const ConstCMatrixView csi =
-      sanitize_stage_.run_into(ctx, ConstCMatrixView(packet.csi));
-  return config_.front_end == FrontEnd::kMusic
-             ? music_stage_.run_into(ctx, csi, out)
-             : esprit_stage_.run_into(ctx, csi, out);
+  return estimate_in_frame(primary_stage(), packet, {.ws = &ws}, out);
 }
 
 ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
@@ -132,19 +199,15 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
   const QualityConfig quality = config_.quality.value_or(QualityConfig{});
   const std::vector<CsiPacket> screened = screen_group(packets, quality);
 
-  // One fallback rung = one pipeline run with a substituted estimate
+  // One fallback rung = one group run with a substituted estimate
   // stage; the orchestration below only decides WHICH stage runs, never
   // HOW a group is processed.
   auto attempt = [&](ApStage stage, const PacketEstimateStage& estimate) {
     try {
       out.stage_breakdown = StageBreakdown{};
-      const EstimationPipeline pipeline = make_pipeline(estimate);
-      SpanPacketSource source(screened);
-      StageContext ctx;
-      ctx.rng = &rng;
-      ctx.breakdown = &out.stage_breakdown;
-      ApResult candidate =
-          pipeline.run_group(ctx, source, pose_, &out.workspace_peak_bytes);
+      ApResult candidate = run_group(estimate, screened, rng,
+                                     &out.stage_breakdown,
+                                     &out.workspace_peak_bytes);
       // An estimator can "succeed" on corrupt input by propagating NaNs
       // into the observation; that counts as a stage failure.
       const ApObservation& obs = candidate.observation;
@@ -186,9 +249,7 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
         [&](ApStage stage) -> const PacketEstimateStage* {
       switch (stage) {
         case ApStage::kPrimary:
-          return primary_is_music
-                     ? static_cast<const PacketEstimateStage*>(&music_stage_)
-                     : static_cast<const PacketEstimateStage*>(&esprit_stage_);
+          return &primary_stage();
         case ApStage::kRelaxedMusic:
           if (!relaxed) {
             relaxed.emplace(link_, relaxed_music(config_.music));

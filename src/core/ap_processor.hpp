@@ -8,17 +8,31 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "channel/csi_synthesis.hpp"
 #include "csi/quality.hpp"
 #include "linalg/numerics.hpp"
-#include "pipeline/pipeline.hpp"
+#include "localize/observation.hpp"
+#include "pipeline/direct_path.hpp"
+#include "pipeline/stages.hpp"
 
 namespace spotfi {
 
 class ThreadPool;
+
+/// Everything the per-AP processing produces; the server consumes
+/// `observation`, the diagnostics and benches use the rest.
+struct ApResult {
+  /// Clusters sorted by likelihood (descending).
+  std::vector<ClusterSummary> clusters;
+  /// Pooled per-packet estimates (Fig. 5(c) scatter).
+  std::vector<PathEstimate> pooled_estimates;
+  /// The selected direct path as a fusion-ready observation.
+  ApObservation observation;
+};
 
 /// Which joint AoA/ToF estimator drives the per-packet stage.
 enum class FrontEnd {
@@ -102,10 +116,10 @@ struct ApOutcome {
   /// regressions (a config change blowing up the arena) surface here.
   std::size_t workspace_peak_bytes = 0;
   /// Per-stage wall time and arena footprint of the winning fallback
-  /// rung's pipeline run (or the last rung attempted, when the chain
-  /// fell through to RSSI/failed). Times sum over the group's packets;
-  /// peaks are per-phase maxima across packets. This is the per-round
-  /// eig-vs-sweep cost split ROADMAP items 3-4 need in production, not
+  /// rung's group run (or the last rung attempted, when the chain fell
+  /// through to RSSI/failed). Times sum over the group's packets; peaks
+  /// are per-phase maxima across packets. This is the per-round
+  /// eig-vs-sweep cost split ROADMAP items 2-3 need in production, not
   /// just in microbenches.
   StageBreakdown stage_breakdown;
 };
@@ -149,24 +163,41 @@ class ApProcessor {
   [[nodiscard]] const LinkConfig& link() const { return link_; }
 
  private:
-  /// The stage set for one fallback rung: the shared sanitize/cluster/
-  /// direct-path stages around `estimate`, composed into a pipeline over
-  /// config_.pool.
-  [[nodiscard]] EstimationPipeline make_pipeline(
-      const PacketEstimateStage& estimate) const;
+  /// The configured front end's estimate stage (the kPrimary rung).
+  [[nodiscard]] const PacketEstimateStage& primary_stage() const;
+
+  /// One packet: Algorithm 1 sanitization (metered as kSanitize; a
+  /// pass-through when config().sanitize is off), then `estimate`. Runs
+  /// in the caller's open frame on ctx.ws and writes at most
+  /// estimate.max_paths() estimates into `out`; returns the count.
+  [[nodiscard]] std::size_t estimate_in_frame(
+      const PacketEstimateStage& estimate, const CsiPacket& packet,
+      const StageContext& ctx, std::span<PathEstimate> out) const;
+
+  /// Algorithm 2 lines 2-10 for one packet group with `estimate` as the
+  /// super-resolution step: every packet through estimate_in_frame
+  /// (fanned out over config().pool, each on its lane's arena, folded
+  /// in packet order so the result is identical at any thread count),
+  /// then pool, cluster and select the direct path (metered together
+  /// as kCluster). `rng` is consumed only by the clustering, exactly
+  /// once. `breakdown` (nullable) receives the per-phase telemetry;
+  /// `ws_peak_out` (nullable) the largest single-frame arena footprint.
+  /// Requires a non-empty group; throws when estimation produces no
+  /// path estimates.
+  [[nodiscard]] ApResult run_group(const PacketEstimateStage& estimate,
+                                   std::span<const CsiPacket> packets,
+                                   Rng& rng, StageBreakdown* breakdown,
+                                   std::size_t* ws_peak_out) const;
 
   LinkConfig link_;
   ArrayPose pose_;
   ApProcessorConfig config_;
   JointMusicEstimator music_;
   JointEspritEstimator esprit_;
-  // Immutable stage instances (stage.hpp contract); the fallback ladder
-  // substitutes which estimate stage the pipeline runs.
-  SanitizeStage sanitize_stage_;
+  // Immutable estimate stages; the fallback ladder substitutes which
+  // one run_group runs.
   MusicEstimateStage music_stage_;
   EspritEstimateStage esprit_stage_;
-  ClusterStage cluster_stage_;
-  DirectPathStage direct_path_stage_;
 };
 
 }  // namespace spotfi

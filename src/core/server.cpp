@@ -166,18 +166,17 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
     return RoundError{"fewer than two usable AP observations", usable.size()};
   }
 
-  // The fusion solves run through the localize stage so the round's
-  // kLocalize telemetry bucket covers the primary solve and every LOO
-  // re-solve alike.
+  // The primary solve and every LOO re-solve share one telemetry
+  // bucket: each runs under a kLocalize meter on the frame it fills.
   const SpotFiLocalizer localizer(config_.localizer);
-  const LocalizeStage localize_stage(localizer);
-  StageContext fusion_ctx;
-  fusion_ctx.ws = &ws;
-  fusion_ctx.breakdown = &round.stage_breakdown;
-  fusion_ctx.frame = &fusion_frame;
+  const auto locate = [&](std::span<const ApObservation> observations,
+                          const Workspace::Frame& frame) {
+    StageMeter meter({.breakdown = &round.stage_breakdown, .frame = &frame},
+                     StagePhase::kLocalize);
+    return localizer.locate(observations, ws);
+  };
   try {
-    round.location = localize_stage.run_into(
-        fusion_ctx, std::span<const ApObservation>(usable));
+    round.location = locate(usable, fusion_frame);
   } catch (const std::exception& e) {
     return RoundError{std::string("localizer: ") + e.what(), usable.size()};
   }
@@ -205,13 +204,8 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
         for (std::size_t j = 0; j < usable.size(); ++j) {
           if (j != drop) subset[fill++] = usable[j];
         }
-        StageContext loo_ctx;
-        loo_ctx.ws = &ws;
-        loo_ctx.breakdown = &round.stage_breakdown;
-        loo_ctx.frame = &loo_frame;
         try {
-          const LocationEstimate est = localize_stage.run_into(
-              loo_ctx, std::span<const ApObservation>(subset));
+          const LocationEstimate est = locate(subset, loo_frame);
           const double miss = std::abs(
               wrap_pi(usable[drop].pose.apparent_aoa_of(est.position) -
                       usable[drop].direct_aoa_rad));

@@ -84,64 +84,17 @@ struct SessionManager::Session {
     return s;
   }
 
-  /// Runs one popped item through the localizer with full overload
-  /// accounting. Pump-thread-only.
-  [[nodiscard]] std::optional<LocationFix> run_item(IngestItem&& item,
-                                                    const Clock& clock,
-                                                    double deadline_s) {
-    const std::uint64_t shed_before = localizer.shed_rounds();
-    const std::uint64_t failed_before = localizer.failed_rounds();
-    last_plan = RoundPlan{};
-    const double t0 = clock.now_s();
-    auto fix = localizer.push(item.ap_id, std::move(item.packet), rng);
-    const double dt = clock.now_s() - t0;
-    applied_packets.fetch_add(1, std::memory_order_relaxed);
-    if (fix) {
-      fix->durable_round_index =
-          emitted_fixes.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
-
-    const bool round_shed = localizer.shed_rounds() != shed_before;
-    const bool round_failed = localizer.failed_rounds() != failed_before;
-    const bool round_planned = fix.has_value() || round_shed || round_failed;
-    if (!round_planned) return fix;  // no round fired on this packet
-
-    if (last_plan.deadline_limited) {
-      deadline_limited_rounds.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (round_shed) {
-      rounds_shed.fetch_add(1, std::memory_order_relaxed);
-      return fix;
-    }
-    // The round actually ran: fold its measured cost back into the
-    // model so the next deadline decision sees it.
-    cost.observe(last_plan.level, dt);
-    if (last_plan.level == ShedLevel::kFull) {
-      rounds_full.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      rounds_degraded.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (deadline_s > 0.0 && dt > deadline_s) {
-      deadline_misses.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (round_failed) {
-      failed_rounds.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (fix) fixes.fetch_add(1, std::memory_order_relaxed);
-    return fix;
-  }
-
-  /// The preparation half of run_item(), for the batched pump_all()
-  /// path: runs the planner and ingest through push_deferred() and does
-  /// every piece of accounting that is decided at preparation time
-  /// (applied mark, shed and deadline-limited counters). Returns the
-  /// prepared round when one is ready to execute. Pump-thread-only.
-  [[nodiscard]] std::optional<PendingRound> prepare_item(IngestItem&& item) {
+  /// One preparation step (push_deferred or poll_deferred) plus the
+  /// accounting decided at preparation time: the `applied` replay mark,
+  /// and the shed and deadline-limited counters. Returns the round when
+  /// one is ready to execute. Pump-thread-only.
+  template <typename Step>
+  [[nodiscard]] std::optional<PendingRound> prepare(
+      std::atomic<std::uint64_t>& applied, Step&& step) {
     const std::uint64_t shed_before = localizer.shed_rounds();
     last_plan = RoundPlan{};
-    auto pending =
-        localizer.push_deferred(item.ap_id, std::move(item.packet), rng);
-    applied_packets.fetch_add(1, std::memory_order_relaxed);
+    std::optional<PendingRound> pending = step();
+    applied.fetch_add(1, std::memory_order_relaxed);
     const bool round_shed = localizer.shed_rounds() != shed_before;
     if (!pending && !round_shed) return std::nullopt;  // no round planned
     if (last_plan.deadline_limited) {
@@ -154,13 +107,40 @@ struct SessionManager::Session {
     return pending;
   }
 
-  /// The completion half of run_item(): finishes an executed round and
-  /// does the post-execution accounting (cost-model feedback, fidelity
-  /// and deadline-miss counters, durable fix ordinal). `dt` is the
-  /// measured execution cost, `deadline_s` the session's round deadline.
-  /// Pump-thread-only, in preparation order.
+  /// Prepares the round a popped packet fires, if any: runs the planner
+  /// and ingest through push_deferred() and does the accounting decided
+  /// at preparation time. Pump-thread-only.
+  [[nodiscard]] std::optional<PendingRound> prepare_item(IngestItem&& item) {
+    return prepare(applied_packets, [&] {
+      return localizer.push_deferred(item.ap_id, std::move(item.packet), rng);
+    });
+  }
+
+  /// The timer-tick counterpart of prepare_item(), through
+  /// poll_deferred(). Pump-thread-only.
+  [[nodiscard]] std::optional<PendingRound> prepare_poll(double now_s) {
+    return prepare(applied_polls,
+                   [&] { return localizer.poll_deferred(now_s, rng); });
+  }
+
+  /// Runs a prepared round (if any) to completion on the calling thread:
+  /// the one-round case of pump_all()'s execute and complete phases.
+  /// Each round completes before the next is prepared, so every plan
+  /// sees the cost of every earlier round. Pump-thread-only.
+  [[nodiscard]] std::optional<LocationFix> run_round(
+      std::optional<PendingRound> pending, const Clock& clock) {
+    if (!pending) return std::nullopt;
+    const double t0 = clock.now_s();
+    localizer.execute_round(*pending);
+    return complete_prepared(std::move(*pending), clock.now_s() - t0);
+  }
+
+  /// Finishes an executed round and does the post-execution accounting
+  /// (cost-model feedback, fidelity and deadline-miss counters, durable
+  /// fix ordinal). `dt` is the measured execution cost. Pump-thread-only,
+  /// in preparation order.
   [[nodiscard]] std::optional<LocationFix> complete_prepared(
-      PendingRound&& pending, double dt, double deadline_s) {
+      PendingRound&& pending, double dt) {
     const std::uint64_t failed_before = localizer.failed_rounds();
     const ShedLevel level = pending.level;
     auto fix = localizer.complete_round(std::move(pending));
@@ -176,6 +156,7 @@ struct SessionManager::Session {
     } else {
       rounds_degraded.fetch_add(1, std::memory_order_relaxed);
     }
+    const double deadline_s = policy.config().round_deadline_s;
     if (deadline_s > 0.0 && dt > deadline_s) {
       deadline_misses.fetch_add(1, std::memory_order_relaxed);
     }
@@ -335,10 +316,10 @@ AdmissionVerdict SessionManager::offer_or_return(SessionId id,
 
 std::vector<LocationFix> SessionManager::pump(SessionId id) {
   const auto session = find(id);
-  const double deadline_s = session->policy.config().round_deadline_s;
   std::vector<LocationFix> out;
   while (auto item = session->queue.try_pop()) {
-    if (auto fix = session->run_item(std::move(*item), *clock_, deadline_s)) {
+    if (auto fix = session->run_round(session->prepare_item(std::move(*item)),
+                                      *clock_)) {
       out.push_back(std::move(*fix));
     }
   }
@@ -347,31 +328,7 @@ std::vector<LocationFix> SessionManager::pump(SessionId id) {
 
 std::optional<LocationFix> SessionManager::poll(SessionId id, double now_s) {
   const auto session = find(id);
-  const std::uint64_t shed_before = session->localizer.shed_rounds();
-  const std::uint64_t failed_before = session->localizer.failed_rounds();
-  session->last_plan = RoundPlan{};
-  const double t0 = clock_->now_s();
-  auto fix = session->localizer.poll(now_s, session->rng);
-  const double dt = clock_->now_s() - t0;
-  session->applied_polls.fetch_add(1, std::memory_order_relaxed);
-  if (fix) {
-    fix->durable_round_index =
-        session->emitted_fixes.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  if (session->localizer.shed_rounds() != shed_before) {
-    session->rounds_shed.fetch_add(1, std::memory_order_relaxed);
-  } else if (session->localizer.failed_rounds() != failed_before) {
-    session->failed_rounds.fetch_add(1, std::memory_order_relaxed);
-  } else if (fix) {
-    session->cost.observe(session->last_plan.level, dt);
-    if (session->last_plan.level == ShedLevel::kFull) {
-      session->rounds_full.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      session->rounds_degraded.fetch_add(1, std::memory_order_relaxed);
-    }
-    session->fixes.fetch_add(1, std::memory_order_relaxed);
-  }
-  return fix;
+  return session->run_round(session->prepare_poll(now_s), *clock_);
 }
 
 std::size_t SessionManager::pump_all() {
@@ -387,7 +344,6 @@ std::size_t SessionManager::pump_all() {
   struct BatchedRound {
     std::shared_ptr<Session> session;
     PendingRound round;
-    double deadline_s = 0.0;
     double dt = 0.0;
   };
 
@@ -397,11 +353,9 @@ std::size_t SessionManager::pump_all() {
   // cannot perturb any session's deterministic stream.
   std::vector<BatchedRound> batch;
   for (const auto& session : live) {
-    const double deadline_s = session->policy.config().round_deadline_s;
     while (auto item = session->queue.try_pop()) {
       if (auto pending = session->prepare_item(std::move(*item))) {
-        batch.push_back(
-            BatchedRound{session, std::move(*pending), deadline_s, 0.0});
+        batch.push_back(BatchedRound{session, std::move(*pending), 0.0});
       }
     }
   }
@@ -429,7 +383,7 @@ std::size_t SessionManager::pump_all() {
   // exactly as the per-session pump() sequence would have produced them.
   std::size_t total = 0;
   for (BatchedRound& r : batch) {
-    if (r.session->complete_prepared(std::move(r.round), r.dt, r.deadline_s)) {
+    if (r.session->complete_prepared(std::move(r.round), r.dt)) {
       ++total;
     }
   }
@@ -547,8 +501,7 @@ std::optional<LocationFix> SessionManager::replay_packet(
   IngestItem item;
   item.ap_id = ap_id;
   item.packet = std::move(packet);
-  const double deadline_s = session->policy.config().round_deadline_s;
-  return session->run_item(std::move(item), *clock_, deadline_s);
+  return session->run_round(session->prepare_item(std::move(item)), *clock_);
 }
 
 std::optional<LocationFix> SessionManager::replay_poll(SessionId id,

@@ -188,7 +188,7 @@ class SessionManager {
   /// the calling thread, *preparing* rounds (planner decision, capture
   /// pop, Rng fork — everything order-sensitive); the prepared rounds
   /// from all tenants are then *executed* as one shared batch across the
-  /// pool (pipeline runs amortize the interned steering tables and reuse
+  /// pool (group runs amortize the interned steering tables and reuse
   /// the same per-lane arenas regardless of which session a round came
   /// from); finally each round *completes* serially, in preparation
   /// order (fix assembly, tracker update, counters). Because streams are

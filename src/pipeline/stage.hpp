@@ -1,23 +1,19 @@
-// Typed estimation stages (ROADMAP: the pull-based stage pipeline).
+// Stage telemetry for SpotFi's per-AP estimation (DESIGN.md §15).
 //
-// Every step of SpotFi's estimation runs over the Workspace arenas as a
-// stage: sanitize, cluster, direct-path and localize as Stage<In, Out>,
-// and per-packet super-resolution as one estimate stage (MUSIC or
-// ESPRIT). MUSIC's two phases are the estimator's stage_subspace and
-// stage_spectrum, so a direct eigensolver (ROADMAP item 3) and a
-// coarse-to-fine sweep (item 4) each land in one place. The fallback
-// ladder plus the shed levels are *stage substitutions* (which estimate
-// stage runs) instead of ad-hoc branches.
+// ApProcessor runs one packet group as a fixed sequence of kernels:
+// sanitize, the per-packet estimate stage (MUSIC or ESPRIT,
+// pipeline/stages.hpp), then cluster and direct-path selection; the
+// server then fuses the APs (localize). Each step runs under a
+// StageMeter, which attributes wall time and arena growth to one
+// StagePhase. MUSIC's two phases are the estimator's stage_subspace and
+// stage_spectrum, so a direct eigensolver (ROADMAP item 2) and an exact
+// Kronecker-Gram sweep (item 3) each land in one place.
 //
-// Stage contract (DESIGN.md §15):
-//  - Stages are immutable after construction and shareable across
-//    threads; all mutable state flows through the StageContext.
-//  - A stage allocates its OUTPUT into the caller's open arena frame
+// Contract (DESIGN.md §15):
+//  - A step allocates its OUTPUT into the caller's open arena frame
 //    (ctx.ws) and never opens a frame around it — outputs must outlive
-//    the stage call. Internal scratch may use nested frames freely.
-//  - Randomness comes only from ctx.rng (a stream forked by the caller
-//    in deterministic order), never from ambient state.
-//  - Telemetry is opt-in: when ctx.breakdown is null a stage performs
+//    the call. Internal scratch may use nested frames freely.
+//  - Telemetry is opt-in: when ctx.breakdown is null a meter performs
 //    no clock reads and no accounting — the hot path stays untouched.
 #pragma once
 
@@ -29,12 +25,10 @@
 
 namespace spotfi {
 
-class Rng;
-
 /// Telemetry buckets for the stage breakdown. Smoothing is folded into
 /// kSubspace (the two always run back-to-back and smoothing is ~free
 /// next to the eigendecomposition), matching the eigensolver-vs-sweep
-/// cost split (ROADMAP items 3/4) the breakdown exists to measure.
+/// cost split (ROADMAP items 2/3) the breakdown exists to measure.
 enum class StagePhase : std::uint8_t {
   kSanitize = 0,
   kSubspace,
@@ -80,24 +74,16 @@ struct StageBreakdown {
   }
 };
 
-/// Everything a stage invocation may touch beyond its typed input. The
-/// caller owns every pointee; a stage never stores the context.
+/// Everything a metered step may touch beyond its typed input. The
+/// caller owns every pointee; a step never stores the context.
 struct StageContext {
-  /// Arena the stage's output is allocated from. Required.
+  /// Arena the step's output is allocated from.
   Workspace* ws = nullptr;
-  /// Deterministic random stream for this unit of work (forked by the
-  /// orchestrator in capture order). Null for stages that are
-  /// randomness-free.
-  Rng* rng = nullptr;
   /// Telemetry sink; null disables all metering (and its clock reads).
   StageBreakdown* breakdown = nullptr;
-  /// The innermost frame enclosing the stage outputs, used to meter
+  /// The innermost frame enclosing the step's outputs, used to meter
   /// per-phase arena peaks. Only consulted when breakdown is set.
   const Workspace::Frame* frame = nullptr;
-  /// Remaining wall-clock budget for the enclosing round; 0 = no
-  /// deadline. Stages may use it to pick cheaper strategies (the shed
-  /// ladder already does this one level up via stage substitution).
-  double deadline_s = 0.0;
 };
 
 /// Monotonic time for stage metering. Deliberately NOT the session
@@ -105,9 +91,9 @@ struct StageContext {
 /// advances time — telemetry reads would perturb deadline logic.
 [[nodiscard]] double stage_now_s();
 
-/// RAII meter around one stage invocation: accumulates wall time and
-/// the enclosing frame's peak growth into breakdown[phase]. A no-op
-/// (no clock reads) when ctx carries no breakdown sink.
+/// RAII meter around one step: accumulates wall time and the enclosing
+/// frame's peak growth into breakdown[phase]. A no-op (no clock reads)
+/// when ctx carries no breakdown sink.
 ///
 /// The peak delta is valid at stage boundaries: any nested frame a
 /// kernel opened has closed by then, folding its peak into the
@@ -141,26 +127,6 @@ class StageMeter {
   StagePhase phase_;
   double t0_ = 0.0;
   std::size_t peak0_ = 0;
-};
-
-/// A typed estimation stage. run_into() meters the invocation (when the
-/// context asks for it) around the virtual do_run(); subclasses
-/// implement do_run() under the contract at the top of this header.
-template <typename In, typename Out>
-class Stage {
- public:
-  virtual ~Stage() = default;
-
-  [[nodiscard]] Out run_into(StageContext& ctx, const In& in) const {
-    StageMeter meter(ctx, phase());
-    return do_run(ctx, in);
-  }
-
-  [[nodiscard]] virtual StagePhase phase() const = 0;
-  [[nodiscard]] virtual const char* name() const = 0;
-
- private:
-  [[nodiscard]] virtual Out do_run(StageContext& ctx, const In& in) const = 0;
 };
 
 }  // namespace spotfi

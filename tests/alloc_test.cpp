@@ -20,6 +20,7 @@
 #include "channel/multipath.hpp"
 #include "common/workspace.hpp"
 #include "core/ap_processor.hpp"
+#include "csi/sanitize.hpp"
 #include "geom/floorplan.hpp"
 #include "pipeline/stages.hpp"
 
@@ -173,14 +174,13 @@ TEST(ZeroAlloc, ArenaHighWaterMarkIsPinned) {
 }
 
 TEST(ZeroAlloc, StagedPacketPathAllocatesNothing) {
-  // The same contract through the typed stage interfaces directly
-  // (DESIGN.md §15): the sanitize stage, then the MUSIC estimate stage
-  // (its metered subspace and spectrum phases), WITH the telemetry sink
-  // armed — neither the virtual-dispatch boundary nor the StageMeter may
-  // touch the heap after warm-up.
+  // The same contract through the metered steps directly (DESIGN.md
+  // §15): sanitize_tof under a kSanitize meter, then the MUSIC estimate
+  // stage (its metered subspace and spectrum phases), WITH the telemetry
+  // sink armed — neither the virtual-dispatch boundary nor the
+  // StageMeter may touch the heap after warm-up.
   const auto packets = synthesize_group(4);
   const JointMusicEstimator est(kLink, JointMusicConfig{});
-  const SanitizeStage sanitize(kLink, true);
   const MusicEstimateStage music(est);
 
   Workspace ws;
@@ -189,12 +189,13 @@ TEST(ZeroAlloc, StagedPacketPathAllocatesNothing) {
 
   auto run_packet = [&](const CsiPacket& packet) {
     Workspace::Frame frame(ws);
-    StageContext ctx;
-    ctx.ws = &ws;
-    ctx.breakdown = &breakdown;
-    ctx.frame = &frame;
-    const ConstCMatrixView csi =
-        sanitize.run_into(ctx, ConstCMatrixView(packet.csi));
+    const StageContext ctx{
+        .ws = &ws, .breakdown = &breakdown, .frame = &frame};
+    ConstCMatrixView csi;
+    {
+      StageMeter meter(ctx, StagePhase::kSanitize);
+      csi = sanitize_tof(ConstCMatrixView(packet.csi), kLink, ws);
+    }
     return music.run_into(ctx, csi, out);
   };
 

@@ -1,9 +1,10 @@
-// The stage-pipeline equivalence suite (DESIGN.md §15): the staged
-// estimation path must be byte-identical at every thread count, for
-// every fallback/shed entry stage — and the deferred
-// (prepare/execute/complete) round lifecycle plus the cross-session
-// batch scheduler must reproduce the serial per-session outputs bit for
-// bit.
+// The per-AP stage suite (DESIGN.md §15): the metered MUSIC estimate
+// stage must write exactly what the estimator's value API returns; a
+// round must be byte-identical at every thread count for every
+// fallback/shed entry stage; the stage breakdown must fill the phases
+// each rung runs — and the deferred (prepare/execute/complete) round
+// lifecycle plus the cross-session batch scheduler must reproduce the
+// serial per-session outputs bit for bit.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -15,7 +16,6 @@
 #include "core/session_manager.hpp"
 #include "core/streaming.hpp"
 #include "music/steering_cache.hpp"
-#include "pipeline/pipeline.hpp"
 #include "pipeline/stages.hpp"
 #include "testbed/deployment.hpp"
 #include "testbed/experiment.hpp"
@@ -144,9 +144,11 @@ TEST(StageTelemetry, RobustRoundCarriesAStageBreakdown) {
 
   const StageBreakdown& bd = round.stage_breakdown;
   EXPECT_TRUE(bd.any());
-  // The MUSIC path must attribute work to every phase it runs: the
-  // eigendecomposition and the grid sweep (the ROADMAP items-3/4 cost
-  // split this telemetry exists to measure), clustering, and fusion.
+  // The MUSIC path must attribute work to every phase it runs:
+  // sanitization, the eigendecomposition and the grid sweep (the ROADMAP
+  // items-2/3 cost split this telemetry exists to measure), clustering,
+  // and fusion.
+  EXPECT_GT(bd.seconds[static_cast<std::size_t>(StagePhase::kSanitize)], 0.0);
   EXPECT_GT(bd.seconds[static_cast<std::size_t>(StagePhase::kSubspace)], 0.0);
   EXPECT_GT(bd.seconds[static_cast<std::size_t>(StagePhase::kSpectrum)], 0.0);
   EXPECT_GT(bd.seconds[static_cast<std::size_t>(StagePhase::kCluster)], 0.0);
@@ -161,6 +163,29 @@ TEST(StageTelemetry, RobustRoundCarriesAStageBreakdown) {
   // round: every AP ran MUSIC, so the subspace bucket saw n_aps packets'
   // worth of time — at least as much as any single AP contributed.
   EXPECT_EQ(round.ap_results.size(), captures.size());
+}
+
+TEST(StageTelemetry, EspritRoundIsMeteredWholeAsSubspace) {
+  // ESPRIT has no grid sweep: its estimate stage is metered whole under
+  // kSubspace and leaves kSpectrum empty (perfbench's tenants_esprit
+  // reads music.spectrum_ms = 0 from this).
+  const auto captures = office_captures(4);
+  ServerConfig cfg = office_server_config(1);
+  cfg.ap.fallback.entry_stage = ApStage::kEsprit;
+  const SpotFiServer server(kLink, cfg);
+  Rng rng(7);
+  auto result = server.try_localize(captures, rng);
+  ASSERT_TRUE(result.has_value()) << result.error().reason;
+  for (const ApStage stage : result.value().ap_stages) {
+    EXPECT_EQ(stage, ApStage::kEsprit);
+  }
+
+  const StageBreakdown& bd = result.value().stage_breakdown;
+  EXPECT_GT(bd.seconds[static_cast<std::size_t>(StagePhase::kSubspace)], 0.0);
+  EXPECT_EQ(bd.seconds[static_cast<std::size_t>(StagePhase::kSpectrum)], 0.0);
+  EXPECT_EQ(
+      bd.workspace_peak_bytes[static_cast<std::size_t>(StagePhase::kSpectrum)],
+      0u);
 }
 
 TEST(StageTelemetry, MeteringIsOptInAndOffByDefaultOnTheStrictPath) {

@@ -4,9 +4,11 @@
 // against the single-tenant streaming path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -364,6 +366,56 @@ TEST(SessionDeadline, MeasuredOverrunCountsAsMissAndRetrainsTheModel) {
   stats = manager.session_stats(id);
   EXPECT_EQ(stats.deadline_limited_rounds, 1u);
   EXPECT_EQ(stats.rounds_degraded, 1u);
+}
+
+// --- the round partition holds for every entry point ---
+
+TEST(SessionStatsPartition, PollFiredRoundIsCountedLikeAPumpedOne) {
+  // A deadline round fired by poll() must land in the same counters as
+  // one fired by pump(): planned (full/degraded/shed), deadline-limited,
+  // and — when it runs but yields no fix — failed.
+  constexpr std::size_t kGroup = 3;
+  Feed feed(kGroup);
+  SessionConfig cfg = base_session(feed, kGroup);
+  cfg.streaming.screen_packets = false;  // let the corrupt packets buffer
+  cfg.overload.round_deadline_s = 0.5;
+  // Full fidelity cannot meet the budget, coarse can: the deadline
+  // planner degrades the round up front.
+  cfg.overload.seed_cost_s = {1.0, 0.2, 0.2, 0.01};
+  FakeClock clock(0.0);
+  SessionManagerConfig mgr_cfg;
+  mgr_cfg.num_threads = 1;
+  mgr_cfg.clock = &clock;
+  SessionManager manager(kLink, mgr_cfg);
+  const SessionId id = manager.open_session(cfg);
+
+  // Only APs 0 and 1 deliver, and every packet is unusable: NaN CSI and
+  // NaN RSSI, so no rung of the fallback chain can produce an
+  // observation and the round fails.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  double last_t = 0.0;
+  for (std::size_t p = 0; p < kGroup; ++p) {
+    for (std::size_t a = 0; a < 2; ++a) {
+      CsiPacket packet = feed.captures[a].packets[p];
+      packet.csi =
+          CMatrix(packet.csi.rows(), packet.csi.cols(), cplx(nan, nan));
+      packet.rssi_dbm = nan;
+      last_t = std::max(last_t, packet.timestamp_s);
+      ASSERT_TRUE(manager.offer(id, a, std::move(packet)).admitted());
+      EXPECT_TRUE(manager.pump(id).empty());
+    }
+  }
+  SessionStats stats = manager.session_stats(id);
+  ASSERT_EQ(stats.rounds_full + stats.rounds_degraded + stats.rounds_shed, 0u);
+
+  // Past the quorum deadline the timer tick fires the round.
+  EXPECT_FALSE(manager.poll(id, last_t + 2.5).has_value());
+  stats = manager.session_stats(id);
+  EXPECT_EQ(stats.rounds_full + stats.rounds_degraded + stats.rounds_shed, 1u);
+  EXPECT_EQ(stats.rounds_degraded, 1u);
+  EXPECT_EQ(stats.failed_rounds, 1u);
+  EXPECT_EQ(stats.deadline_limited_rounds, 1u);
+  EXPECT_EQ(stats.fixes, 0u);
 }
 
 // --- FakeClock scheduling helpers (the machinery the deadline tests
