@@ -12,8 +12,8 @@ then compares normalized ratios:
 
 and fails when any benchmark regresses past the threshold (default
 15%). Benchmarks present on only one side are reported but do not
-fail the gate — new benches have no baseline yet, retired ones no
-candidate.
+fail the timing gate — new benches have no baseline yet, retired ones
+no candidate.
 
 The zero-allocation contract is machine-independent, so it is gated
 exactly: the steady-state packet benches (`BM_PacketEstimate_Workspace*`)
@@ -22,7 +22,10 @@ report 0 allocs/packet — shedding under overload must never touch the
 heap — as must the journal-append bench (`BM_JournalAppend_Steady*`),
 whose preallocated record buffer keeps durability off the allocator. Group-stage benches (`BM_GroupProcess_*`) are exempt — their
 counters intentionally report the constant per-group bookkeeping
-amortized over the group size, which is small but nonzero. The session
+amortized over the group size, which is small but nonzero. A baseline
+zero-allocation bench that carries `allocs_per_packet` must appear in
+the candidate with that counter: renaming or dropping one would
+otherwise retire its gate silently, so a missing one fails. The session
 throughput benches (`BM_SessionRounds/*`) participate in the normalized
 >threshold gate like every other benchmark.
 
@@ -165,9 +168,21 @@ def main():
     # constant amortized over group size (nonzero by design).
     zero_alloc_patterns = ("PacketEstimate_Workspace", "SessionAdmit_Steady",
                            "TransportDeliver_Steady", "JournalAppend_Steady")
+
+    def zero_alloc_gated(name, entry):
+        return (any(p in name for p in zero_alloc_patterns)
+                and "allocs_per_packet" in entry)
+
+    # A gated baseline bench missing from the candidate (renamed,
+    # deleted, or stripped of its counter) would drop its gate unseen.
+    for name, entry in sorted(base.items()):
+        if zero_alloc_gated(name, entry) and not zero_alloc_gated(
+                name, cand.get(name, {})):
+            failures.append(f"{name}: zero-allocation bench missing from the "
+                            "candidate (or lost its allocs_per_packet "
+                            "counter); its gate would be retired silently")
     for name, entry in sorted(cand.items()):
-        if (any(p in name for p in zero_alloc_patterns)
-                and "allocs_per_packet" in entry):
+        if zero_alloc_gated(name, entry):
             allocs = entry["allocs_per_packet"]
             if allocs > 0:
                 failures.append(f"{name}: {allocs} heap allocations per "

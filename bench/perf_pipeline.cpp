@@ -199,8 +199,7 @@ void BM_BatchedPump(benchmark::State& state) {
     cfg.streaming.group_size = kGroup;
     cfg.streaming.server.localizer.area_min = f.runner.deployment().area_min;
     cfg.streaming.server.localizer.area_max = f.runner.deployment().area_max;
-    cfg.streaming.server.ap.fallback.entry_stage =
-        entry_stage_for(ShedLevel::kEsprit);
+    cfg.streaming.server.ap.fallback.entry_stage = ApStage::kEsprit;
     for (std::size_t a = 0; a < kAps; ++a) {
       cfg.aps.push_back(f.captures[a].pose);
     }

@@ -86,16 +86,16 @@ struct Feed {
 constexpr std::size_t kGroupSize = 2;
 constexpr std::size_t kApsPerSession = 3;
 
-/// One tenant's config at the given fidelity rung. The entry stage is
-/// set on the base server directly, so even "full fidelity" rounds of
-/// this bench enter the fallback chain at the rung under test.
-SessionConfig bench_session(const Feed& feed, ShedLevel level,
+/// One tenant's config entering the fallback chain at `entry`. A
+/// planned overload rung is only a floor on it, so every round of this
+/// bench runs at the stage under test (or a cheaper one).
+SessionConfig bench_session(const Feed& feed, ApStage entry,
                             std::uint64_t seed) {
   SessionConfig cfg;
   cfg.streaming.group_size = kGroupSize;
   cfg.streaming.server.localizer.area_min = feed.runner.deployment().area_min;
   cfg.streaming.server.localizer.area_max = feed.runner.deployment().area_max;
-  cfg.streaming.server.ap.fallback.entry_stage = entry_stage_for(level);
+  cfg.streaming.server.ap.fallback.entry_stage = entry;
   for (std::size_t a = 0; a < kApsPerSession; ++a) {
     cfg.aps.push_back(feed.captures[a].pose);
   }
@@ -110,15 +110,15 @@ SessionConfig bench_session(const Feed& feed, ShedLevel level,
 /// p99 counter is the 99th-percentile single-round pump latency.
 void BM_SessionRounds(benchmark::State& state) {
   const auto n_sessions = static_cast<std::size_t>(state.range(0));
-  const ShedLevel level =
-      n_sessions >= 1000 ? ShedLevel::kRssiOnly : ShedLevel::kEsprit;
+  const ApStage entry =
+      n_sessions >= 1000 ? ApStage::kRssiOnly : ApStage::kEsprit;
 
   Feed feed(kGroupSize);
   SessionManager manager(kLink);
   std::vector<SessionId> ids;
   ids.reserve(n_sessions);
   for (std::size_t s = 0; s < n_sessions; ++s) {
-    ids.push_back(manager.open_session(bench_session(feed, level, 100 + s)));
+    ids.push_back(manager.open_session(bench_session(feed, entry, 100 + s)));
   }
 
   std::vector<double> round_s;
@@ -160,7 +160,7 @@ BENCHMARK(BM_SessionRounds)
 /// are preallocated — and the regression gate enforces 0 exactly.
 void BM_SessionAdmit_Steady(benchmark::State& state) {
   Feed feed(1);
-  SessionConfig cfg = bench_session(feed, ShedLevel::kFull, 7);
+  SessionConfig cfg = bench_session(feed, ApStage::kPrimary, 7);
   cfg.streaming.group_size = 1000000;  // rounds never fire
   cfg.overload.queue_capacity = 64;
   SessionManagerConfig mgr_cfg;

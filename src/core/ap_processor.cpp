@@ -173,7 +173,7 @@ std::size_t ApProcessor::estimate_packet(const CsiPacket& packet,
 }
 
 ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
-                                      Rng& rng) const {
+                                      Rng& rng, ApStage rung) const {
   SPOTFI_EXPECTS(!packets.empty(), "need at least one packet");
   ApOutcome out;
 
@@ -193,11 +193,35 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
     return out;
   };
 
-  // Screen unconditionally on the robust path: it exists precisely
-  // because input may be corrupt, so a missing quality config means
-  // defaults, not no screening.
-  const QualityConfig quality = config_.quality.value_or(QualityConfig{});
-  const std::vector<CsiPacket> screened = screen_group(packets, quality);
+  // The entry point: stages before `entry` are skipped outright; the
+  // entry stage itself always runs; stages after it run only when the
+  // fallback chain is enabled. The overload rung is a floor on the
+  // configured entry, so a backlog never makes a round costlier.
+  const bool primary_is_music = config_.front_end == FrontEnd::kMusic;
+  if (!primary_is_music && rung == ApStage::kRelaxedMusic) {
+    rung = ApStage::kEsprit;
+  }
+  const ApStage entry = std::max(config_.fallback.entry_stage, rung);
+  SPOTFI_EXPECTS(entry != ApStage::kFailed,
+                 "entry_stage must name a runnable stage");
+  const auto stage_allowed = [&](ApStage stage) {
+    if (stage < entry) return false;
+    if (stage == entry) return true;
+    return config_.fallback.enabled;
+  };
+
+  // Screen unconditionally when an estimator rung can run: the robust
+  // path exists precisely because input may be corrupt, so a missing
+  // quality config means defaults, not no screening. An RSSI-only entry
+  // averages the raw group below, so it neither screens nor copies it.
+  std::vector<CsiPacket> screened;
+  if (entry < ApStage::kRssiOnly) {
+    screened =
+        screen_group(packets, config_.quality.value_or(QualityConfig{}));
+    if (screened.empty()) {
+      out.note = "quality screen rejected every packet in the group";
+    }
+  }
 
   // One fallback rung = one group run with a substituted estimate
   // stage; the orchestration below only decides WHICH stage runs, never
@@ -227,20 +251,7 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
     }
   };
 
-  // The overload ladder's entry point: stages before `entry` are skipped
-  // outright; the entry stage itself always runs; stages after it run
-  // only when the fallback chain is enabled.
-  const ApStage entry = config_.fallback.entry_stage;
-  SPOTFI_EXPECTS(entry != ApStage::kFailed,
-                 "entry_stage must name a runnable stage");
-  const auto stage_allowed = [&](ApStage stage) {
-    if (stage < entry) return false;
-    if (stage == entry) return true;
-    return config_.fallback.enabled;
-  };
-
   if (!screened.empty()) {
-    const bool primary_is_music = config_.front_end == FrontEnd::kMusic;
     // Lazily built on first use: the relaxed rung needs its own
     // (coarser-grid) estimator, which most groups never reach.
     std::optional<JointMusicEstimator> relaxed;
@@ -274,8 +285,6 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
       if (estimate == nullptr) continue;
       if (attempt(stage, *estimate)) return finish();
     }
-  } else {
-    out.note = "quality screen rejected every packet in the group";
   }
 
   if (stage_allowed(ApStage::kRssiOnly)) {

@@ -42,7 +42,8 @@ enum class FrontEnd {
 
 /// Which stage of the estimator fallback chain produced an ApOutcome.
 /// Ordered by decreasing fidelity: process_robust walks this chain until
-/// one stage succeeds.
+/// one stage succeeds. kPrimary through kRssiOnly are also the rungs of
+/// the overload shedding ladder (core/overload.hpp).
 enum class ApStage {
   kPrimary,       ///< the configured front end, full resolution
   kRelaxedMusic,  ///< MUSIC retried on a coarser, more forgiving grid
@@ -62,12 +63,12 @@ struct ApFallbackConfig {
   double rssi_only_likelihood = 0.05;
   /// Where process_robust enters the chain. kPrimary is the normal full-
   /// fidelity path; a later stage skips the more expensive ones entirely
-  /// — this is how the overload ladder (core/overload.hpp) sheds compute:
-  /// a degraded round enters at the rung it is entitled to instead of
-  /// running the full estimator and discarding it. The entry stage is
-  /// always attempted even when `enabled` is false (entering the chain
-  /// at a stage is a request to run that stage, not a request for its
-  /// fallbacks). Must not be kFailed.
+  /// (an RSSI-only deployment never runs an estimator). The overload
+  /// ladder (core/overload.hpp) can only move the entry later: a round's
+  /// planned rung is a floor on this stage, never an override. The entry
+  /// stage is always attempted even when `enabled` is false (entering
+  /// the chain at a stage is a request to run that stage, not a request
+  /// for its fallbacks). Must not be kFailed.
   ApStage entry_stage = ApStage::kPrimary;
 };
 
@@ -140,8 +141,13 @@ class ApProcessor {
   /// first, then — when config().fallback.enabled — retries MUSIC on a
   /// relaxed grid, falls back to ESPRIT, and finally emits an RSSI-only
   /// observation; `stage`/`note` record how far it had to degrade.
-  [[nodiscard]] ApOutcome process_robust(std::span<const CsiPacket> packets,
-                                         Rng& rng) const;
+  /// The chain is entered at the later of fallback.entry_stage and
+  /// `rung` (the round's overload rung, a floor). Relaxed MUSIC is a
+  /// cheaper MUSIC, not a cheaper ESPRIT, so with an ESPRIT front end a
+  /// kRelaxedMusic rung counts as kEsprit.
+  [[nodiscard]] ApOutcome process_robust(
+      std::span<const CsiPacket> packets, Rng& rng,
+      ApStage rung = ApStage::kPrimary) const;
 
   /// One packet through the sanitize -> super-resolution stage of the
   /// configured front end, every scratch buffer drawn from `ws`

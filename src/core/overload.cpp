@@ -5,26 +5,6 @@
 
 namespace spotfi {
 
-const char* to_string(ShedLevel level) {
-  switch (level) {
-    case ShedLevel::kFull: return "full";
-    case ShedLevel::kCoarse: return "coarse-grid";
-    case ShedLevel::kEsprit: return "esprit";
-    case ShedLevel::kRssiOnly: return "rssi-only";
-  }
-  return "unknown";
-}
-
-ApStage entry_stage_for(ShedLevel level) {
-  switch (level) {
-    case ShedLevel::kFull: return ApStage::kPrimary;
-    case ShedLevel::kCoarse: return ApStage::kRelaxedMusic;
-    case ShedLevel::kEsprit: return ApStage::kEsprit;
-    case ShedLevel::kRssiOnly: return ApStage::kRssiOnly;
-  }
-  return ApStage::kPrimary;
-}
-
 RoundCostModel::RoundCostModel(const OverloadConfig& config)
     : alpha_(config.cost_ewma_alpha), cost_s_(config.seed_cost_s) {
   SPOTFI_EXPECTS(alpha_ > 0.0 && alpha_ <= 1.0,
@@ -35,7 +15,7 @@ RoundCostModel::RoundCostModel(const OverloadConfig& config)
   }
 }
 
-void RoundCostModel::observe(ShedLevel level, double duration_s) {
+void RoundCostModel::observe(ApStage level, double duration_s) {
   if (!(duration_s >= 0.0) || !std::isfinite(duration_s)) return;
   const std::size_t i = static_cast<std::size_t>(level);
   // First real sample replaces the seed outright; after that, EWMA.
@@ -50,7 +30,7 @@ OverloadPolicy::OverloadPolicy(OverloadConfig config)
                  "queue_capacity must be positive");
   const double fr[] = {0.0, config_.degrade_coarse_at,
                        config_.degrade_esprit_at, config_.degrade_rssi_at};
-  for (std::size_t i = 1; i < kShedLevelCount; ++i) {
+  for (std::size_t i = 1; i < kRungCount; ++i) {
     SPOTFI_EXPECTS(fr[i] >= 0.0 && fr[i] <= 1.0,
                    "degrade fractions must be in [0, 1]");
     SPOTFI_EXPECTS(fr[i] >= fr[i - 1],
@@ -59,28 +39,28 @@ OverloadPolicy::OverloadPolicy(OverloadConfig config)
   SPOTFI_EXPECTS(config_.round_deadline_s >= 0.0,
                  "round_deadline_s must be >= 0");
   const double cap = static_cast<double>(config_.queue_capacity);
-  for (std::size_t i = 0; i < kShedLevelCount; ++i) {
+  for (std::size_t i = 0; i < kRungCount; ++i) {
     rung_depth_[i] = static_cast<std::size_t>(std::ceil(fr[i] * cap));
   }
   // A fraction of 0 still means "from the first packet", not "always":
   // rung 0 (full fidelity) owns the empty queue.
-  for (std::size_t i = 1; i < kShedLevelCount; ++i) {
+  for (std::size_t i = 1; i < kRungCount; ++i) {
     rung_depth_[i] = std::max<std::size_t>(rung_depth_[i], 1);
   }
 }
 
-ShedLevel OverloadPolicy::level_for_depth(std::size_t depth) const {
+ApStage OverloadPolicy::level_for_depth(std::size_t depth) const {
   std::size_t level = 0;
-  for (std::size_t i = 1; i < kShedLevelCount; ++i) {
+  for (std::size_t i = 1; i < kRungCount; ++i) {
     if (depth >= rung_depth_[i]) level = i;
   }
-  return static_cast<ShedLevel>(level);
+  return static_cast<ApStage>(level);
 }
 
 AdmissionVerdict OverloadPolicy::admit(std::size_t depth) const {
   AdmissionVerdict verdict;
   verdict.level = level_for_depth(depth);
-  if (verdict.level == ShedLevel::kFull) return verdict;  // accepted
+  if (verdict.level == ApStage::kPrimary) return verdict;  // accepted
   verdict.kind = AdmissionVerdict::Kind::kDegraded;
   verdict.reason = "ingest queue occupancy past a degrade rung";
   return verdict;
@@ -90,7 +70,7 @@ RoundPlan OverloadPolicy::plan_round(std::size_t depth,
                                      const RoundCostModel& cost) const {
   RoundPlan plan;
   plan.level = level_for_depth(depth);
-  if (plan.level != ShedLevel::kFull) {
+  if (plan.level != ApStage::kPrimary) {
     plan.reason = "queue occupancy past a degrade rung";
   }
   if (config_.round_deadline_s <= 0.0) return plan;
@@ -99,21 +79,21 @@ RoundPlan OverloadPolicy::plan_round(std::size_t depth,
   // cost fits the budget. Occupancy never *raises* fidelity: the
   // deadline can only degrade further.
   std::size_t level = static_cast<std::size_t>(plan.level);
-  while (level + 1 < kShedLevelCount &&
-         cost.estimate_s(static_cast<ShedLevel>(level)) >
+  while (level + 1 < kRungCount &&
+         cost.estimate_s(static_cast<ApStage>(level)) >
              config_.round_deadline_s) {
     ++level;
   }
-  if (cost.estimate_s(static_cast<ShedLevel>(level)) >
+  if (cost.estimate_s(static_cast<ApStage>(level)) >
       config_.round_deadline_s) {
     plan.run = false;
-    plan.level = static_cast<ShedLevel>(level);
+    plan.level = static_cast<ApStage>(level);
     plan.deadline_limited = true;
     plan.reason = "deadline unmeetable at any fidelity";
     return plan;
   }
   if (level != static_cast<std::size_t>(plan.level)) {
-    plan.level = static_cast<ShedLevel>(level);
+    plan.level = static_cast<ApStage>(level);
     plan.deadline_limited = true;
     plan.reason = "deadline requires a cheaper fidelity";
   }

@@ -1,16 +1,17 @@
 // Overload policy for the multi-tenant session layer (DESIGN.md §12):
-// admission verdicts, the load-shedding fidelity ladder, and per-round
-// deadline planning.
+// admission verdicts, the load-shedding ladder, and per-round deadline
+// planning.
 //
 // The principle: overload is a first-class, *gracefully degraded*
-// condition, never an unbounded queue. Work is shed along the estimator
-// fallback chain PR 1 built (full MUSIC -> coarser grid -> ESPRIT ->
-// RSSI-only), driven by two signals:
+// condition, never an unbounded queue. The shedding ladder IS the
+// per-AP estimator fallback chain (ApStage: full MUSIC -> relaxed MUSIC
+// -> ESPRIT -> RSSI-only). A round planned at a rung passes it to every
+// AP as a floor on its configured entry stage, so shedding only ever
+// removes work. Two signals pick the rung:
 //
 //  * Queue depth — the per-session ingest queue's occupancy picks the
-//    fidelity rung a session is currently entitled to. A backlogged
-//    session trades resolution for drain rate before it trades
-//    availability.
+//    rung a session is currently entitled to. A backlogged session
+//    trades resolution for drain rate before it trades availability.
 //  * Deadline slack — each round carries a wall-clock compute budget.
 //    A round that cannot meet its deadline at full fidelity (per the
 //    measured cost model) is degraded or rejected up front, never run
@@ -29,23 +30,11 @@
 
 namespace spotfi {
 
-/// The load-shedding fidelity ladder, highest fidelity first. Each rung
-/// maps onto an entry stage of the per-AP estimator fallback chain
-/// (ApFallbackConfig::entry_stage), so a degraded round reuses exactly
-/// the containment machinery that already handles estimator failures.
-enum class ShedLevel : std::uint8_t {
-  kFull = 0,      ///< configured front end, full resolution
-  kCoarse = 1,    ///< MUSIC on the relaxed (coarser) grid
-  kEsprit = 2,    ///< search-free shift invariance
-  kRssiOnly = 3,  ///< no super-resolution; RSSI range constraint only
-};
-
-inline constexpr std::size_t kShedLevelCount = 4;
-
-[[nodiscard]] const char* to_string(ShedLevel level);
-
-/// The fallback-chain entry stage that implements a shed level.
-[[nodiscard]] ApStage entry_stage_for(ShedLevel level);
+/// Rungs of the shedding ladder: ApStage::kPrimary through kRssiOnly
+/// (kFailed is an outcome, not a rung). Sizes the per-rung cost model
+/// and occupancy thresholds.
+inline constexpr std::size_t kRungCount =
+    static_cast<std::size_t>(ApStage::kRssiOnly) + 1;
 
 /// Outcome of one admission decision (packet offer or round plan).
 /// Reasons are static strings so the accepted path allocates nothing.
@@ -56,9 +45,9 @@ struct AdmissionVerdict {
     kShed,      ///< rejected outright — `reason` says why
   };
   Kind kind = Kind::kAccepted;
-  /// Fidelity entitlement (kFull when accepted; meaningful for
-  /// kDegraded; the rung that was overloaded for kShed).
-  ShedLevel level = ShedLevel::kFull;
+  /// Ladder rung the session is entitled to (kPrimary when accepted;
+  /// meaningful for kDegraded; the rung that was overloaded for kShed).
+  ApStage level = ApStage::kPrimary;
   /// Why the work was shed or degraded ("" when accepted).
   const char* reason = "";
 
@@ -81,20 +70,20 @@ struct OverloadConfig {
   double round_deadline_s = 0.0;
   /// EWMA weight of the newest round-duration sample in the cost model.
   double cost_ewma_alpha = 0.3;
-  /// Initial per-round cost estimates [s], indexed by ShedLevel. Zero
+  /// Initial per-round cost estimates [s], indexed by rung. Zero
   /// means "assume free until measured" — set these in tests (with a
   /// FakeClock) to make deadline decisions deterministic.
-  std::array<double, kShedLevelCount> seed_cost_s{};
+  std::array<double, kRungCount> seed_cost_s{};
 };
 
 /// EWMA state of a RoundCostModel, exportable for durability snapshots.
 /// The alpha weight comes from the config and is not part of the state.
 struct RoundCostState {
-  std::array<double, kShedLevelCount> cost_s{};
-  std::array<bool, kShedLevelCount> seen{};
+  std::array<double, kRungCount> cost_s{};
+  std::array<bool, kRungCount> seen{};
 };
 
-/// EWMA of measured round cost per fidelity level. Feeds deadline
+/// EWMA of measured round cost per planned rung. Feeds deadline
 /// planning: "can a full-fidelity round still finish in time, or must
 /// this one enter the chain lower?" Single-threaded by contract (one
 /// model per session, touched only by the pump).
@@ -103,10 +92,10 @@ class RoundCostModel {
   explicit RoundCostModel(const OverloadConfig& config);
 
   /// Folds a measured round duration at `level` into the estimate.
-  void observe(ShedLevel level, double duration_s);
+  void observe(ApStage level, double duration_s);
 
   /// Current estimate for one round at `level` [s].
-  [[nodiscard]] double estimate_s(ShedLevel level) const {
+  [[nodiscard]] double estimate_s(ApStage level) const {
     return cost_s_[static_cast<std::size_t>(level)];
   }
 
@@ -121,8 +110,8 @@ class RoundCostModel {
 
  private:
   double alpha_;
-  std::array<double, kShedLevelCount> cost_s_;
-  std::array<bool, kShedLevelCount> seen_{};
+  std::array<double, kRungCount> cost_s_;
+  std::array<bool, kRungCount> seen_{};
 };
 
 /// What to do with one about-to-fire round.
@@ -130,7 +119,8 @@ struct RoundPlan {
   /// False: drop the round outright (its packet group is consumed but
   /// never estimated) — the shed of last resort.
   bool run = true;
-  ShedLevel level = ShedLevel::kFull;
+  /// The rung: a floor on every AP's configured entry stage.
+  ApStage level = ApStage::kPrimary;
   /// True when the deadline (not queue occupancy) forced the outcome.
   bool deadline_limited = false;
   /// Why the round was degraded or dropped ("" for a full-fidelity run).
@@ -145,8 +135,8 @@ class OverloadPolicy {
 
   [[nodiscard]] const OverloadConfig& config() const { return config_; }
 
-  /// The fidelity rung queue occupancy `depth` demands.
-  [[nodiscard]] ShedLevel level_for_depth(std::size_t depth) const;
+  /// The ladder rung queue occupancy `depth` demands.
+  [[nodiscard]] ApStage level_for_depth(std::size_t depth) const;
 
   /// Packet admission: `depth` is the queue occupancy observed before
   /// the push. Never returns kShed — a failed try_push is the shed
@@ -164,7 +154,7 @@ class OverloadPolicy {
  private:
   OverloadConfig config_;
   /// Occupancy thresholds in packets, resolved from the fractions.
-  std::array<std::size_t, kShedLevelCount> rung_depth_;
+  std::array<std::size_t, kRungCount> rung_depth_;
 };
 
 }  // namespace spotfi

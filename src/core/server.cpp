@@ -94,7 +94,8 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize(
 }
 
 Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
-    std::span<const ApCapture> captures, std::span<Rng> streams) const {
+    std::span<const ApCapture> captures, std::span<Rng> streams,
+    ApStage rung) const {
   SPOTFI_EXPECTS(streams.size() == captures.size() && captures.size() >= 2,
                  "try_localize_forked needs one forked stream per capture");
 
@@ -108,7 +109,8 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
   for_each_ap(n, [&](std::size_t i) {
     if (captures[i].packets.empty()) return;  // folded below
     const ApProcessor processor(link_, captures[i].pose, ap_cfg);
-    outcomes[i] = processor.process_robust(captures[i].packets, streams[i]);
+    outcomes[i] =
+        processor.process_robust(captures[i].packets, streams[i], rung);
   });
 
   // Round-wide numerics telemetry: the merged per-AP counters plus

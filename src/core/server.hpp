@@ -18,7 +18,6 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "core/ap_processor.hpp"
-#include "core/overload.hpp"
 #include "localize/spotfi_localizer.hpp"
 
 namespace spotfi {
@@ -67,10 +66,10 @@ struct ServerConfig {
   std::size_t num_threads = 0;
   /// When set, the server uses this pool instead of constructing its own
   /// and `num_threads` is ignored. The multi-tenant session layer hands
-  /// every session (and every per-fidelity server variant) one shared
-  /// pool so N sessions contend for one set of workers instead of
-  /// spawning N of them. Determinism is unaffected — results are slotted
-  /// by index regardless of which pool ran them.
+  /// every session's server one shared pool so N sessions contend for
+  /// one set of workers instead of spawning N of them. Determinism is
+  /// unaffected — results are slotted by index regardless of which pool
+  /// ran them.
   std::shared_ptr<ThreadPool> shared_pool;
 };
 
@@ -102,10 +101,10 @@ struct LocalizationRound {
   /// ApOutcome::workspace_peak_bytes and the fusion stage's own frame
   /// (localizer multi-starts, LOO subset solves). try_localize only.
   std::size_t workspace_peak_bytes = 0;
-  /// The fidelity this round ran at. kFull outside the session layer;
-  /// a shed-degraded round records the ladder rung that produced it
-  /// (every AP entered the fallback chain at that rung's stage).
-  ShedLevel fidelity = ShedLevel::kFull;
+  /// The overload rung this round was planned at (kPrimary outside the
+  /// session layer). The rung is a floor on each AP's configured entry
+  /// stage, so `ap_stages` — not this field — says what actually ran.
+  ApStage fidelity = ApStage::kPrimary;
   /// Per-stage cost split of the round (try_localize only): every AP's
   /// ApOutcome::stage_breakdown folded in capture order (times sum;
   /// arena peaks take the max, since APs share the lane arenas), plus
@@ -143,21 +142,18 @@ class SpotFiServer {
   /// session layer forks streams at round-preparation time (fixing the
   /// deterministic order) and executes rounds later — possibly
   /// concurrently with other sessions' rounds — with identical results.
-  /// Requires streams.size() == captures.size() >= 2.
+  /// `rung` is the round's overload rung, a floor on every AP's entry
+  /// stage (ApProcessor::process_robust). Requires
+  /// streams.size() == captures.size() >= 2.
   [[nodiscard]] Expected<LocalizationRound, RoundError> try_localize_forked(
-      std::span<const ApCapture> captures, std::span<Rng> streams) const;
+      std::span<const ApCapture> captures, std::span<Rng> streams,
+      ApStage rung = ApStage::kPrimary) const;
 
   [[nodiscard]] const ServerConfig& config() const { return config_; }
   [[nodiscard]] const LinkConfig& link() const { return link_; }
   /// Lanes of concurrency this server actually runs with (after the
   /// SPOTFI_THREADS override and hardware-concurrency resolution).
   [[nodiscard]] std::size_t num_threads() const;
-  /// The pool this server dispatches on (null = serial). Lets the
-  /// session layer derive per-fidelity server variants that share one
-  /// pool: `cfg.shared_pool = base.shared_pool()`.
-  [[nodiscard]] std::shared_ptr<ThreadPool> shared_pool() const {
-    return pool_;
-  }
 
  private:
   /// Runs `task(i)` for every capture index, across the pool when one

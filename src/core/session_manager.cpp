@@ -86,24 +86,19 @@ struct SessionManager::Session {
 
   /// One preparation step (push_deferred or poll_deferred) plus the
   /// accounting decided at preparation time: the `applied` replay mark,
-  /// and the shed and deadline-limited counters. Returns the round when
-  /// one is ready to execute. Pump-thread-only.
+  /// and the shed and deadline-limited counters, read off the plan the
+  /// step made (none: last_plan stays a default run). Returns the round
+  /// when one is ready to execute. Pump-thread-only.
   template <typename Step>
   [[nodiscard]] std::optional<PendingRound> prepare(
       std::atomic<std::uint64_t>& applied, Step&& step) {
-    const std::uint64_t shed_before = localizer.shed_rounds();
     last_plan = RoundPlan{};
     std::optional<PendingRound> pending = step();
     applied.fetch_add(1, std::memory_order_relaxed);
-    const bool round_shed = localizer.shed_rounds() != shed_before;
-    if (!pending && !round_shed) return std::nullopt;  // no round planned
     if (last_plan.deadline_limited) {
       deadline_limited_rounds.fetch_add(1, std::memory_order_relaxed);
     }
-    if (round_shed) {
-      rounds_shed.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
+    if (!last_plan.run) rounds_shed.fetch_add(1, std::memory_order_relaxed);
     return pending;
   }
 
@@ -136,22 +131,25 @@ struct SessionManager::Session {
   }
 
   /// Finishes an executed round and does the post-execution accounting
-  /// (cost-model feedback, fidelity and deadline-miss counters, durable
-  /// fix ordinal). `dt` is the measured execution cost. Pump-thread-only,
-  /// in preparation order.
+  /// (cost-model feedback, rung and deadline-miss counters, durable fix
+  /// ordinal). Rung counters and the cost sample are keyed by the
+  /// *planned* rung. `dt` is the measured execution cost.
+  /// Pump-thread-only, in preparation order.
   [[nodiscard]] std::optional<LocationFix> complete_prepared(
       PendingRound&& pending, double dt) {
-    const std::uint64_t failed_before = localizer.failed_rounds();
-    const ShedLevel level = pending.level;
+    const ApStage level = pending.level;
     auto fix = localizer.complete_round(std::move(pending));
     if (fix) {
       fix->durable_round_index =
           emitted_fixes.fetch_add(1, std::memory_order_relaxed) + 1;
+      fixes.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      failed_rounds.fetch_add(1, std::memory_order_relaxed);
     }
     // The round actually ran: fold its measured cost back into the
     // model so the next deadline decision sees it.
     cost.observe(level, dt);
-    if (level == ShedLevel::kFull) {
+    if (level == ApStage::kPrimary) {
       rounds_full.fetch_add(1, std::memory_order_relaxed);
     } else {
       rounds_degraded.fetch_add(1, std::memory_order_relaxed);
@@ -160,10 +158,6 @@ struct SessionManager::Session {
     if (deadline_s > 0.0 && dt > deadline_s) {
       deadline_misses.fetch_add(1, std::memory_order_relaxed);
     }
-    if (localizer.failed_rounds() != failed_before) {
-      failed_rounds.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (fix) fixes.fetch_add(1, std::memory_order_relaxed);
     return fix;
   }
 

@@ -11,20 +11,21 @@
 //        ...                        ...                   N sessions)
 //
 // Each session owns: its ID, a StreamingLocalizer (per-AP buffers,
-// ApHealthState machines, and the per-fidelity server variants with
-// their steering caches), a bounded lock-free SPSC ingest queue, a
-// forked Rng stream, and an overload controller (OverloadPolicy +
-// RoundCostModel). The ThreadPool — and with it the per-worker arena
-// lanes — is shared across every session: N tenants contend for one
-// set of workers instead of spawning N pools.
+// ApHealthState machines, and one SpotFiServer that runs every round at
+// every rung), a bounded lock-free SPSC ingest queue, a forked Rng
+// stream, and an overload controller (OverloadPolicy + RoundCostModel).
+// The ThreadPool — and with it the per-worker arena lanes — is shared
+// across every session: N tenants contend for one set of workers
+// instead of spawning N pools.
 //
 // Backpressure is explicit at both ends:
 //  * offer() grades every packet with an AdmissionVerdict. A full queue
 //    sheds the packet (wait-free — a producer is never blocked), a
 //    backlogged queue admits it under a degraded fidelity entitlement.
 //  * pump() plans every about-to-fire round against queue occupancy and
-//    the wall-clock deadline budget: rounds run at the fidelity rung the
-//    backlog permits, and a round that cannot meet its deadline even at
+//    the wall-clock deadline budget: the planned rung is a floor on each
+//    AP's configured entry stage (so a backlog never makes a round
+//    costlier), and a round that cannot meet its deadline even at
 //    RSSI-only fidelity is dropped up front, never run late.
 //
 // Threading contract: offer() for one session from exactly one producer
@@ -89,9 +90,10 @@ struct SessionStats {
   /// construction — the bounded-memory witness).
   std::size_t queue_high_water = 0;
   std::size_t queue_capacity = 0;
-  /// Rounds that ran at full fidelity.
+  /// Rounds planned at full fidelity (rung kPrimary).
   std::uint64_t rounds_full = 0;
-  /// Rounds that ran below full fidelity (occupancy or deadline).
+  /// Rounds planned at a lower rung (occupancy or deadline). The rung is
+  /// a floor, so an AP may have run a cheaper stage than it names.
   std::uint64_t rounds_degraded = 0;
   /// Rounds dropped by the planner (deadline unmeetable at any rung).
   std::uint64_t rounds_shed = 0;
@@ -213,7 +215,7 @@ class SessionManager {
   [[nodiscard]] SessionStats global_stats() const;
 
   /// The session's localizer, for health/diagnostics introspection
-  /// (ap_state, fidelity, ingest report). Single-threaded use only —
+  /// (ap_state, failed rounds, ingest report). Single-threaded use only —
   /// do not call concurrently with that session's pump().
   [[nodiscard]] const StreamingLocalizer& localizer(SessionId id) const;
 

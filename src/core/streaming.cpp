@@ -17,32 +17,16 @@ const char* to_string(ApHealth health) {
 
 StreamingLocalizer::StreamingLocalizer(LinkConfig link,
                                        StreamingConfig config)
-    : link_(link), config_(std::move(config)), tracker_(config_.tracker) {
+    : link_(link),
+      config_(std::move(config)),
+      server_(link_, config_.server),
+      tracker_(config_.tracker) {
   SPOTFI_EXPECTS(config_.group_size >= 1, "group_size must be positive");
   const DegradationConfig& d = config_.degradation;
   SPOTFI_EXPECTS(d.min_quorum >= 2, "min_quorum must be at least 2");
   SPOTFI_EXPECTS(d.round_deadline_s >= 0.0, "round_deadline_s must be >= 0");
   SPOTFI_EXPECTS(d.dead_after_s >= d.degraded_after_s,
                  "dead_after_s must be >= degraded_after_s");
-  // The full-fidelity server (and its pool, when concurrency resolves
-  // past 1) is built once here, not per round: rounds reuse it, and the
-  // degraded variants derive from it on first use.
-  servers_[0] = std::make_shared<const SpotFiServer>(link_, config_.server);
-}
-
-const SpotFiServer& StreamingLocalizer::server_for(ShedLevel level) {
-  auto& slot = servers_[static_cast<std::size_t>(level)];
-  if (!slot) {
-    ServerConfig cfg = config_.server;
-    cfg.shared_pool = servers_[0]->shared_pool();
-    // A serial base server stays serial in every variant — a null
-    // shared_pool would otherwise re-resolve SPOTFI_THREADS here and
-    // could spawn a pool the full-fidelity path never had.
-    if (!cfg.shared_pool) cfg.num_threads = 1;
-    cfg.ap.fallback.entry_stage = entry_stage_for(level);
-    slot = std::make_shared<const SpotFiServer>(link_, cfg);
-  }
-  return *slot;
 }
 
 std::size_t StreamingLocalizer::add_ap(const ArrayPose& pose) {
@@ -271,22 +255,12 @@ std::optional<PendingRound> StreamingLocalizer::prepare_round(
   // Overload planning happens *after* the captures are popped: a shed
   // round still drains its backlog (that is the point of shedding), it
   // just never reaches the estimator.
-  pending.level = fidelity_;
   if (planner_) {
     const RoundPlan plan = planner_(ap_ids.size(), now_s);
-    if (!plan.run) {
-      ++shed_rounds_;
-      last_shed_ =
-          RoundFailure{std::string("round shed: ") + plan.reason, now_s};
-      return std::nullopt;
-    }
+    if (!plan.run) return std::nullopt;
     pending.level = plan.level;
     pending.plan_reason = plan.reason;
   }
-
-  // Resolve (and lazily build) the fidelity variant now, on the owning
-  // thread: execution may happen concurrently with other rounds.
-  pending.server = &server_for(pending.level);
 
   // Fork the per-capture streams in capture order, mirroring
   // try_localize exactly: a <2-capture round fails without consuming
@@ -306,7 +280,7 @@ void StreamingLocalizer::execute_round(PendingRound& round) const {
     return;
   }
   round.outcome.emplace(
-      round.server->try_localize_forked(round.captures, round.streams));
+      server_.try_localize_forked(round.captures, round.streams, round.level));
 }
 
 std::optional<LocationFix> StreamingLocalizer::complete_round(
@@ -327,10 +301,12 @@ std::optional<LocationFix> StreamingLocalizer::complete_round(
   fix.time_s = pending.latest_t;
   fix.aps_used = pending.ap_ids;
   fix.degraded = pending.deadline_round || fix.round.degraded ||
-                 pending.level != ShedLevel::kFull;
+                 pending.level != ApStage::kPrimary;
   fix.reasons = fix.round.notes;
-  if (pending.level != ShedLevel::kFull) {
-    std::string reason = std::string("overload: round ran at ") +
+  if (pending.level != ApStage::kPrimary) {
+    // The rung is a floor, so the APs may have run a cheaper stage than
+    // it names; ap_stages says which.
+    std::string reason = std::string("overload: round planned at ") +
                          to_string(pending.level) + " fidelity";
     if (pending.plan_reason[0] != '\0') {
       reason += std::string(" (") + pending.plan_reason + ")";
@@ -370,10 +346,8 @@ StreamingState StreamingLocalizer::export_state() const {
   out.tracker = tracker_.export_state();
   out.ingest = ingest_report_;
   out.rejected = rejected_;
-  out.shed_rounds = shed_rounds_;
   out.failed_rounds = failed_rounds_;
   out.fix_count = fix_count_;
-  out.fidelity = fidelity_;
   out.now_s = now_s_;
   out.has_stream_start = stream_start_s_.has_value();
   out.stream_start_s = stream_start_s_.value_or(0.0);
@@ -396,10 +370,8 @@ void StreamingLocalizer::restore_state(StreamingState state) {
   tracker_.restore_state(state.tracker);
   ingest_report_ = state.ingest;
   rejected_ = state.rejected;
-  shed_rounds_ = state.shed_rounds;
   failed_rounds_ = state.failed_rounds;
   fix_count_ = state.fix_count;
-  fidelity_ = state.fidelity;
   now_s_ = state.now_s;
   stream_start_s_ = state.has_stream_start
                         ? std::optional<double>(state.stream_start_s)
@@ -409,7 +381,6 @@ void StreamingLocalizer::restore_state(StreamingState state) {
                        : std::nullopt;
   last_fix_time_s_ = state.last_fix_time_s;
   last_failure_.reset();
-  last_shed_.reset();
 }
 
 }  // namespace spotfi

@@ -12,11 +12,9 @@
 // reported as recoverable diagnostics, never exceptions.
 #pragma once
 
-#include <array>
 #include <deque>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -121,17 +119,15 @@ struct ApBufferState {
 /// quiescence and restorable into a localizer built from the same
 /// LinkConfig/StreamingConfig and AP registrations. A restored localizer
 /// fed the same packet sequence produces byte-identical fixes. The
-/// last_failure()/last_shed() diagnostics strings are intentionally not
-/// part of the durable state.
+/// last_failure() diagnostics string is intentionally not part of the
+/// durable state.
 struct StreamingState {
   std::vector<ApBufferState> aps;
   TrackerState tracker;
   IngestReport ingest;
   std::size_t rejected = 0;
-  std::size_t shed_rounds = 0;
   std::size_t failed_rounds = 0;
   std::size_t fix_count = 0;
-  ShedLevel fidelity = ShedLevel::kFull;
   double now_s = -std::numeric_limits<double>::infinity();
   bool has_stream_start = false;
   double stream_start_s = 0.0;
@@ -140,23 +136,24 @@ struct StreamingState {
   double last_fix_time_s = -std::numeric_limits<double>::infinity();
 };
 
-/// Decides what happens to one about-to-fire round: the fidelity rung it
-/// runs at, or that it is dropped (plan.run == false). Installed by the
-/// session layer, which owns queue-occupancy and deadline state; the
+/// Decides what happens to one about-to-fire round: the ladder rung it
+/// is planned at (a floor on every AP's entry stage), or that it is
+/// dropped (plan.run == false). Installed by the session layer, which
+/// owns queue-occupancy and deadline state and counts the sheds; the
 /// streaming localizer stays mechanical. Consulted *after* the round's
 /// captures are popped, so even a shed round drains its packet backlog.
 using RoundPlanner = std::function<RoundPlan(std::size_t n_aps, double now_s)>;
 
 /// A localization round that has been *prepared* (captures popped,
-/// overload plan applied, per-AP Rng streams forked in capture order,
-/// server variant resolved) but not yet executed. Splitting the round
-/// lifecycle into prepare -> execute -> complete is what enables
-/// cross-session batching: preparation and completion touch localizer
-/// state and must run on the owning thread, while execute_round() is
-/// const and self-contained, so the session layer can gather prepared
-/// rounds from many tenants and execute them as one shared batch on the
-/// pool. Because the streams were forked at preparation time, the fix
-/// is byte-identical no matter where or when execution happens.
+/// overload plan applied, per-AP Rng streams forked in capture order)
+/// but not yet executed. Splitting the round lifecycle into prepare ->
+/// execute -> complete is what enables cross-session batching:
+/// preparation and completion touch localizer state and must run on the
+/// owning thread, while execute_round() is const and self-contained, so
+/// the session layer can gather prepared rounds from many tenants and
+/// execute them as one shared batch on the pool. Because the streams
+/// were forked at preparation time, the fix is byte-identical no matter
+/// where or when execution happens.
 struct PendingRound {
   std::vector<ApCapture> captures;
   /// One forked stream per capture; empty when captures.size() < 2
@@ -164,10 +161,8 @@ struct PendingRound {
   /// the inline path).
   std::vector<Rng> streams;
   std::vector<std::size_t> ap_ids;
-  /// The fidelity variant resolved at preparation time (lazy variant
-  /// construction is not thread-safe, execution may be concurrent).
-  const SpotFiServer* server = nullptr;
-  ShedLevel level = ShedLevel::kFull;
+  /// The planned rung (kPrimary without a planner).
+  ApStage level = ApStage::kPrimary;
   const char* plan_reason = "";
   bool deadline_round = false;
   double now_s = 0.0;
@@ -207,7 +202,7 @@ class StreamingLocalizer {
   /// execute_round() and then complete_round() (in preparation order
   /// per localizer) to obtain the fix; push() is exactly this
   /// composition. Returns nullopt when no round fired or the planner
-  /// shed it (sheds are accounted internally, as in push()).
+  /// shed it (the planner's owner counts sheds).
   [[nodiscard]] std::optional<PendingRound> push_deferred(std::size_t ap_id,
                                                          CsiPacket packet,
                                                          Rng& rng);
@@ -259,24 +254,16 @@ class StreamingLocalizer {
   /// Successful fixes emitted so far.
   [[nodiscard]] std::size_t fix_count() const { return fix_count_; }
 
-  /// Fidelity rung for rounds fired while no planner is installed (the
-  /// manual knob; kFull by default). With a planner, the plan wins.
-  void set_fidelity(ShedLevel level) { fidelity_ = level; }
-  [[nodiscard]] ShedLevel fidelity() const { return fidelity_; }
   /// Installs (or clears, with nullptr) the per-round overload planner.
+  /// Without one, every round is planned at kPrimary.
   void set_round_planner(RoundPlanner planner) {
     planner_ = std::move(planner);
-  }
-  /// Rounds dropped by the planner (captures consumed, nothing run).
-  [[nodiscard]] std::size_t shed_rounds() const { return shed_rounds_; }
-  [[nodiscard]] const std::optional<RoundFailure>& last_shed() const {
-    return last_shed_;
   }
 
   /// Snapshot/restore of the full dynamic state (durability). Restore
   /// requires the same AP registrations (count checked); the installed
-  /// planner and the cached server variants are configuration, not
-  /// state, and are untouched.
+  /// planner and the server are configuration, not state, and are
+  /// untouched.
   [[nodiscard]] StreamingState export_state() const;
   void restore_state(StreamingState state);
 
@@ -293,28 +280,22 @@ class StreamingLocalizer {
   /// and stream-time updates — everything up to round firing.
   void ingest_packet(std::size_t ap_id, CsiPacket packet);
   /// Prepares a round if one is due at `now_s`; nullopt otherwise (also
-  /// when the planner sheds it, which is recorded instead).
+  /// when the planner sheds it).
   [[nodiscard]] std::optional<PendingRound> maybe_prepare(double now_s,
                                                           Rng& rng);
-  /// Pops the captures, applies the overload plan, forks the streams,
-  /// and resolves the server variant. Nullopt = shed.
+  /// Pops the captures, applies the overload plan and forks the
+  /// streams. Nullopt = shed.
   [[nodiscard]] std::optional<PendingRound> prepare_round(
       const std::vector<std::size_t>& ap_ids, bool deadline_round,
       double now_s, Rng& rng);
-  /// The cached server variant for one fidelity rung. kFull is built at
-  /// construction; the degraded variants are derived lazily from the
-  /// same config with the chain entry stage moved — all of them dispatch
-  /// on the kFull server's pool, so shedding never spawns threads.
-  [[nodiscard]] const SpotFiServer& server_for(ShedLevel level);
 
   LinkConfig link_;
   StreamingConfig config_;
+  /// Built once (with its pool, when concurrency resolves past 1) and
+  /// shared by every round at every rung.
+  SpotFiServer server_;
   std::vector<ApBuffer> buffers_;
-  std::array<std::shared_ptr<const SpotFiServer>, kShedLevelCount> servers_;
-  ShedLevel fidelity_ = ShedLevel::kFull;
   RoundPlanner planner_;
-  std::size_t shed_rounds_ = 0;
-  std::optional<RoundFailure> last_shed_;
   LocationTracker tracker_;
   IngestReport ingest_report_;
   std::size_t rejected_ = 0;

@@ -25,9 +25,7 @@ void write_cost_state(ByteWriter& w, const RoundCostState& state) {
 RoundCostState read_cost_state(ByteReader& r) {
   RoundCostState state;
   for (double& c : state.cost_s) c = r.f64();
-  for (std::size_t i = 0; i < kShedLevelCount; ++i) {
-    state.seen[i] = r.boolean();
-  }
+  for (bool& s : state.seen) s = r.boolean();
   return state;
 }
 
@@ -77,10 +75,8 @@ void write_streaming_state(ByteWriter& w, const StreamingState& state) {
   write_tracker_state(w, state.tracker);
   write_ingest_report(w, state.ingest);
   w.u64(state.rejected);
-  w.u64(state.shed_rounds);
   w.u64(state.failed_rounds);
   w.u64(state.fix_count);
-  w.u8(static_cast<std::uint8_t>(state.fidelity));
   w.f64(state.now_s);
   w.boolean(state.has_stream_start);
   w.f64(state.stream_start_s);
@@ -106,10 +102,8 @@ StreamingState read_streaming_state(ByteReader& r) {
   state.tracker = read_tracker_state(r);
   state.ingest = read_ingest_report(r);
   state.rejected = r.u64();
-  state.shed_rounds = r.u64();
   state.failed_rounds = r.u64();
   state.fix_count = r.u64();
-  state.fidelity = static_cast<ShedLevel>(r.u8());
   state.now_s = r.f64();
   state.has_stream_start = r.boolean();
   state.stream_start_s = r.f64();

@@ -27,7 +27,10 @@
 
 namespace spotfi {
 
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// Bumped whenever the payload layout changes. Loading discards a file
+/// of any other version (falling back to an older snapshot, then to
+/// full journal replay) rather than mis-decoding it.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Everything a cold process needs to rebuild the session layer.
 struct SnapshotData {

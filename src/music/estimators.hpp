@@ -125,8 +125,8 @@ class JointMusicEstimator {
   // estimator safely shareable across threads (all state is immutable
   // after construction). The tables are interned in the process-wide
   // SteeringTableCache, so the thousands of estimators a streaming
-  // deployment constructs (per AP, per round, per session variant)
-  // share one copy instead of recomputing ~80 KiB of trig each.
+  // deployment constructs (per AP, per round, per session) share one
+  // copy instead of recomputing ~80 KiB of trig each.
   std::shared_ptr<const SteeringAxisTable> aoa_axis_;
   std::shared_ptr<const SteeringAxisTable> tof_axis_;
 };

@@ -3,10 +3,10 @@
 // A JointMusicEstimator's grids and steering tables are pure functions
 // of (grid range/step, subarray length, link geometry). The hot paths
 // construct estimators constantly — the server builds an ApProcessor
-// (and with it two estimators) per AP per round, and every session's
-// per-fidelity server variants repeat that — so without sharing, the
-// same ~80 KiB of tables is recomputed thousands of times per second,
-// and N tenants hold N copies. This cache interns the (grid, table)
+// (and with it two estimators) per AP per round, in every session, and
+// a relaxed-MUSIC rung builds a third — so without sharing, the same
+// ~80 KiB of tables is recomputed thousands of times per second, and N
+// tenants hold N copies. This cache interns the (grid, table)
 // pair per exact parameter set: every estimator constructed for the
 // same deployment shares one immutable table, across rounds, servers,
 // sessions, and threads.

@@ -475,6 +475,25 @@ TEST(Snapshot, CorruptNewestFallsBackThenToFullReplay) {
   EXPECT_EQ(none.max_seq_seen, 2u);
 }
 
+TEST(Snapshot, OtherFormatVersionIsDiscardedNotMisread) {
+  // The header is [8B magic][u32 version, little-endian][u64 checksum],
+  // and the checksum covers only the payload: rewriting the version
+  // leaves a file that only the version check can reject.
+  TempDir dir;
+  const auto path = write_snapshot(dir.path, small_snapshot(1), 2);
+  ASSERT_TRUE(path.has_value());
+  ASSERT_TRUE(load_latest_snapshot(dir.path).data.has_value());
+  std::vector<std::uint8_t> bytes = read_file(*path);
+  const std::uint32_t other = kSnapshotVersion - 1;
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes.at(8 + i) = static_cast<std::uint8_t>(other >> (8 * i));
+  }
+  write_file(*path, bytes);
+  const SnapshotLoadResult loaded = load_latest_snapshot(dir.path);
+  EXPECT_FALSE(loaded.data.has_value());
+  EXPECT_EQ(loaded.discarded, 1u);
+}
+
 TEST(Snapshot, StrayTmpIsIgnoredOnLoadAndSweptOnPublish) {
   TempDir dir;
   const std::string stray = dir.path + "/snapshot-00000000000000000009.snap.tmp";

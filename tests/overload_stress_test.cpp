@@ -191,15 +191,15 @@ TEST(OverloadStress, DegradationIsMonotoneInQueueDepth) {
     cfg.degrade_esprit_at = c.esprit;
     cfg.degrade_rssi_at = c.rssi;
     const OverloadPolicy policy(cfg);
-    ShedLevel prev = ShedLevel::kFull;
+    ApStage prev = ApStage::kPrimary;
     for (std::size_t depth = 0; depth <= cfg.queue_capacity; ++depth) {
-      const ShedLevel level = policy.level_for_depth(depth);
+      const ApStage level = policy.level_for_depth(depth);
       EXPECT_GE(level, prev) << "depth " << depth;
       const AdmissionVerdict verdict = policy.admit(depth);
       EXPECT_EQ(verdict.level, level);
       EXPECT_EQ(verdict.admitted(), true);  // admit never sheds by itself
       EXPECT_EQ(verdict.kind == AdmissionVerdict::Kind::kDegraded,
-                level != ShedLevel::kFull);
+                level != ApStage::kPrimary);
       prev = level;
     }
   }

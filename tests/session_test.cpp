@@ -112,11 +112,11 @@ TEST(SessionAdmission, VerdictsGradeOccupancyAndFullQueueSheds) {
   // Depth observed before each push: 0..9.
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(verdicts[i].kind, AdmissionVerdict::Kind::kAccepted) << i;
-    EXPECT_EQ(verdicts[i].level, ShedLevel::kFull) << i;
+    EXPECT_EQ(verdicts[i].level, ApStage::kPrimary) << i;
   }
   EXPECT_EQ(verdicts[4].kind, AdmissionVerdict::Kind::kDegraded);
-  EXPECT_EQ(verdicts[4].level, ShedLevel::kCoarse);
-  EXPECT_EQ(verdicts[6].level, ShedLevel::kEsprit);
+  EXPECT_EQ(verdicts[4].level, ApStage::kRelaxedMusic);
+  EXPECT_EQ(verdicts[6].level, ApStage::kEsprit);
   EXPECT_EQ(verdicts[8].kind, AdmissionVerdict::Kind::kShed);
   EXPECT_FALSE(verdicts[8].admitted());
   EXPECT_EQ(verdicts[9].kind, AdmissionVerdict::Kind::kShed);
@@ -187,7 +187,7 @@ TEST(SessionDeterminism, AcceptedFixesMatchStandaloneAtAnyThreadCount) {
       // reorder a single floating-point operation.
       EXPECT_EQ(fixes[i].raw.x, reference[i].x) << threads << " threads";
       EXPECT_EQ(fixes[i].raw.y, reference[i].y) << threads << " threads";
-      EXPECT_EQ(fixes[i].round.fidelity, ShedLevel::kFull);
+      EXPECT_EQ(fixes[i].round.fidelity, ApStage::kPrimary);
     }
     const SessionStats stats = manager.session_stats(id);
     EXPECT_EQ(stats.rounds_full, 1u);
@@ -240,14 +240,61 @@ TEST(SessionOverload, BacklogDegradesRoundsAndCountersAccount) {
   EXPECT_EQ(stats.fixes, fixes.size());
   std::size_t non_full = 0;
   for (const auto& fix : fixes) {
-    if (fix.round.fidelity != ShedLevel::kFull) {
+    if (fix.round.fidelity != ApStage::kPrimary) {
       ++non_full;
       EXPECT_TRUE(fix.degraded);
-      EXPECT_EQ(fix.round.fidelity, ShedLevel::kCoarse);
+      EXPECT_EQ(fix.round.fidelity, ApStage::kRelaxedMusic);
     }
   }
   EXPECT_EQ(non_full, stats.rounds_degraded);
   EXPECT_LE(stats.queue_high_water, stats.queue_capacity);
+}
+
+TEST(SessionOverload, BacklogNeverRunsACostlierEstimatorThanConfigured) {
+  // A planned rung is a floor on each AP's configured entry stage, never
+  // an override: relaxed MUSIC costs more than ESPRIT and far more than
+  // RSSI-only, so a backlog must not make either tenant run it.
+  constexpr std::size_t kGroup = 3;
+  Feed feed(3 * kGroup);
+  SessionConfig esprit = base_session(feed, kGroup);
+  esprit.streaming.server.ap.front_end = FrontEnd::kEsprit;
+  SessionConfig rssi_only = base_session(feed, kGroup);
+  rssi_only.streaming.server.ap.fallback.entry_stage = ApStage::kRssiOnly;
+
+  for (SessionConfig cfg : {esprit, rssi_only}) {
+    const bool rssi_entry =
+        cfg.streaming.server.ap.fallback.entry_stage == ApStage::kRssiOnly;
+    SCOPED_TRACE(rssi_entry ? "rssi-only entry" : "esprit front end");
+    // Any backlog at all plans the round at the relaxed-MUSIC rung.
+    cfg.overload.queue_capacity = 256;
+    cfg.overload.degrade_coarse_at = 0.0;
+    cfg.overload.degrade_esprit_at = 1.0;
+    cfg.overload.degrade_rssi_at = 1.0;
+    SessionManagerConfig mgr_cfg;
+    mgr_cfg.num_threads = 1;
+    SessionManager manager(kLink, mgr_cfg);
+    const SessionId id = manager.open_session(cfg);
+
+    for (std::size_t p = 0; p < 3 * kGroup; ++p) {
+      for (std::size_t a = 0; a < feed.captures.size(); ++a) {
+        ASSERT_TRUE(
+            manager.offer(id, a, feed.captures[a].packets[p]).admitted());
+      }
+    }
+    const std::vector<LocationFix> fixes = manager.pump(id);
+    ASSERT_EQ(fixes.size(), 3u);
+    std::size_t planned_relaxed = 0;
+    for (const auto& fix : fixes) {
+      if (fix.round.fidelity == ApStage::kRelaxedMusic) ++planned_relaxed;
+      for (const ApStage stage : fix.round.ap_stages) {
+        EXPECT_NE(stage, ApStage::kRelaxedMusic);
+        if (rssi_entry) {
+          EXPECT_EQ(stage, ApStage::kRssiOnly);
+        }
+      }
+    }
+    EXPECT_EQ(planned_relaxed, 2u);
+  }
 }
 
 // --- deadline planning with a fake clock ---
@@ -276,7 +323,7 @@ TEST(SessionDeadline, UnaffordableFullFidelityDegradesUpFront) {
     }
   }
   ASSERT_EQ(fixes.size(), 1u);
-  EXPECT_EQ(fixes.front().round.fidelity, ShedLevel::kEsprit);
+  EXPECT_EQ(fixes.front().round.fidelity, ApStage::kEsprit);
   const SessionStats stats = manager.session_stats(id);
   EXPECT_EQ(stats.deadline_limited_rounds, 1u);
   EXPECT_EQ(stats.rounds_degraded, 1u);
@@ -353,7 +400,7 @@ TEST(SessionDeadline, MeasuredOverrunCountsAsMissAndRetrainsTheModel) {
   // deadline miss, recorded, and the cost model now knows better.
   auto fixes = run_round();
   ASSERT_EQ(fixes.size(), 1u);
-  EXPECT_EQ(fixes.front().round.fidelity, ShedLevel::kFull);
+  EXPECT_EQ(fixes.front().round.fidelity, ApStage::kPrimary);
   SessionStats stats = manager.session_stats(id);
   EXPECT_EQ(stats.deadline_misses, 1u);
   EXPECT_EQ(stats.deadline_limited_rounds, 0u);
@@ -362,7 +409,7 @@ TEST(SessionDeadline, MeasuredOverrunCountsAsMissAndRetrainsTheModel) {
   // degrades up front instead of running late again.
   fixes = run_round();
   ASSERT_EQ(fixes.size(), 1u);
-  EXPECT_NE(fixes.front().round.fidelity, ShedLevel::kFull);
+  EXPECT_NE(fixes.front().round.fidelity, ApStage::kPrimary);
   stats = manager.session_stats(id);
   EXPECT_EQ(stats.deadline_limited_rounds, 1u);
   EXPECT_EQ(stats.rounds_degraded, 1u);
