@@ -67,7 +67,9 @@ int main(int argc, char** argv) {
       for (std::size_t a = 0; a < captures.size(); ++a) {
         const ApProcessor processor(link, captures[a].pose, {});
         Case c;
-        c.clusters = processor.process(captures[a].packets, rng).clusters;
+        c.clusters =
+            bench::primary_result(processor, captures[a].packets, rng)
+                .clusters;
         c.truth_aoa_rad = truth[a].direct_aoa_rad;
         cases.push_back(std::move(c));
       }

@@ -1,16 +1,32 @@
 // Shared helpers for the figure-reproduction benches: consistent table
 // and CDF printing so every bench emits the same row format the paper's
-// figures plot.
+// figures plot, and the per-AP stage as the figures run it.
 #pragma once
 
 #include <cstdio>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/stats.hpp"
+#include "core/ap_processor.hpp"
 
 namespace spotfi::bench {
+
+/// One AP's packet group through ApProcessor::process_robust, held to
+/// the paper's estimator: a group that left its primary stage would plot
+/// a different experiment, so it throws NumericalError with the note.
+inline ApResult primary_result(const ApProcessor& processor,
+                               std::span<const CsiPacket> packets, Rng& rng) {
+  ApOutcome outcome = processor.process_robust(packets, rng);
+  if (outcome.stage != ApStage::kPrimary) {
+    throw NumericalError(std::string("ap group left the primary estimator: ") +
+                         outcome.note);
+  }
+  return std::move(outcome.result);
+}
 
 /// Prints "name: median=… p80=… mean=… n=…" summary row.
 inline void print_summary(const std::string& name,

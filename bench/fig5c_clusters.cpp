@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_util.hpp"
 #include "common/angles.hpp"
 #include "core/ap_processor.hpp"
 #include "testbed/experiment.hpp"
@@ -55,7 +56,8 @@ int main(int argc, char** argv) {
 
   ApProcessorConfig with_sanitize;
   const ApProcessor processor(link, pose, with_sanitize);
-  const ApResult sanitized = processor.process(captures[0].packets, rng);
+  const ApResult sanitized =
+      bench::primary_result(processor, captures[0].packets, rng);
   print_clusters("with Algorithm 1 (sanitized):", sanitized);
   std::printf("  -> direct pick: %.1f deg\n\n",
               rad_to_deg(sanitized.observation.direct_aoa_rad));
@@ -63,7 +65,8 @@ int main(int argc, char** argv) {
   ApProcessorConfig no_sanitize;
   no_sanitize.sanitize = false;
   const ApProcessor raw_processor(link, pose, no_sanitize);
-  const ApResult raw = raw_processor.process(captures[0].packets, rng);
+  const ApResult raw =
+      bench::primary_result(raw_processor, captures[0].packets, rng);
   print_clusters("ablation, without Algorithm 1 (raw phase):", raw);
   std::printf("  -> direct pick: %.1f deg\n",
               rad_to_deg(raw.observation.direct_aoa_rad));

@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
       const auto truth = runner.ground_truth(target);
       for (std::size_t a = 0; a < captures.size(); ++a) {
         const ApProcessor processor(link, captures[a].pose, {});
-        const ApResult result = processor.process(captures[a].packets, rng);
+        const ApResult result =
+            bench::primary_result(processor, captures[a].packets, rng);
         const auto& clusters = result.clusters;
         const double t = rad_to_deg(truth[a].direct_aoa_rad);
         auto err = [&](std::size_t pick) {

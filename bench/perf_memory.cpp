@@ -133,23 +133,23 @@ void BM_PacketEstimate_Workspace(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketEstimate_Workspace);
 
-/// Whole packet-group stage (process(): sanitize + estimate + pool +
-/// cluster + select) with a warmed arena: allocations here are the
-/// per-group constant (slot buffers, result vectors), amortized per
-/// packet by the group size.
+/// Whole packet-group stage (process_robust: screen + sanitize +
+/// estimate + pool + cluster + select) with a warmed arena: allocations
+/// here are the per-group constant (slot buffers, result vectors),
+/// amortized per packet by the group size.
 void BM_GroupProcess_Workspace(benchmark::State& state) {
   const LinkConfig link = LinkConfig::intel5300_40mhz();
   const std::size_t n_packets = static_cast<std::size_t>(state.range(0));
   std::vector<CsiPacket> packets(n_packets, test_packet());
   const ApProcessor processor(link, ArrayPose{{0.0, 0.0}, 0.0}, {});
   Rng rng(3);
-  benchmark::DoNotOptimize(processor.process(packets, rng));
+  benchmark::DoNotOptimize(processor.process_robust(packets, rng));
   thread_workspace().reset();
-  benchmark::DoNotOptimize(processor.process(packets, rng));
+  benchmark::DoNotOptimize(processor.process_robust(packets, rng));
   const std::size_t allocs = g_allocations.load();
   const std::size_t bytes = g_allocated_bytes.load();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(processor.process(packets, rng));
+    benchmark::DoNotOptimize(processor.process_robust(packets, rng));
   }
   const double n =
       static_cast<double>(state.iterations()) * static_cast<double>(n_packets);

@@ -37,8 +37,8 @@ struct Fixture {
     Rng rng(3);
     captures = runner.simulate_captures({6.0, 3.5}, rng);
     const SpotFiServer server(link, runner.config().server);
-    const auto round = server.localize(captures, rng);
-    for (const auto& r : round.ap_results) {
+    const auto round = server.try_localize(captures, rng);
+    for (const auto& r : round->ap_results) {
       observations.push_back(r.observation);
     }
   }
@@ -58,7 +58,8 @@ void BM_ApProcessorGroup10(benchmark::State& state) {
   const ApProcessor processor(f.link, f.captures[0].pose, cfg);
   Rng rng(11);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(processor.process(f.captures[0].packets, rng));
+    benchmark::DoNotOptimize(
+        processor.process_robust(f.captures[0].packets, rng));
   }
 }
 BENCHMARK(BM_ApProcessorGroup10)->ArgName("threads")->Arg(1)->Arg(4);
@@ -82,7 +83,7 @@ void BM_FullRound6Aps(benchmark::State& state) {
   const SpotFiServer server(f.link, cfg);
   Rng rng(13);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(server.localize(f.captures, rng));
+    benchmark::DoNotOptimize(server.try_localize(f.captures, rng));
   }
 }
 BENCHMARK(BM_FullRound6Aps)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(6);

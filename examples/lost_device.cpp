@@ -63,11 +63,15 @@ int main(int argc, char** argv) {
     from_disk.push_back(std::move(capture));
   }
 
-  ServerConfig server_config;
-  server_config.localizer.area_min = deployment.area_min;
-  server_config.localizer.area_max = deployment.area_max;
-  const SpotFiServer server(link, server_config);
-  const LocalizationRound round = server.localize(from_disk, rng);
+  // The figures' server configuration: Algorithm 2 without leave-one-out
+  // outlier-AP rejection, searching the deployment's area.
+  const SpotFiServer server(link, runner.config().server);
+  const auto result = server.try_localize(from_disk, rng);
+  if (!result) {
+    std::fprintf(stderr, "no fix: %s\n", result.error().reason.c_str());
+    return 1;
+  }
+  const LocalizationRound& round = *result;
 
   std::printf("\n%-4s %-12s %-6s %-12s %-12s %-10s\n", "AP", "position",
               "LoS", "true AoA", "picked AoA", "likelihood");

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
 
   // Full packet-group processing: cluster table.
   const ApProcessor processor(link, pose, {});
-  const ApResult result = processor.process(packets, rng);
+  const ApResult result = processor.process_robust(packets, rng).result;
   std::printf("\nclusters over %zu packets (Eq. 8; direct pick first):\n",
               packets.size());
   std::printf("  %-10s %-10s %-8s %-10s %-10s %-12s\n", "AoA [deg]",

@@ -8,7 +8,7 @@
 //  1. Determinism — callers slot results by index, never by completion
 //     order, so a pipeline run with 1 thread and with N threads produces
 //     byte-identical output (the per-task Rng streams are forked by the
-//     caller before dispatch; see SpotFiServer::localize).
+//     caller before dispatch; see SpotFiServer::try_localize).
 //  2. Exception transparency — a task that throws is captured and the
 //     exception of the *lowest failing index* is rethrown on the calling
 //     thread after the batch drains, matching the serial loop's "first

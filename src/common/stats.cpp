@@ -46,9 +46,13 @@ double RunningStats::max() const {
 }
 
 double percentile(std::span<const double> sample, double p) {
-  SPOTFI_EXPECTS(!sample.empty(), "percentile of empty sample");
-  SPOTFI_EXPECTS(p >= 0.0 && p <= 100.0, "percentile p must be in [0, 100]");
   std::vector<double> sorted(sample.begin(), sample.end());
+  return percentile_in_place(sorted, p);
+}
+
+double percentile_in_place(std::span<double> sorted, double p) {
+  SPOTFI_EXPECTS(!sorted.empty(), "percentile of empty sample");
+  SPOTFI_EXPECTS(p >= 0.0 && p <= 100.0, "percentile p must be in [0, 100]");
   std::sort(sorted.begin(), sorted.end());
   if (sorted.size() == 1) return sorted.front();
   const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);

@@ -34,6 +34,9 @@ class RunningStats {
 /// `p` in [0, 100]. Requires a non-empty sample.
 [[nodiscard]] double percentile(std::span<const double> sample, double p);
 
+/// percentile() that sorts `sample` in place instead of copying it.
+[[nodiscard]] double percentile_in_place(std::span<double> sample, double p);
+
 /// Median shorthand.
 [[nodiscard]] double median(std::span<const double> sample);
 

@@ -69,8 +69,8 @@ std::size_t ApProcessor::estimate_in_frame(const PacketEstimateStage& estimate,
 
 ApResult ApProcessor::run_group(const PacketEstimateStage& estimate,
                                 std::span<const CsiPacket> packets, Rng& rng,
-                                StageBreakdown* breakdown,
-                                std::size_t* ws_peak_out) const {
+                                StageBreakdown& breakdown,
+                                std::size_t& ws_peak_out) const {
   struct PacketOutput {
     std::size_t count = 0;
     std::size_t ws_peak_bytes = 0;
@@ -91,9 +91,7 @@ ApResult ApProcessor::run_group(const PacketEstimateStage& estimate,
     Workspace::Frame frame(ws);
     PacketOutput& output = outputs[i];
     const StageContext ctx{
-        .ws = &ws,
-        .breakdown = breakdown != nullptr ? &output.breakdown : nullptr,
-        .frame = &frame};
+        .ws = &ws, .breakdown = &output.breakdown, .frame = &frame};
     output.count = estimate_in_frame(
         estimate, packets[i], ctx,
         std::span<PathEstimate>(slots).subspan(i * max_paths, max_paths));
@@ -118,7 +116,7 @@ ApResult ApProcessor::run_group(const PacketEstimateStage& estimate,
     result.pooled_estimates.insert(result.pooled_estimates.end(),
                                    packet_slots.begin(), packet_slots.end());
     count_numerics(outputs[i].numerics);
-    if (breakdown != nullptr) breakdown->merge(outputs[i].breakdown);
+    breakdown.merge(outputs[i].breakdown);
     rssi_sum += packets[i].rssi_dbm;
     ws_peak = std::max(ws_peak, outputs[i].ws_peak_bytes);
   }
@@ -127,14 +125,12 @@ ApResult ApProcessor::run_group(const PacketEstimateStage& estimate,
 
   Workspace& ws = pool != nullptr ? pool->workspace() : thread_workspace();
   Workspace::Frame frame(ws);
-  StageMeter meter({.breakdown = breakdown, .frame = &frame},
+  StageMeter meter({.breakdown = &breakdown, .frame = &frame},
                    StagePhase::kCluster);
   result.clusters = cluster_path_estimates(result.pooled_estimates, link_,
                                            packets.size(), rng,
                                            config_.direct_path, ws);
-  if (ws_peak_out != nullptr) {
-    *ws_peak_out = std::max(ws_peak, frame.peak_bytes());
-  }
+  ws_peak_out = std::max(ws_peak, frame.peak_bytes());
   const ClusterSummary& direct =
       result.clusters[select_spotfi(result.clusters)];
   result.observation.pose = pose_;
@@ -142,20 +138,6 @@ ApResult ApProcessor::run_group(const PacketEstimateStage& estimate,
   result.observation.likelihood = direct.likelihood;
   result.observation.rssi_dbm = rssi_sum / static_cast<double>(packets.size());
   return result;
-}
-
-ApResult ApProcessor::process(std::span<const CsiPacket> packets,
-                              Rng& rng) const {
-  SPOTFI_EXPECTS(!packets.empty(), "need at least one packet");
-
-  std::vector<CsiPacket> screened;
-  if (config_.quality) {
-    screened = screen_group(packets, *config_.quality);
-    SPOTFI_EXPECTS(!screened.empty(),
-                   "quality screen rejected every packet in the group");
-    packets = screened;
-  }
-  return run_group(primary_stage(), packets, rng, nullptr, nullptr);
 }
 
 std::size_t ApProcessor::max_paths() const {
@@ -210,14 +192,16 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
     return config_.fallback.enabled;
   };
 
-  // Screen unconditionally when an estimator rung can run: the robust
-  // path exists precisely because input may be corrupt, so a missing
-  // quality config means defaults, not no screening. An RSSI-only entry
-  // averages the raw group below, so it neither screens nor copies it.
-  std::vector<CsiPacket> screened;
+  // Screen whenever an estimator rung can run. A clean group (the common
+  // case) is processed in place; only a dirty one is copied down to its
+  // accepted packets. An RSSI-only entry averages the raw group below,
+  // so it does not screen.
+  std::vector<CsiPacket> accepted;
+  std::span<const CsiPacket> screened;
   if (entry < ApStage::kRssiOnly) {
-    screened =
-        screen_group(packets, config_.quality.value_or(QualityConfig{}));
+    ThreadPool* const pool = config_.pool;
+    Workspace& ws = pool != nullptr ? pool->workspace() : thread_workspace();
+    screened = screen_group_view(packets, config_.quality, ws, accepted);
     if (screened.empty()) {
       out.note = "quality screen rejected every packet in the group";
     }
@@ -230,8 +214,8 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
     try {
       out.stage_breakdown = StageBreakdown{};
       ApResult candidate = run_group(estimate, screened, rng,
-                                     &out.stage_breakdown,
-                                     &out.workspace_peak_bytes);
+                                     out.stage_breakdown,
+                                     out.workspace_peak_bytes);
       // An estimator can "succeed" on corrupt input by propagating NaNs
       // into the observation; that counts as a stage failure.
       const ApObservation& obs = candidate.observation;

@@ -7,7 +7,6 @@
 // compact ApObservation the central server fuses.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -55,7 +54,7 @@ enum class ApStage {
 [[nodiscard]] const char* to_string(ApStage stage);
 
 struct ApFallbackConfig {
-  /// Walk the fallback chain instead of rethrowing the primary failure.
+  /// Walk the fallback chain past a failed entry stage (off: kFailed).
   bool enabled = true;
   /// Likelihood assigned to an RSSI-only observation: small, so a healthy
   /// AP's AoA always dominates, but positive, so the range constraint
@@ -80,12 +79,10 @@ struct ApProcessorConfig {
   /// Apply Algorithm 1 before estimation (disable to reproduce the
   /// ablation of Fig. 5's sanitization study).
   bool sanitize = true;
-  /// Screen the packet group (csi/quality.hpp) before processing —
-  /// recommended when feeding real traces; the simulator never produces
-  /// corrupt packets, so it defaults off to keep experiments exact.
-  std::optional<QualityConfig> quality;
-  /// Estimator fallback chain used by process_robust (the throwing
-  /// process() ignores this).
+  /// The packet screen (csi/quality.hpp) applied to every group before
+  /// an estimator runs, and to every packet at streaming ingest.
+  QualityConfig quality{};
+  /// Estimator fallback chain (see process_robust).
   ApFallbackConfig fallback{};
   /// Non-owning thread pool for the per-packet estimation fan-out
   /// (nullptr = serial). Results are pooled in packet order and the
@@ -96,8 +93,8 @@ struct ApProcessorConfig {
   ThreadPool* pool = nullptr;
 };
 
-/// Exception-free per-AP result: the server's fault-tolerant path calls
-/// process_robust and inspects `stage`/`usable` instead of catching.
+/// Exception-free per-AP result: the server calls process_robust and
+/// inspects `stage`/`usable` instead of catching.
 struct ApOutcome {
   ApResult result;
   ApStage stage = ApStage::kPrimary;
@@ -129,17 +126,11 @@ class ApProcessor {
  public:
   ApProcessor(LinkConfig link, ArrayPose pose, ApProcessorConfig config = {});
 
-  /// Processes one packet group (the paper uses 10-40 packets). Requires
-  /// a non-empty group whose CSI shapes match the link config. Throws on
-  /// corrupt input or estimator non-convergence — use process_robust on
-  /// streaming paths.
-  [[nodiscard]] ApResult process(std::span<const CsiPacket> packets,
-                                 Rng& rng) const;
-
-  /// Fault-tolerant variant: never throws past the chain (beyond
-  /// ContractViolation for an empty group). Tries the configured front end
-  /// first, then — when config().fallback.enabled — retries MUSIC on a
-  /// relaxed grid, falls back to ESPRIT, and finally emits an RSSI-only
+  /// Processes one packet group (the paper uses 10-40 packets). Never
+  /// throws past the chain (beyond ContractViolation for an empty group):
+  /// screens the group with config().quality, tries the configured front
+  /// end first, then — when config().fallback.enabled — retries MUSIC on
+  /// a relaxed grid, falls back to ESPRIT, and finally emits an RSSI-only
   /// observation; `stage`/`note` record how far it had to degrade.
   /// The chain is entered at the later of fallback.entry_stage and
   /// `rung` (the round's overload rung, a floor). Relaxed MUSIC is a
@@ -153,9 +144,9 @@ class ApProcessor {
   /// configured front end, every scratch buffer drawn from `ws`
   /// (frame-scoped internally, so the arena is returned unchanged).
   /// Writes at most max_paths() estimates into `out` and returns the
-  /// count. This is the per-packet inner loop of process(); a warmed
-  /// arena makes it perform zero heap allocations (tests/alloc_test.cpp
-  /// pins that contract).
+  /// count. This is the per-packet inner loop of process_robust's
+  /// primary rung; a warmed arena makes it perform zero heap allocations
+  /// (tests/alloc_test.cpp pins that contract).
   [[nodiscard]] std::size_t estimate_packet(const CsiPacket& packet,
                                             Workspace& ws,
                                             std::span<PathEstimate> out) const;
@@ -186,14 +177,13 @@ class ApProcessor {
   /// in packet order so the result is identical at any thread count),
   /// then pool, cluster and select the direct path (metered together
   /// as kCluster). `rng` is consumed only by the clustering, exactly
-  /// once. `breakdown` (nullable) receives the per-phase telemetry;
-  /// `ws_peak_out` (nullable) the largest single-frame arena footprint.
-  /// Requires a non-empty group; throws when estimation produces no
-  /// path estimates.
+  /// once. `breakdown` receives the per-phase telemetry, `ws_peak_out`
+  /// the largest single-frame arena footprint. Requires a non-empty
+  /// group; throws when estimation produces no path estimates.
   [[nodiscard]] ApResult run_group(const PacketEstimateStage& estimate,
                                    std::span<const CsiPacket> packets,
-                                   Rng& rng, StageBreakdown* breakdown,
-                                   std::size_t* ws_peak_out) const;
+                                   Rng& rng, StageBreakdown& breakdown,
+                                   std::size_t& ws_peak_out) const;
 
   LinkConfig link_;
   ArrayPose pose_;

@@ -44,47 +44,15 @@ ApProcessorConfig SpotFiServer::ap_config() const {
   return cfg;
 }
 
-LocalizationRound SpotFiServer::localize(std::span<const ApCapture> captures,
-                                         Rng& rng) const {
-  SPOTFI_EXPECTS(captures.size() >= 2, "need at least two APs");
-
-  // Fork one Rng stream per AP *before* dispatch, in capture order: the
-  // estimates are then a pure function of (captures, seed), independent
-  // of how many threads ran the APs or in which order they finished.
-  const std::size_t n = captures.size();
-  std::vector<Rng> streams;
-  streams.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) streams.push_back(rng.fork());
-
-  const ApProcessorConfig ap_cfg = ap_config();
-  std::vector<ApResult> results(n);
-  for_each_ap(n, [&](std::size_t i) {
-    const ApProcessor processor(link_, captures[i].pose, ap_cfg);
-    results[i] = processor.process(captures[i].packets, streams[i]);
-  });
-
-  LocalizationRound round;
-  round.ap_results.reserve(n);
-  std::vector<ApObservation> observations;
-  observations.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    observations.push_back(results[i].observation);
-    round.ap_results.push_back(std::move(results[i]));
-  }
-
-  const SpotFiLocalizer localizer(config_.localizer);
-  round.location = localizer.locate(observations);
-  return round;
-}
-
 Expected<LocalizationRound, RoundError> SpotFiServer::try_localize(
     std::span<const ApCapture> captures, Rng& rng) const {
   if (captures.size() < 2) {
     return RoundError{"need at least two AP captures", 0};
   }
 
-  // Fork one Rng stream per AP *before* dispatch, in capture order (see
-  // localize()): results are a pure function of (captures, seed).
+  // Fork one Rng stream per AP *before* dispatch, in capture order: the
+  // estimates are then a pure function of (captures, seed), independent
+  // of how many threads ran the APs or in which order they finished.
   std::vector<Rng> streams;
   streams.reserve(captures.size());
   for (std::size_t i = 0; i < captures.size(); ++i) {
@@ -99,10 +67,10 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
   SPOTFI_EXPECTS(streams.size() == captures.size() && captures.size() >= 2,
                  "try_localize_forked needs one forked stream per capture");
 
-  // Per-AP stage: same deterministic fan-out as localize(), but through
-  // the robust fallback chain. Each AP's numerics counters ride home in
-  // its ApOutcome (process_robust collects into a detached scope), and
-  // are merged into the round scope below in capture order.
+  // Per-AP stage: each AP's fallback chain on its own forked stream.
+  // Each AP's numerics counters ride home in its ApOutcome
+  // (process_robust collects into a detached scope), and are merged into
+  // the round scope below in capture order.
   const std::size_t n = captures.size();
   const ApProcessorConfig ap_cfg = ap_config();
   std::vector<ApOutcome> outcomes(n);

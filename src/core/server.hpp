@@ -2,13 +2,11 @@
 // groups, runs the per-AP stage on each, and fuses the resulting
 // observations into a location with the likelihood-weighted solver.
 //
-// Two entry points:
-//  * localize()     — the paper-faithful strict path: throws on corrupt
-//                     input or estimator failure (benches/experiments).
-//  * try_localize() — the fault-tolerant path for streaming: per-AP
-//                     estimator fallback chains, leave-one-out outlier-AP
-//                     rejection, and an Expected-style result that carries
-//                     degradation reasons instead of throwing.
+// One round path, try_localize(): each AP's group is quality-screened
+// and runs its estimator fallback chain, an outlier AP may be rejected
+// by leave-one-out residuals, and the Expected-style result carries
+// degradation reasons instead of throwing. The figures run the same
+// path with leave-one-out rejection off (testbed/experiment.hpp).
 #pragma once
 
 #include <memory>
@@ -28,7 +26,7 @@ struct ApCapture {
   std::vector<CsiPacket> packets;
 };
 
-/// Fusion-stage fault tolerance (try_localize only).
+/// Fusion-stage fault tolerance.
 struct FusionConfig {
   /// Leave-one-out residual check: when one AP's bearing is confidently
   /// wrong (a stable reflection winning Eq. 8, or a mis-surveyed pose),
@@ -73,14 +71,12 @@ struct ServerConfig {
   std::shared_ptr<ThreadPool> shared_pool;
 };
 
-/// Result of one localization round, with per-AP diagnostics. The
-/// degradation fields stay at their defaults on the strict localize()
-/// path; try_localize fills them.
+/// Result of one localization round, with per-AP diagnostics.
 struct LocalizationRound {
   LocationEstimate location;
   std::vector<ApResult> ap_results;
   /// Which fallback stage produced each AP's observation (parallel to
-  /// ap_results; try_localize only).
+  /// ap_results).
   std::vector<ApStage> ap_stages;
   /// Human-readable degradation reasons (empty = clean round).
   std::vector<std::string> notes;
@@ -94,18 +90,18 @@ struct LocalizationRound {
   bool degraded = false;
   /// Round-wide numerical-fallback telemetry: the sum of every AP's
   /// counters plus anything the fusion stage (localizer, LOO solves)
-  /// triggered. try_localize only.
+  /// triggered.
   NumericsCounters numerics;
   /// Scratch-arena footprint of the round: the largest single frame
   /// opened anywhere — max over every AP's
   /// ApOutcome::workspace_peak_bytes and the fusion stage's own frame
-  /// (localizer multi-starts, LOO subset solves). try_localize only.
+  /// (localizer multi-starts, LOO subset solves).
   std::size_t workspace_peak_bytes = 0;
   /// The overload rung this round was planned at (kPrimary outside the
   /// session layer). The rung is a floor on each AP's configured entry
   /// stage, so `ap_stages` — not this field — says what actually ran.
   ApStage fidelity = ApStage::kPrimary;
-  /// Per-stage cost split of the round (try_localize only): every AP's
+  /// Per-stage cost split of the round: every AP's
   /// ApOutcome::stage_breakdown folded in capture order (times sum;
   /// arena peaks take the max, since APs share the lane arenas), plus
   /// the fusion stage's own kLocalize bucket (primary solve + LOO
@@ -113,7 +109,7 @@ struct LocalizationRound {
   StageBreakdown stage_breakdown;
 };
 
-/// Why a fault-tolerant round produced no location.
+/// Why a round produced no location.
 struct RoundError {
   std::string reason;
   /// Usable observations that survived the per-AP stage.
@@ -124,16 +120,11 @@ class SpotFiServer {
  public:
   SpotFiServer(LinkConfig link, ServerConfig config = {});
 
-  /// Runs Algorithm 2 end-to-end on the captures of one packet group.
-  /// Requires >= 2 APs with non-empty packet groups. Throws on corrupt
-  /// input or estimator non-convergence.
-  [[nodiscard]] LocalizationRound localize(
-      std::span<const ApCapture> captures, Rng& rng) const;
-
-  /// Fault-tolerant variant: every AP runs the process_robust fallback
-  /// chain, unusable APs are skipped, an outlier AP may be rejected by
-  /// leave-one-out residuals, and failure is reported as a RoundError
-  /// instead of an exception.
+  /// Runs Algorithm 2 end-to-end on the captures of one packet group:
+  /// every AP runs the process_robust fallback chain, unusable APs are
+  /// skipped, an outlier AP may be rejected by leave-one-out residuals,
+  /// and failure (fewer than two captures or usable APs, a failed solve)
+  /// is reported as a RoundError instead of an exception.
   [[nodiscard]] Expected<LocalizationRound, RoundError> try_localize(
       std::span<const ApCapture> captures, Rng& rng) const;
 

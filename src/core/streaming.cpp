@@ -94,7 +94,8 @@ void StreamingLocalizer::ingest_packet(std::size_t ap_id, CsiPacket packet) {
   auto& buffer = buffers_[ap_id];
   bool accepted = true;
   if (config_.screen_packets) {
-    const QualityVerdict verdict = screen_packet(packet, config_.quality);
+    const QualityVerdict verdict =
+        screen_packet(packet, config_.server.ap.quality);
     if (!verdict.ok) {
       ++rejected_;
       ++buffer.state.rejected;

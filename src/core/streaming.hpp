@@ -21,7 +21,6 @@
 #include "core/overload.hpp"
 #include "core/server.hpp"
 #include "core/tracker.hpp"
-#include "csi/quality.hpp"
 #include "csi/trace.hpp"
 
 namespace spotfi {
@@ -72,10 +71,10 @@ struct StreamingConfig {
   ServerConfig server{};
   /// Packets per localization group (per AP).
   std::size_t group_size = 10;
-  /// Screen incoming packets (quality.hpp); rejected packets are counted
-  /// but never buffered.
+  /// Screen incoming packets with server.ap.quality, the screen every
+  /// round's groups pass too; rejected packets are counted but never
+  /// buffered.
   bool screen_packets = true;
-  QualityConfig quality{};
   /// Smooth fixes with the Kalman tracker.
   bool track = true;
   TrackerConfig tracker{};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/stats.hpp"
 
@@ -30,18 +31,19 @@ QualityVerdict screen_packet(const CsiPacket& packet,
     if (!std::isfinite(packet.rssi_dbm)) return {false, "non-finite RSSI"};
   }
 
-  std::vector<double> row_power_db;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
   for (std::size_t m = 0; m < packet.csi.rows(); ++m) {
     double p = 0.0;
     for (const auto& v : packet.csi.row(m)) p += std::norm(v);
     if (config.check_dead_antenna && p < config.dead_antenna_floor) {
       return {false, "dead antenna row " + std::to_string(m)};
     }
-    row_power_db.push_back(10.0 * std::log10(std::max(p, 1e-300)));
+    const double row_db = 10.0 * std::log10(std::max(p, 1e-300));
+    lo = std::min(lo, row_db);
+    hi = std::max(hi, row_db);
   }
-  const auto [lo, hi] =
-      std::minmax_element(row_power_db.begin(), row_power_db.end());
-  if (*hi - *lo > config.max_antenna_imbalance_db) {
+  if (hi - lo > config.max_antenna_imbalance_db) {
     return {false, "antenna power imbalance"};
   }
   return {};
@@ -51,28 +53,51 @@ std::vector<CsiPacket> screen_group(std::span<const CsiPacket> packets,
                                     const QualityConfig& config,
                                     std::vector<std::string>* rejected) {
   std::vector<CsiPacket> accepted;
-  if (packets.empty()) return accepted;
+  if (screen_group_view(packets, config, thread_workspace(), accepted,
+                        rejected).size() == packets.size()) {
+    accepted.assign(packets.begin(), packets.end());
+  }
+  return accepted;
+}
+
+std::span<const CsiPacket> screen_group_view(
+    std::span<const CsiPacket> packets, const QualityConfig& config,
+    Workspace& ws, std::vector<CsiPacket>& storage,
+    std::vector<std::string>* rejected) {
+  if (packets.empty()) return packets;
 
   // Group power reference: median of the per-packet powers.
-  std::vector<double> powers;
-  powers.reserve(packets.size());
-  for (const auto& p : packets) powers.push_back(packet_power_db(p));
-  const double reference = median(powers);
+  Workspace::Frame frame(ws);
+  const std::span<double> powers = ws.take<double>(packets.size());
+  const std::span<double> sorted = ws.take<double>(packets.size());
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    powers[i] = sorted[i] = packet_power_db(packets[i]);
+  }
+  const double reference = percentile_in_place(sorted, 50.0);
 
+  const std::span<bool> keep = ws.take<bool>(packets.size());
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < packets.size(); ++i) {
     QualityVerdict verdict = screen_packet(packets[i], config);
     if (verdict.ok &&
         std::abs(powers[i] - reference) > config.max_power_jump_db) {
       verdict = {false, "power jump vs group median"};
     }
+    keep[i] = verdict.ok;
     if (verdict.ok) {
-      accepted.push_back(packets[i]);
+      ++kept;
     } else if (rejected != nullptr) {
       rejected->push_back("packet " + std::to_string(i) + ": " +
                           verdict.reason);
     }
   }
-  return accepted;
+  if (kept == packets.size()) return packets;
+  storage.clear();
+  storage.reserve(kept);
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    if (keep[i]) storage.push_back(packets[i]);
+  }
+  return storage;
 }
 
 }  // namespace spotfi

@@ -9,10 +9,10 @@
 // be a plausible channel observation.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "channel/csi_synthesis.hpp"
+#include "common/workspace.hpp"
 
 namespace spotfi {
 
@@ -44,6 +44,15 @@ struct QualityVerdict {
 /// order. `rejected` (optional) receives one reason per dropped packet.
 [[nodiscard]] std::vector<CsiPacket> screen_group(
     std::span<const CsiPacket> packets, const QualityConfig& config = {},
+    std::vector<std::string>* rejected = nullptr);
+
+/// screen_group that copies only a dirty group: returns `packets` itself
+/// when every packet passes, else the accepted subset written into
+/// `storage`. Scratch comes from `ws`, so a clean group on a warmed arena
+/// touches no heap.
+[[nodiscard]] std::span<const CsiPacket> screen_group_view(
+    std::span<const CsiPacket> packets, const QualityConfig& config,
+    Workspace& ws, std::vector<CsiPacket>& storage,
     std::vector<std::string>* rejected = nullptr);
 
 }  // namespace spotfi

@@ -257,21 +257,19 @@ void DurableSessionManager::close_session(SessionId id) {
   manager_.close_session(id);
 }
 
-AdmissionVerdict DurableSessionManager::offer(SessionId id, std::size_t ap_id,
-                                              CsiPacket packet) {
-  if (!config_.enabled) return manager_.offer(id, ap_id, std::move(packet));
-  const std::lock_guard<std::mutex> lock(wal_mutex_);
-  SPOTFI_EXPECTS(recovered_, "durable manager used before recover()");
+AdmissionVerdict DurableSessionManager::offer_journaled_locked(
+    SessionId id, IngestItem& item, std::uint64_t receiver_id,
+    std::uint64_t seq) {
   // The accepted ordinal this packet gets if admitted. Safe to read
   // ahead of the offer: accepted is only ever advanced by this
   // (journal-serialized) producer path.
   const std::uint64_t index = manager_.session_stats(id).accepted + 1;
   if (wal_ != nullptr) {
     ByteWriter w = wal_->stage();
-    encode_wal_packet(w, id, index, ap_id, /*receiver_id=*/0, /*seq=*/0,
-                      packet);
+    encode_wal_packet(w, id, index, item.ap_id, receiver_id, seq,
+                      item.packet);
   }
-  const AdmissionVerdict verdict = manager_.offer(id, ap_id, std::move(packet));
+  const AdmissionVerdict verdict = manager_.offer_or_return(id, item);
   if (verdict.admitted()) {
     if (wal_ != nullptr) {
       note_append(wal_->commit_staged(WalRecordType::kPacket));
@@ -280,6 +278,17 @@ AdmissionVerdict DurableSessionManager::offer(SessionId id, std::size_t ap_id,
     }
   }
   return verdict;
+}
+
+AdmissionVerdict DurableSessionManager::offer(SessionId id, std::size_t ap_id,
+                                              CsiPacket packet) {
+  if (!config_.enabled) return manager_.offer(id, ap_id, std::move(packet));
+  const std::lock_guard<std::mutex> lock(wal_mutex_);
+  SPOTFI_EXPECTS(recovered_, "durable manager used before recover()");
+  IngestItem item;
+  item.ap_id = ap_id;
+  item.packet = std::move(packet);
+  return offer_journaled_locked(id, item, /*receiver_id=*/0, /*seq=*/0);
 }
 
 std::vector<LocationFix> DurableSessionManager::pump(SessionId id) {
@@ -329,24 +338,14 @@ TransportSink DurableSessionManager::make_sink(SessionId id,
         it != receivers_.end() && it->second != nullptr) {
       seq = it->second->delivering_seq();
     }
-    const std::uint64_t index = manager_.session_stats(id).accepted + 1;
-    if (wal_ != nullptr) {
-      ByteWriter w = wal_->stage();
-      encode_wal_packet(w, id, index, ap_id, receiver_id, seq, packet);
-    }
     IngestItem item;
     item.ap_id = ap_id;
     item.packet = std::move(packet);
-    if (!manager_.offer_or_return(id, item).admitted()) {
+    if (!offer_journaled_locked(id, item, receiver_id, seq).admitted()) {
       // Shed at the session queue: hand the payload back untouched so
       // the receiver retries later; nothing was journaled.
       packet = std::move(item.packet);
       return false;
-    }
-    if (wal_ != nullptr) {
-      note_append(wal_->commit_staged(WalRecordType::kPacket));
-    } else {
-      ++journal_failures_;
     }
     return true;
   };

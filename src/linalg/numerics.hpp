@@ -115,7 +115,7 @@ class NumericsScope {
 };
 
 /// Increments `field` on the innermost active scope of this thread; no-op
-/// when no scope is active (strict/bench paths pay one branch).
+/// when no scope is active (benches and bare kernel calls pay one branch).
 void count_numerics(std::size_t NumericsCounters::*field, std::size_t n = 1);
 
 /// Merges a whole counter set into the innermost active scope of this

@@ -1,7 +1,7 @@
 // Direct solvers for small dense real systems: Cholesky for SPD matrices
-// (the normal equations inside Levenberg-Marquardt) and Householder QR for
-// general least squares (the linear fit in ToF sanitization and the
-// triangulation baselines).
+// (the normal equations inside Levenberg-Marquardt and the triangulation
+// baselines) and Householder QR for general least squares (no pipeline
+// caller: ToF sanitization fits its line in closed form).
 //
 // Each solver comes in two flavours:
 //  * strict — throws NumericalError at the first sign of indefiniteness or

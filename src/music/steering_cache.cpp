@@ -116,13 +116,14 @@ std::shared_ptr<const SteeringAxisTable> SteeringTableCache::get(
       ++state.hits;
       return it->second;
     }
-    ++state.misses;
   }
 
   // Compute outside the lock: table construction is the expensive part,
   // and a duplicate computation under a rare race costs less than
-  // serializing every miss. Whichever insert lands first wins; both
-  // results are bit-identical by construction.
+  // serializing every miss. Whichever insert lands first wins and counts
+  // the miss; a builder that loses the race counts a hit, so `misses`
+  // equals the number of tables inserted. Both results are bit-identical
+  // by construction.
   auto table = std::make_shared<SteeringAxisTable>();
   table->grid = linspace_grid(lo, hi, step);
   table->len = len;
@@ -138,7 +139,10 @@ std::shared_ptr<const SteeringAxisTable> SteeringTableCache::get(
 
   const std::lock_guard<std::mutex> lock(state.mutex);
   const auto [it, inserted] = state.entries.emplace(key, std::move(table));
-  if (inserted) {
+  if (!inserted) {
+    ++state.hits;
+  } else {
+    ++state.misses;
     state.insertion_order.push_back(key);
     while (state.entries.size() > kMaxEntries &&
            !state.insertion_order.empty()) {

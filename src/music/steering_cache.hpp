@@ -38,6 +38,8 @@ struct SteeringAxisTable {
 /// Cache telemetry (process-wide totals).
 struct SteeringCacheStats {
   std::size_t hits = 0;
+  /// Tables inserted: a lookup that built a table but lost the insert
+  /// race to another thread counts as a hit.
   std::size_t misses = 0;
   std::size_t entries = 0;
 };

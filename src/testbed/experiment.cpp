@@ -90,18 +90,16 @@ TargetRun ExperimentRunner::run_target(Vec2 target, Rng& rng) const {
   run.ap_truth = ground_truth(target);
 
   const SpotFiServer server(link_, config_.server);
-  run.round = server.localize(run.captures, rng);
+  auto round = server.try_localize(run.captures, rng);
+  if (!round) throw NumericalError(round.error().reason);
+  if (round->degraded) {
+    std::string reason = "round left the primary estimator";
+    for (const std::string& note : round->notes) reason += "; " + note;
+    throw NumericalError(reason);
+  }
+  run.round = std::move(*round);
   run.error_m = distance(run.round.location.position, target);
   return run;
-}
-
-std::vector<TargetRun> ExperimentRunner::run_all(Rng& rng) const {
-  std::vector<TargetRun> runs;
-  runs.reserve(deployment_.targets.size());
-  for (const Vec2 target : deployment_.targets) {
-    runs.push_back(run_target(target, rng));
-  }
-  return runs;
 }
 
 Vec2 ExperimentRunner::arraytrack_baseline(

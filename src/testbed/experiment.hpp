@@ -21,7 +21,13 @@ struct ExperimentConfig {
   double packet_interval_s = 0.1;
   MultipathConfig multipath{};
   ImpairmentConfig impairments{};
-  ServerConfig server{};
+  /// Algorithm 2 fuses every AP; it has no outlier-AP step, so the
+  /// figures run the served round with leave-one-out rejection off.
+  ServerConfig server = [] {
+    ServerConfig cfg;
+    cfg.fusion.loo_rejection = false;
+    return cfg;
+  }();
   /// Use only the first `ap_subset` APs (0 = all) — Fig. 9(a)'s density
   /// emulation picks subsets externally via `ap_indices`.
   std::vector<std::size_t> ap_indices;  ///< empty = all APs
@@ -60,11 +66,11 @@ class ExperimentRunner {
   [[nodiscard]] std::vector<ApCapture> simulate_captures(Vec2 target,
                                                          Rng& rng) const;
 
-  /// Full SpotFi pipeline for one target.
+  /// Full SpotFi pipeline for one target: SpotFiServer::try_localize on
+  /// freshly simulated captures. The figures measure Algorithm 2, so a
+  /// failed or degraded round (an AP past its primary estimator, an AP
+  /// rejected) throws NumericalError carrying the round's reason.
   [[nodiscard]] TargetRun run_target(Vec2 target, Rng& rng) const;
-
-  /// Runs every deployment target; errors land in the returned runs.
-  [[nodiscard]] std::vector<TargetRun> run_all(Rng& rng) const;
 
   /// ArrayTrack-style baseline on already-simulated captures: per packet
   /// MUSIC-AoA spectra averaged per AP, fused by spectrum product.

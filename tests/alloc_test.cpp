@@ -123,28 +123,31 @@ TEST(ZeroAlloc, EspritSteadyStatePacketAllocatesNothing) {
 }
 
 TEST(ZeroAlloc, GroupAllocationCountIndependentOfGroupSize) {
-  // process() allocates per *group* (output slots, pooled estimates,
-  // cluster summaries), never per packet: the marginal allocation cost of
-  // 10 extra packets must be zero beyond the linear slot-buffer resize.
-  // Comparing two group sizes with warmed arenas makes that observable
-  // without hard-coding the per-group constant.
+  // process_robust allocates per *group* (output slots, pooled estimates,
+  // cluster summaries), never per packet: the quality screen checks a
+  // clean group in place, and the marginal allocation cost of 10 extra
+  // packets must be zero beyond the linear slot-buffer resize. Comparing
+  // two group sizes with warmed arenas makes that observable without
+  // hard-coding the per-group constant.
   const auto group_small = synthesize_group(10);
   const auto group_large = synthesize_group(20);
   const ApProcessor processor(kLink, ArrayPose{{0.0, 0.0}, 0.0}, {});
   Rng rng(3);
 
   // Warm the calling thread's arena with the larger group.
-  (void)processor.process(group_large, rng);
+  (void)processor.process_robust(group_large, rng);
   thread_workspace().reset();
-  (void)processor.process(group_large, rng);
+  (void)processor.process_robust(group_large, rng);
 
   const std::size_t before_small = allocations();
-  (void)processor.process(group_small, rng);
+  const ApOutcome small = processor.process_robust(group_small, rng);
   const std::size_t count_small = allocations() - before_small;
 
   const std::size_t before_large = allocations();
-  (void)processor.process(group_large, rng);
+  const ApOutcome large = processor.process_robust(group_large, rng);
   const std::size_t count_large = allocations() - before_large;
+  ASSERT_EQ(small.stage, ApStage::kPrimary) << small.note;
+  ASSERT_EQ(large.stage, ApStage::kPrimary) << large.note;
 
   // The only size-dependent allocations are the group's slot/pool
   // vectors (a constant *number* of allocations of size-dependent

@@ -146,7 +146,9 @@ TEST(ApProcessor, RecoversDirectPathOnCleanLink) {
   const auto packets = synth.synthesize_burst(paths, 10, 0.1, rng);
 
   const ApProcessor processor(kLink, pose, {});
-  const ApResult result = processor.process(packets, rng);
+  const ApOutcome outcome = processor.process_robust(packets, rng);
+  ASSERT_EQ(outcome.stage, ApStage::kPrimary) << outcome.note;
+  const ApResult& result = outcome.result;
   EXPECT_NEAR(rad_to_deg(result.observation.direct_aoa_rad),
               rad_to_deg(pose.aoa_of(target)), 3.0);
   EXPECT_GT(result.observation.likelihood, 0.0);
@@ -165,14 +167,16 @@ TEST(ApProcessor, RssiIsAveraged) {
   Rng rng(8);
   const auto packets = synth.synthesize_burst(paths, 5, 0.1, rng);
   const ApProcessor processor(kLink, pose, {});
-  const ApResult result = processor.process(packets, rng);
-  EXPECT_NEAR(result.observation.rssi_dbm, packets[0].rssi_dbm, 1e-9);
+  const ApOutcome outcome = processor.process_robust(packets, rng);
+  ASSERT_EQ(outcome.stage, ApStage::kPrimary) << outcome.note;
+  EXPECT_NEAR(outcome.result.observation.rssi_dbm, packets[0].rssi_dbm,
+              1e-9);
 }
 
 TEST(ApProcessor, EmptyGroupThrows) {
   const ApProcessor processor(kLink, ArrayPose{}, {});
   Rng rng(9);
-  EXPECT_THROW(processor.process({}, rng), ContractViolation);
+  EXPECT_THROW((void)processor.process_robust({}, rng), ContractViolation);
 }
 
 // --- server end to end ---
@@ -199,16 +203,20 @@ TEST(Server, LocalizesCleanOfficeTarget) {
   config.localizer.area_min = deployment.area_min;
   config.localizer.area_max = deployment.area_max;
   const SpotFiServer server(kLink, config);
-  const LocalizationRound round = server.localize(captures, rng);
-  EXPECT_EQ(round.ap_results.size(), deployment.aps.size());
-  EXPECT_LT(distance(round.location.position, target), 2.5);
+  const auto round = server.try_localize(captures, rng);
+  ASSERT_TRUE(round.has_value()) << round.error().reason;
+  EXPECT_EQ(round->ap_results.size(), deployment.aps.size());
+  EXPECT_LT(distance(round->location.position, target), 2.5);
 }
 
 TEST(Server, RequiresTwoAps) {
   const SpotFiServer server(kLink, {});
   std::vector<ApCapture> captures(1);
   Rng rng(11);
-  EXPECT_THROW(server.localize(captures, rng), ContractViolation);
+  const auto round = server.try_localize(captures, rng);
+  ASSERT_FALSE(round.has_value());
+  EXPECT_EQ(round.error().reason, "need at least two AP captures");
+  EXPECT_EQ(round.error().usable_aps, 0u);
 }
 
 // --- location tracker ---

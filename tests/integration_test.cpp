@@ -74,8 +74,9 @@ TEST(Integration, PipelineThroughSpotfiTraceFormat) {
   config.localizer.area_min = runner.deployment().area_min;
   config.localizer.area_max = runner.deployment().area_max;
   const SpotFiServer server(kLink, config);
-  const auto round = server.localize(replayed, rng);
-  EXPECT_LT(distance(round.location.position, target), 2.0);
+  const auto round = server.try_localize(replayed, rng);
+  ASSERT_TRUE(round.has_value()) << round.error().reason;
+  EXPECT_LT(distance(round->location.position, target), 2.0);
 }
 
 TEST(Integration, PipelineThroughCsitoolFormat) {
@@ -113,8 +114,9 @@ TEST(Integration, PipelineThroughCsitoolFormat) {
   config.localizer.area_min = runner.deployment().area_min;
   config.localizer.area_max = runner.deployment().area_max;
   const SpotFiServer server(kLink, config);
-  const auto round = server.localize(replayed, rng);
-  EXPECT_LT(distance(round.location.position, target), 2.0);
+  const auto round = server.try_localize(replayed, rng);
+  ASSERT_TRUE(round.has_value()) << round.error().reason;
+  EXPECT_LT(distance(round->location.position, target), 2.0);
 }
 
 TEST(Integration, SanitizationImprovesDirectPathClustering) {
@@ -128,8 +130,13 @@ TEST(Integration, SanitizationImprovesDirectPathClustering) {
   without.sanitize = false;
   const ApProcessor p_with(kLink, captures[0].pose, with);
   const ApProcessor p_without(kLink, captures[0].pose, without);
-  const ApResult r_with = p_with.process(captures[0].packets, rng);
-  const ApResult r_without = p_without.process(captures[0].packets, rng);
+  const ApOutcome o_with = p_with.process_robust(captures[0].packets, rng);
+  const ApOutcome o_without =
+      p_without.process_robust(captures[0].packets, rng);
+  ASSERT_EQ(o_with.stage, ApStage::kPrimary) << o_with.note;
+  ASSERT_EQ(o_without.stage, ApStage::kPrimary) << o_without.note;
+  const ApResult& r_with = o_with.result;
+  const ApResult& r_without = o_without.result;
 
   // The tightest *populated* cluster (the direct path) should be far
   // tighter in ToF with sanitization than without; singleton clusters
@@ -192,8 +199,9 @@ TEST(Integration, Regridded20MhzPipeline) {
   }
 
   const ApProcessor processor(regridded_link, pose, {});
-  const ApResult result = processor.process(packets, rng);
-  EXPECT_NEAR(rad_to_deg(result.observation.direct_aoa_rad),
+  const ApOutcome outcome = processor.process_robust(packets, rng);
+  ASSERT_EQ(outcome.stage, ApStage::kPrimary) << outcome.note;
+  EXPECT_NEAR(rad_to_deg(outcome.result.observation.direct_aoa_rad),
               rad_to_deg(aoa), 3.0);
 }
 

@@ -262,7 +262,7 @@ struct RoundPair {
   LocalizationRound parallel;
 };
 
-RoundPair run_round_both_ways(bool robust, bool poison_one_ap) {
+RoundPair run_round_both_ways(bool loo_rejection, bool poison_one_ap) {
   unsetenv("SPOTFI_THREADS");
   const LinkConfig link = LinkConfig::intel5300_40mhz();
   ExperimentConfig exp_cfg;
@@ -278,21 +278,16 @@ RoundPair run_round_both_ways(bool robust, bool poison_one_ap) {
     cfg.num_threads = threads;
     cfg.localizer.area_min = runner.deployment().area_min;
     cfg.localizer.area_max = runner.deployment().area_max;
+    cfg.fusion.loo_rejection = loo_rejection;
     const SpotFiServer server(link, cfg);
     EXPECT_EQ(server.num_threads(), threads);
     Rng rng(99);
-    LocalizationRound round;
-    if (robust) {
-      auto result = server.try_localize(captures, rng);
-      if (!result.has_value()) {
-        ADD_FAILURE() << result.error().reason;
-        return pair;
-      }
-      round = std::move(result.value());
-    } else {
-      round = server.localize(captures, rng);
+    auto result = server.try_localize(captures, rng);
+    if (!result.has_value()) {
+      ADD_FAILURE() << result.error().reason;
+      return pair;
     }
-    (threads == 1 ? pair.serial : pair.parallel) = std::move(round);
+    (threads == 1 ? pair.serial : pair.parallel) = std::move(result.value());
   }
   return pair;
 }
@@ -323,13 +318,18 @@ void expect_rounds_identical(const LocalizationRound& a,
 }
 
 TEST(ParallelDeterminism, StrictLocalizeIdenticalAcrossThreadCounts) {
-  const RoundPair pair = run_round_both_ways(/*robust=*/false,
+  // The figures' configuration (ExperimentRunner): leave-one-out off,
+  // every AP on its primary estimator.
+  const RoundPair pair = run_round_both_ways(/*loo_rejection=*/false,
                                              /*poison_one_ap=*/false);
   expect_rounds_identical(pair.serial, pair.parallel);
+  for (const ApStage stage : pair.serial.ap_stages) {
+    EXPECT_EQ(stage, ApStage::kPrimary);
+  }
 }
 
 TEST(ParallelDeterminism, RobustRoundIdenticalAcrossThreadCounts) {
-  const RoundPair pair = run_round_both_ways(/*robust=*/true,
+  const RoundPair pair = run_round_both_ways(/*loo_rejection=*/true,
                                              /*poison_one_ap=*/false);
   expect_rounds_identical(pair.serial, pair.parallel);
 }
@@ -337,7 +337,7 @@ TEST(ParallelDeterminism, RobustRoundIdenticalAcrossThreadCounts) {
 TEST(ParallelDeterminism, DegradedRoundIdenticalAcrossThreadCounts) {
   // An empty capture forces a degradation note and an AP-stage fold —
   // the bookkeeping must also be thread-count invariant.
-  const RoundPair pair = run_round_both_ways(/*robust=*/true,
+  const RoundPair pair = run_round_both_ways(/*loo_rejection=*/true,
                                              /*poison_one_ap=*/true);
   EXPECT_TRUE(pair.serial.degraded);
   expect_rounds_identical(pair.serial, pair.parallel);
@@ -363,7 +363,7 @@ TEST(ParallelDeterminism, CallerRngAdvancesIdentically) {
     cfg.localizer.area_max = runner.deployment().area_max;
     const SpotFiServer server(link, cfg);
     Rng rng(42);
-    (void)server.localize(captures, rng);
+    (void)server.try_localize(captures, rng);
     next_draw.push_back(rng());
   }
   ASSERT_EQ(next_draw.size(), 2u);

@@ -7,8 +7,11 @@
 // serial per-session outputs bit for bit.
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <cstdlib>
+#include <memory>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -189,16 +192,18 @@ TEST(StageTelemetry, EspritRoundIsMeteredWholeAsSubspace) {
 }
 
 TEST(StageTelemetry, MeteringIsOptInAndOffByDefaultOnTheStrictPath) {
+  // A group run always meters into ApOutcome::stage_breakdown; only
+  // estimate_packet and bare stage calls pass no breakdown sink, and
+  // their zero-clock-read contract is pinned by the alloc/perf suites.
   const auto captures = office_captures(2);
   ApProcessorConfig cfg;
   const ApProcessor processor(kLink, captures[0].pose, cfg);
   Rng rng(5);
-  // The strict path passes no breakdown sink; StageMeter must stay
-  // no-op (ApResult carries no breakdown; nothing to check beyond "it
-  // runs" — the real assertion is the zero-clock-read contract, pinned
-  // by the alloc/perf suites).
-  const ApResult result = processor.process(captures[0].packets, rng);
-  EXPECT_TRUE(result.observation.has_aoa);
+  const ApOutcome outcome =
+      processor.process_robust(captures[0].packets, rng);
+  ASSERT_EQ(outcome.stage, ApStage::kPrimary) << outcome.note;
+  EXPECT_TRUE(outcome.result.observation.has_aoa);
+  EXPECT_TRUE(outcome.stage_breakdown.any());
 }
 
 // --- steering-table interning across estimator constructions -----------
@@ -225,6 +230,31 @@ TEST(SteeringCache, IdenticalEstimatorsShareOneTable) {
   const JointMusicEstimator c(kLink, coarse);
   EXPECT_NE(a.aoa_grid().data(), c.aoa_grid().data());
   EXPECT_GT(SteeringTableCache::stats().misses, after_second.misses);
+}
+
+TEST(SteeringCache, RacingMissesCountOneInsert) {
+  // Eight lanes miss one fresh key at the same moment: each may build the
+  // table, but only the insert that lands counts as a miss, so `misses`
+  // equals the number of tables inserted.
+  SteeringTableCache::clear();
+  constexpr std::size_t kThreads = 8;
+  std::barrier start(static_cast<std::ptrdiff_t>(kThreads));
+  std::vector<std::shared_ptr<const SteeringAxisTable>> tables(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      tables[t] = SteeringTableCache::get(SteeringTableCache::Axis::kAoa,
+                                          -1.5, 1.5, 1e-4, 4, kLink);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  const SteeringCacheStats stats = SteeringTableCache::stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, kThreads - 1);
+  EXPECT_EQ(stats.entries, 1u);
+  for (const auto& table : tables) EXPECT_EQ(table, tables.front());
 }
 
 // --- deferred round lifecycle ==  push(), bit for bit ------------------

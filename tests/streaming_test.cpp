@@ -183,8 +183,9 @@ TEST(Quality, DeadAntennaFloorBoundary) {
 }
 
 TEST(Quality, ApProcessorScreensWhenConfigured) {
-  // A group with one NaN packet: with screening on, processing succeeds
-  // on the clean subset; a fully corrupt group throws.
+  // A group with one NaN packet: the screen drops it and the primary
+  // estimator runs on the clean subset; a fully corrupt group never
+  // reaches an estimator.
   Rng rng(9);
   std::vector<CsiPacket> group;
   for (int i = 0; i < 8; ++i) group.push_back(good_packet(rng, 0.1 * i));
@@ -193,11 +194,16 @@ TEST(Quality, ApProcessorScreensWhenConfigured) {
   ApProcessorConfig cfg;
   cfg.quality = QualityConfig{};
   const ApProcessor processor(kLink, ArrayPose{{0.0, 0.0}, 0.3}, cfg);
-  const ApResult result = processor.process(group, rng);
-  EXPECT_FALSE(result.clusters.empty());
+  const ApOutcome outcome = processor.process_robust(group, rng);
+  EXPECT_EQ(outcome.stage, ApStage::kPrimary) << outcome.note;
+  EXPECT_FALSE(outcome.result.clusters.empty());
 
   std::vector<CsiPacket> all_bad(3, group[2]);
-  EXPECT_THROW(processor.process(all_bad, rng), ContractViolation);
+  const ApOutcome rejected = processor.process_robust(all_bad, rng);
+  EXPECT_NE(rejected.stage, ApStage::kPrimary);
+  EXPECT_NE(rejected.note.find("quality screen rejected every packet"),
+            std::string::npos)
+      << rejected.note;
 }
 
 // --- streaming server ---
@@ -266,6 +272,28 @@ TEST(Streaming, RejectedPacketsNeverBuffer) {
   EXPECT_FALSE(server.push(0, bad, rng).has_value());
   EXPECT_EQ(server.buffered(0), 0u);
   EXPECT_EQ(server.rejected_count(), 1u);
+}
+
+TEST(Streaming, IngestScreenUsesTheServerQualityConfig) {
+  // One screen config: ingest screens with server.ap.quality, the screen
+  // every round's groups pass, so loosening it is not undone at ingest.
+  Feed feed(4);
+  StreamingConfig cfg;
+  cfg.group_size = 4;
+  cfg.server.ap.quality.max_antenna_imbalance_db = 40.0;
+  StreamingLocalizer server(kLink, cfg);
+  for (const auto& capture : feed.captures) server.add_ap(capture.pose);
+
+  Rng rng(16);
+  CsiPacket imbalanced = feed.captures[0].packets[0];
+  const double gain = std::pow(10.0, 30.0 / 20.0);  // +30 dB on one chain
+  for (std::size_t n = 0; n < imbalanced.csi.cols(); ++n) {
+    imbalanced.csi(0, n) *= gain;
+  }
+  ASSERT_FALSE(screen_packet(imbalanced).ok);  // the default 25 dB bound
+  EXPECT_FALSE(server.push(0, imbalanced, rng).has_value());
+  EXPECT_EQ(server.buffered(0), 1u);
+  EXPECT_EQ(server.rejected_count(), 0u);
 }
 
 TEST(Streaming, StalePacketsAgeOut) {
