@@ -2,11 +2,13 @@
 """Bench-regression gate: fail when the candidate run is >N% slower.
 
 Compares a fresh bench_to_json.sh snapshot against the checked-in
-baseline (BENCH_<PR>.json). Raw nanoseconds are not comparable across
+baseline (BENCH_<N>.json). Raw nanoseconds are not comparable across
 machines, so every benchmark is first normalized by a reference kernel
-measured in the *same* file (default: BM_MatMul30, a pure-compute
-kernel with no allocation or threading behavior to drift). The gate
-then compares normalized ratios:
+measured in the *same* file (default: BM_Reference_DependentLoop, a
+frozen chain of dependent floating-point operations in perf_music.cpp
+that calls nothing in the library, so no library change can move the
+yardstick every other ratio is read against). The gate then compares
+normalized ratios:
 
     regression = (t_cand / ref_cand) / (t_base / ref_base) - 1
 
@@ -31,7 +33,7 @@ throughput benches (`BM_SessionRounds/*`) participate in the normalized
 
 Usage:
     bench_regression.py <baseline.json> <candidate.json>
-        [--threshold 0.15] [--reference BM_MatMul30]
+        [--threshold 0.15] [--reference BM_Reference_DependentLoop]
     bench_regression.py <candidate.json>               # newest BENCH_*.json
     bench_regression.py --baseline <path> <candidate.json>
 
@@ -104,7 +106,7 @@ def main():
                          "checked-in BENCH_<N>.json convention)")
     ap.add_argument("--threshold", type=float, default=0.15,
                     help="maximum tolerated normalized slowdown (0.15 = 15%%)")
-    ap.add_argument("--reference", default="BM_MatMul30",
+    ap.add_argument("--reference", default="BM_Reference_DependentLoop",
                     help="kernel used to normalize out machine speed")
     args = ap.parse_args()
 

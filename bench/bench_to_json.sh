@@ -61,6 +61,11 @@ import sys
 (music_path, pipeline_path, memory_path, sessions_path, transport_path,
  durability_path, out_path, mode) = sys.argv[1:9]
 
+# google-benchmark reports real_time/cpu_time in each entry's time_unit
+# (a bench registered with ->Unit(kMillisecond) reports milliseconds);
+# the snapshot stores nanoseconds.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 merged = {
     "schema": "spotfi-bench-v1",
     "smoke": mode == "--smoke",
@@ -77,10 +82,11 @@ for name, path in (("perf_music", music_path),
     merged.setdefault("context", raw.get("context", {}))
     suite = []
     for b in raw.get("benchmarks", []):
+        scale = NS_PER_UNIT[b.get("time_unit", "ns")]
         entry = {
             "name": b["name"],
-            "real_time_ns": b["real_time"],
-            "cpu_time_ns": b["cpu_time"],
+            "real_time_ns": b["real_time"] * scale,
+            "cpu_time_ns": b["cpu_time"] * scale,
             "iterations": b["iterations"],
         }
         # Memory benches attach custom counters (allocs/bytes per packet,
@@ -88,11 +94,15 @@ for name, path in (("perf_music", music_path),
         # Keep them so the zero-allocation contract and the tail-latency
         # trajectory are visible in the snapshot.
         for key in ("allocs_per_packet", "bytes_per_packet",
-                    "arena_high_water_bytes", "p99_round_ms", "sessions"):
+                    "arena_high_water_bytes", "p99_round_ms", "sessions",
+                    "items_per_second"):
             if key in b:
                 entry[key] = b[key]
         suite.append(entry)
     merged["suites"][name] = suite
+# Snapshots from machines with different core counts do not compare
+# (the threads:N benches), so the count sits beside the results.
+merged["num_cpus"] = merged["context"].get("num_cpus")
 
 with open(out_path, "w") as f:
     json.dump(merged, f, indent=2, sort_keys=True)

@@ -34,6 +34,21 @@ CMatrix test_csi() {
   return synth.synthesize(paths, 0.0, rng).csi;
 }
 
+void BM_Reference_DependentLoop(benchmark::State& state) {
+  // The machine-speed yardstick bench_regression.py normalizes every
+  // other benchmark by: a fixed chain of dependent floating-point
+  // operations (the logistic map) that calls nothing in the library, so
+  // no library change can move it. Keep it frozen — changing it rescales
+  // every normalized ratio against the checked-in baselines.
+  double x = 0.5;
+  benchmark::DoNotOptimize(x);  // start from a value the compiler cannot see
+  for (auto _ : state) {
+    for (int k = 0; k < 4096; ++k) x = 3.9 * x * (1.0 - x);
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_Reference_DependentLoop);
+
 void BM_HermitianEig30(benchmark::State& state) {
   const CMatrix x = smoothed_csi(test_csi());
   const CMatrix cov = x.gram();

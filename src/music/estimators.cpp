@@ -36,55 +36,106 @@ JointMusicEstimator::JointMusicEstimator(LinkConfig link,
                                       config_.smoothing.sub_len, link_);
 }
 
-void JointMusicEstimator::spectrum_values(ConstCMatrixView noise,
-                                          Workspace& ws,
-                                          RMatrixView values) const {
-  const std::size_t n_aoa = aoa_axis_->grid.size();
-  const std::size_t n_tof = tof_axis_->grid.size();
+namespace {
+
+/// One axis table as a grid.size() x len matrix, one steering vector per
+/// row.
+ConstCMatrixView steering_view(const SteeringAxisTable& axis) {
+  return {axis.steering.data(), axis.grid.size(), axis.len};
+}
+
+/// The MUSIC pseudospectrum 1 / max(||E_n^H a||^2, 1e-12) over every
+/// steering vector a = ant_i (x) sub_j, antenna-major (the row order of
+/// smoothed_csi()); `ant` holds one antenna steering vector per row,
+/// `sub` one subcarrier steering vector per row. values(i, j) is the
+/// spectrum at (ant_i, sub_j).
+///
+/// The g table holds g_e(j)[a] = sum_s conj(e[a*sub_len+s]) sub_j[s] for
+/// every ToF column j and noise eigenvector e, so the denominator at
+/// (i, j) is the quadratic form
+///   ||E_n^H a||^2 = sum_e |ant_i . g_e(j)|^2 = ant_i^T M(j) conj(ant_i)
+/// in the ant_len x ant_len Hermitian Gram M(j) = sum_e g_e(j) g_e(j)^H.
+/// M(j)'s ant_len^2 real degrees of freedom (the diagonal, Re/Im above
+/// it) are folded once per column; each grid point is then one real dot
+/// product with the matching weights of ant_i (|ant_a|^2, and
+/// 2 Re / -2 Im of ant_a conj(ant_b)), whatever the noise dimension.
+/// Cost: O(N_tof * D * S) for the table, O(G * ant_len^2) for the sweep.
+void spectrum_values(ConstCMatrixView noise, ConstCMatrixView ant,
+                     ConstCMatrixView sub, Workspace& ws, RMatrixView values) {
+  const std::size_t n_aoa = ant.rows();
+  const std::size_t n_tof = sub.rows();
+  const std::size_t ant_len = ant.cols();
+  const std::size_t sub_len = sub.cols();
   const std::size_t n_noise = noise.cols();
-  const std::size_t ant_len = config_.smoothing.ant_len;
-  const std::size_t sub_len = config_.smoothing.sub_len;
+  const std::size_t dof = ant_len * ant_len;
   SPOTFI_EXPECTS(values.rows() == n_aoa && values.cols() == n_tof,
                  "spectrum grid shape disagrees with the estimator grids");
+  SPOTFI_EXPECTS(noise.rows() == ant_len * sub_len,
+                 "noise basis length disagrees with the steering tables");
 
-  // The joint steering vector factors as ant(theta) (x) sub(tau) with
-  // antenna-major rows, so for noise eigenvector e:
-  //   e^H a(theta,tau) = sum_a ant_a * (sum_s conj(e[a*sub_len+s]) sub_s)
-  // Precompute the inner parenthesis g[tau][e][a] once per subspace
-  // (the steering tables themselves are cached at construction), then
-  // the grid sweep is O(n_aoa * n_tof * n_noise * ant_len) of pure
-  // flat-array inner products.
   Workspace::Frame frame(ws);
-  const std::span<cplx> g = ws.take<cplx>(n_tof * n_noise * ant_len);
-  for (std::size_t ti = 0; ti < n_tof; ++ti) {
-    const cplx* sub_vec = &tof_axis_->steering[ti * sub_len];
+  // conj(E_n) regrouped by subcarrier (row s holds conj(e[a*sub_len+s])
+  // for every (e, a)), so each ToF column of the g table accumulates
+  // n_noise * ant_len independent sums, each over s in ascending order.
+  const std::size_t width = n_noise * ant_len;
+  const std::span<cplx> conj_noise = ws.take<cplx>(sub_len * width);
+  for (std::size_t s = 0; s < sub_len; ++s) {
     for (std::size_t e = 0; e < n_noise; ++e) {
       for (std::size_t a = 0; a < ant_len; ++a) {
+        conj_noise[s * width + e * ant_len + a] =
+            std::conj(noise(a * sub_len + s, e));
+      }
+    }
+  }
+  const std::span<cplx> g = ws.take<cplx>(n_tof * width);  // zero-filled
+  const std::span<double> gram = ws.take<double>(n_tof * dof);
+  for (std::size_t ti = 0; ti < n_tof; ++ti) {
+    const cplx* sub_vec = sub.row_ptr(ti);
+    cplx* gt = &g[ti * width];
+    for (std::size_t s = 0; s < sub_len; ++s) {
+      const cplx* row = &conj_noise[s * width];
+      const cplx w = sub_vec[s];
+      for (std::size_t k = 0; k < width; ++k) gt[k] += row[k] * w;
+    }
+    double* m = &gram[ti * dof];
+    for (std::size_t a = 0; a < ant_len; ++a) {
+      for (std::size_t b = a; b < ant_len; ++b) {
         cplx acc{};
-        for (std::size_t s = 0; s < sub_len; ++s) {
-          acc += std::conj(noise(a * sub_len + s, e)) * sub_vec[s];
+        for (std::size_t e = 0; e < n_noise; ++e) {
+          acc += gt[e * ant_len + a] * std::conj(gt[e * ant_len + b]);
         }
-        g[(ti * n_noise + e) * ant_len + a] = acc;
+        *m++ = acc.real();
+        if (b != a) *m++ = acc.imag();
       }
     }
   }
 
+  const std::span<double> weights = ws.take<double>(dof);
   for (std::size_t ai = 0; ai < n_aoa; ++ai) {
-    const cplx* ant_vec = &aoa_axis_->steering[ai * ant_len];
-    for (std::size_t ti = 0; ti < n_tof; ++ti) {
-      double denom = 0.0;
-      const cplx* gt = &g[ti * n_noise * ant_len];
-      for (std::size_t e = 0; e < n_noise; ++e) {
-        cplx proj{};
-        for (std::size_t a = 0; a < ant_len; ++a) {
-          proj += ant_vec[a] * gt[e * ant_len + a];
+    const cplx* ant_vec = ant.row_ptr(ai);
+    double* w = weights.data();
+    for (std::size_t a = 0; a < ant_len; ++a) {
+      for (std::size_t b = a; b < ant_len; ++b) {
+        if (b == a) {
+          *w++ = std::norm(ant_vec[a]);
+        } else {
+          const cplx p = ant_vec[a] * std::conj(ant_vec[b]);
+          *w++ = 2.0 * p.real();
+          *w++ = -2.0 * p.imag();
         }
-        denom += std::norm(proj);
       }
-      values(ai, ti) = 1.0 / std::max(denom, 1e-12);
+    }
+    double* row = values.row_ptr(ai);
+    for (std::size_t ti = 0; ti < n_tof; ++ti) {
+      const double* m = &gram[ti * dof];
+      double denom = 0.0;
+      for (std::size_t k = 0; k < dof; ++k) denom += weights[k] * m[k];
+      row[ti] = 1.0 / std::max(denom, 1e-12);
     }
   }
 }
+
+}  // namespace
 
 AoaTofSpectrum JointMusicEstimator::spectrum(const CMatrix& csi) const {
   Workspace& ws = thread_workspace();
@@ -94,7 +145,8 @@ AoaTofSpectrum JointMusicEstimator::spectrum(const CMatrix& csi) const {
   sp.aoa_grid_rad = aoa_axis_->grid;
   sp.tof_grid_s = tof_axis_->grid;
   sp.values = RMatrix(sp.aoa_grid_rad.size(), sp.tof_grid_s.size());
-  spectrum_values(sub.noise, ws, sp.values.view());
+  spectrum_values(sub.noise, steering_view(*aoa_axis_),
+                  steering_view(*tof_axis_), ws, sp.values.view());
   return sp;
 }
 
@@ -114,7 +166,8 @@ std::size_t JointMusicEstimator::stage_spectrum(
                  "stage_spectrum output span smaller than max_paths");
   const RMatrixView values = workspace_matrix<double>(
       ws, aoa_axis_->grid.size(), tof_axis_->grid.size());
-  spectrum_values(sub.noise, ws, values);
+  spectrum_values(sub.noise, steering_view(*aoa_axis_),
+                  steering_view(*tof_axis_), ws, values);
 
   std::span<const GridPeak> peaks = find_peaks_2d(
       ConstRMatrixView(values), tof_wraps_,
@@ -197,19 +250,12 @@ AoaSpectrum MusicAoaEstimator::spectrum(const CMatrix& csi) const {
   AoaSpectrum sp;
   sp.aoa_grid_rad = aoa_axis_->grid;
   sp.values.resize(sp.aoa_grid_rad.size());
-  const std::size_t n_noise = sub.noise.cols();
-  for (std::size_t ai = 0; ai < sp.aoa_grid_rad.size(); ++ai) {
-    const cplx* a = &aoa_axis_->steering[ai * ant_len];
-    double denom = 0.0;
-    for (std::size_t e = 0; e < n_noise; ++e) {
-      cplx proj{};
-      for (std::size_t m = 0; m < ant_len; ++m) {
-        proj += std::conj(sub.noise(m, e)) * a[m];
-      }
-      denom += std::norm(proj);
-    }
-    sp.values[ai] = 1.0 / std::max(denom, 1e-12);
-  }
+  // The antenna-only array is the joint sweep's one-column case: one
+  // length-1 subcarrier steering vector.
+  const cplx one{1.0, 0.0};
+  spectrum_values(sub.noise, steering_view(*aoa_axis_),
+                  ConstCMatrixView(&one, 1, 1), ws,
+                  RMatrixView(sp.values.data(), sp.values.size(), 1));
   return sp;
 }
 

@@ -3,14 +3,19 @@
 // JointMusicEstimator — SpotFi's super-resolution algorithm (Sec. 3.1.2):
 // smoothed CSI matrix -> noise subspace -> 2-D MUSIC pseudospectrum over
 // (AoA, ToF) -> peaks = multipath components. The joint steering vector
-// factors as ant(theta) (x) sub(tau), which lets the spectrum sweep
-// precompute the per-tau inner products once per noise eigenvector and
-// makes a full 181 x 320 grid cost milliseconds.
+// factors as ant(theta) (x) sub(tau), so the MUSIC denominator at
+// (theta, tau) is a quadratic form in ant(theta) with a small per-tau
+// Gram matrix of the noise subspace (ant_len x ant_len, 2 x 2 here). The
+// sweep builds that matrix once per ToF column; a grid point then costs
+// ant_len^2 real multiply-adds whatever the noise dimension, and a full
+// 181 x 320 grid well under a millisecond.
 //
 // MusicAoaEstimator — the classic antenna-only MUSIC (Sec. 3.1.1) used by
 // the paper's practical ArrayTrack/Phaser baseline: the 3-antenna array
 // with subcarriers as snapshots. With only 3 sensors it cannot resolve
-// more than 2 paths, which is exactly the failure mode SpotFi fixes.
+// more than 2 paths, which is exactly the failure mode SpotFi fixes. Its
+// spectrum is the joint sweep's one-column case (a length-1 subcarrier
+// axis).
 #pragma once
 
 #include <limits>
@@ -107,12 +112,6 @@ class JointMusicEstimator {
   [[nodiscard]] bool tof_axis_wraps() const { return tof_wraps_; }
 
  private:
-  /// Core pseudospectrum sweep shared by stage_spectrum() and spectrum():
-  /// reads a noise basis view, takes its g-table scratch from `ws`,
-  /// writes into the caller-provided grid.
-  void spectrum_values(ConstCMatrixView noise, Workspace& ws,
-                       RMatrixView values) const;
-
   LinkConfig link_;
   JointMusicConfig config_;
   double tof_min_s_ = 0.0;

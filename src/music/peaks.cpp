@@ -20,23 +20,8 @@ void sort_and_trim(std::vector<GridPeak>& peaks, std::size_t max_peaks,
   if (peaks.size() > max_peaks) peaks.resize(max_peaks);
 }
 
-/// Span flavor of sort_and_trim: after the descending sort every
-/// below-floor peak sits in the tail, so erase_if reduces to shortening
-/// the prefix — same surviving set and order as the vector flavor.
-std::size_t sort_and_trim(std::span<GridPeak> peaks, std::size_t max_peaks,
-                          double min_relative, double global_max) {
-  std::sort(peaks.begin(), peaks.end(),
-            [](const GridPeak& a, const GridPeak& b) {
-              return a.value > b.value;
-            });
-  const double floor_value = min_relative * global_max;
-  std::size_t n = peaks.size();
-  while (n > 0 && peaks[n - 1].value < floor_value) --n;
-  return std::min(n, max_peaks);
-}
-
-/// The 8-neighbourhood local-maximum test shared by both find_peaks_2d
-/// flavors. Out-of-range neighbours simply do not exist (they neither
+/// The 8-neighbourhood local-maximum test at the grid's border rows and
+/// columns. Out-of-range neighbours simply do not exist (they neither
 /// block a peak nor count as dominated); the column axis optionally
 /// wraps. Flat regions are not peaks: dominance over at least one
 /// neighbour is required so constant grids yield nothing.
@@ -70,11 +55,22 @@ bool is_peak_2d(ConstRMatrixView grid, bool wrap_cols, std::size_t i,
   return strictly_above_one;
 }
 
-double grid_max_abs(ConstRMatrixView grid) {
-  double m = 0.0;
-  for (std::size_t i = 0; i < grid.rows(); ++i)
-    for (const double v : grid.row(i)) m = std::max(m, std::abs(v));
-  return m;
+/// The same test at an interior cell, where all eight neighbours exist:
+/// `up`, `mid` and `down` point at column j of rows i-1, i and i+1. Like
+/// is_peak_2d it is NaN-neutral: a NaN neighbour compares false both
+/// ways, so it neither blocks the peak nor counts toward it, and a NaN
+/// cell is never a peak.
+bool is_interior_peak(const double* up, const double* mid,
+                      const double* down) {
+  const double v = mid[0];
+  // Same-row prefilter: most cells of a smooth spectrum stop here.
+  if (mid[-1] > v || mid[1] > v) return false;
+  if (up[-1] > v || up[0] > v || up[1] > v || down[-1] > v || down[0] > v ||
+      down[1] > v) {
+    return false;
+  }
+  return mid[-1] < v || mid[1] < v || up[-1] < v || up[0] < v || up[1] < v ||
+         down[-1] < v || down[0] < v || down[1] < v;
 }
 
 }  // namespace
@@ -103,49 +99,53 @@ std::vector<GridPeak> find_peaks_1d(std::span<const double> f,
   return peaks;
 }
 
-std::vector<GridPeak> find_peaks_2d(const RMatrix& grid, bool wrap_cols,
-                                    std::size_t max_peaks,
-                                    double min_relative) {
-  SPOTFI_EXPECTS(max_peaks > 0, "max_peaks must be positive");
-  SPOTFI_EXPECTS(grid.rows() >= 1 && grid.cols() >= 1, "empty grid");
-  const ConstRMatrixView g(grid);
-  std::vector<GridPeak> peaks;
-  for (std::size_t i = 0; i < g.rows(); ++i) {
-    for (std::size_t j = 0; j < g.cols(); ++j) {
-      if (is_peak_2d(g, wrap_cols, i, j)) peaks.push_back({i, j, g(i, j)});
-    }
-  }
-  sort_and_trim(peaks, max_peaks, min_relative, grid_max_abs(g));
-  return peaks;
-}
-
 std::span<const GridPeak> find_peaks_2d(ConstRMatrixView grid, bool wrap_cols,
                                         std::size_t max_peaks,
                                         double min_relative, Workspace& ws) {
   SPOTFI_EXPECTS(max_peaks > 0, "max_peaks must be positive");
   SPOTFI_EXPECTS(grid.rows() >= 1 && grid.cols() >= 1, "empty grid");
-
-  // Pass 1: count candidates so the checkout is sized exactly.
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < grid.rows(); ++i) {
-    for (std::size_t j = 0; j < grid.cols(); ++j) {
-      if (is_peak_2d(grid, wrap_cols, i, j)) ++count;
+  const std::size_t rows = grid.rows();
+  const std::size_t cols = grid.cols();
+  // The strongest candidates so far, by value descending. A candidate
+  // never displaces an equal one offered before it, so equal values keep
+  // row-major order.
+  const std::span<GridPeak> top =
+      ws.take<GridPeak>(std::min(max_peaks, rows * cols));
+  std::size_t n = 0;
+  const auto offer = [&](std::size_t i, std::size_t j, double v) {
+    if (n == top.size()) {
+      if (!(v > top[n - 1].value)) return;
+      --n;
+    }
+    std::size_t k = n++;
+    for (; k > 0 && top[k - 1].value < v; --k) top[k] = top[k - 1];
+    top[k] = {i, j, v};
+  };
+  double global_max = 0.0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double* mid = grid.row_ptr(i);
+    for (std::size_t j = 0; j < cols; ++j) {
+      global_max = std::max(global_max, std::abs(mid[j]));
+    }
+    if (i == 0 || i + 1 == rows) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        if (is_peak_2d(grid, wrap_cols, i, j)) offer(i, j, mid[j]);
+      }
+      continue;
+    }
+    const double* up = grid.row_ptr(i - 1);
+    const double* down = grid.row_ptr(i + 1);
+    if (is_peak_2d(grid, wrap_cols, i, 0)) offer(i, 0, mid[0]);
+    for (std::size_t j = 1; j + 1 < cols; ++j) {
+      if (is_interior_peak(up + j, mid + j, down + j)) offer(i, j, mid[j]);
+    }
+    if (cols > 1 && is_peak_2d(grid, wrap_cols, i, cols - 1)) {
+      offer(i, cols - 1, mid[cols - 1]);
     }
   }
-
-  // Pass 2: refill in the same row-major order the vector flavor uses,
-  // then the same descending sort, so the surviving set and order match
-  // bit for bit (the sort is unstable; identical input order matters).
-  std::span<GridPeak> peaks = ws.take<GridPeak>(count);
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < grid.rows(); ++i) {
-    for (std::size_t j = 0; j < grid.cols(); ++j) {
-      if (is_peak_2d(grid, wrap_cols, i, j)) peaks[k++] = {i, j, grid(i, j)};
-    }
-  }
-  const std::size_t n =
-      sort_and_trim(peaks, max_peaks, min_relative, grid_max_abs(grid));
-  return peaks.first(n);
+  const double floor_value = min_relative * global_max;
+  while (n > 0 && top[n - 1].value < floor_value) --n;
+  return top.first(n);
 }
 
 double parabolic_offset(double f_m1, double f_0, double f_p1) {

@@ -22,18 +22,17 @@ struct GridPeak {
                                                   std::size_t max_peaks,
                                                   double min_relative = 0.0);
 
-/// Local maxima of a 2-D grid over the 8-neighbourhood. When `wrap_cols`
-/// is set the column axis is treated as circular (ToF periodicity).
-[[nodiscard]] std::vector<GridPeak> find_peaks_2d(const RMatrix& grid,
-                                                  bool wrap_cols,
-                                                  std::size_t max_peaks,
-                                                  double min_relative = 0.0);
-
-/// Arena variant: peaks are collected in two passes (count, then fill)
-/// into a `ws` checkout sized exactly, so the unbounded candidate set
-/// never forces a heap allocation. The returned span lives until the
-/// caller's enclosing frame closes. Identical peaks, order, and values
-/// to the value overload.
+/// Local maxima of a 2-D grid over the 8-neighbourhood: cells no
+/// neighbour exceeds and at least one neighbour is below. A constant grid
+/// has none; every cell of a raised plateau that touches a lower cell is
+/// one. NaN cells are never peaks, and a NaN neighbour neither blocks nor
+/// supports one. When `wrap_cols` is set the column axis is treated as
+/// circular (ToF periodicity). Returns the peaks by value descending,
+/// equal values in row-major order, dropping peaks below
+/// `min_relative * max|grid|`, at most `max_peaks`. One pass over the
+/// grid; the only scratch is a min(max_peaks, rows * cols)-slot `ws`
+/// checkout, which the returned span views until the caller's enclosing
+/// frame closes.
 [[nodiscard]] std::span<const GridPeak> find_peaks_2d(ConstRMatrixView grid,
                                                       bool wrap_cols,
                                                       std::size_t max_peaks,

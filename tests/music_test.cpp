@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "channel/csi_synthesis.hpp"
 #include "common/angles.hpp"
@@ -16,6 +19,8 @@
 #include "music/esprit.hpp"
 #include "music/estimators.hpp"
 #include "music/steering.hpp"
+#include "testbed/deployment.hpp"
+#include "testbed/experiment.hpp"
 
 namespace spotfi {
 namespace {
@@ -231,7 +236,9 @@ TEST(Peaks, TwoDimensionalWithWrap) {
   RMatrix g(3, 6);
   g(1, 0) = 5.0;   // peak on the wrap column boundary
   g(2, 3) = 3.0;
-  const auto wrapped = find_peaks_2d(g, /*wrap_cols=*/true, 5);
+  Workspace ws;
+  Workspace::Frame frame(ws);
+  const auto wrapped = find_peaks_2d(g, /*wrap_cols=*/true, 5, 0.0, ws);
   ASSERT_EQ(wrapped.size(), 2u);
   EXPECT_EQ(wrapped[0].i, 1u);
   EXPECT_EQ(wrapped[0].j, 0u);
@@ -239,7 +246,138 @@ TEST(Peaks, TwoDimensionalWithWrap) {
 
 TEST(Peaks, ConstantGridHasNoPeaks) {
   RMatrix g(4, 4, 1.0);
-  EXPECT_TRUE(find_peaks_2d(g, false, 5).empty());
+  Workspace ws;
+  Workspace::Frame frame(ws);
+  EXPECT_TRUE(find_peaks_2d(g, false, 5, 0.0, ws).empty());
+}
+
+// Brute-force reference for find_peaks_2d: the 8-neighbour test at every
+// cell (a neighbour exceeding the cell blocks it, one below it is
+// required; NaN compares false both ways), a stable descending sort, the
+// floor at min_relative * max|grid|, then the cap.
+std::vector<GridPeak> peaks_oracle(const RMatrix& g, bool wrap_cols,
+                                   std::size_t max_peaks,
+                                   double min_relative) {
+  const auto rows = static_cast<std::ptrdiff_t>(g.rows());
+  const auto cols = static_cast<std::ptrdiff_t>(g.cols());
+  auto at = [&](std::ptrdiff_t i, std::ptrdiff_t j) {
+    return g(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
+  };
+  std::vector<GridPeak> peaks;
+  double global_max = 0.0;
+  for (std::ptrdiff_t i = 0; i < rows; ++i) {
+    for (std::ptrdiff_t j = 0; j < cols; ++j) {
+      const double v = at(i, j);
+      if (std::abs(v) > global_max) global_max = std::abs(v);
+      bool higher = false;
+      bool lower = false;
+      for (std::ptrdiff_t ii = i - 1; ii <= i + 1; ++ii) {
+        for (std::ptrdiff_t jj = j - 1; jj <= j + 1; ++jj) {
+          if ((ii == i && jj == j) || ii < 0 || ii >= rows) continue;
+          if (!wrap_cols && (jj < 0 || jj >= cols)) continue;
+          const double nb = at(ii, (jj + cols) % cols);
+          higher = higher || nb > v;
+          lower = lower || nb < v;
+        }
+      }
+      if (!higher && lower) {
+        peaks.push_back(
+            {static_cast<std::size_t>(i), static_cast<std::size_t>(j), v});
+      }
+    }
+  }
+  std::stable_sort(peaks.begin(), peaks.end(),
+                   [](const GridPeak& a, const GridPeak& b) {
+                     return a.value > b.value;
+                   });
+  std::erase_if(peaks, [&](const GridPeak& p) {
+    return p.value < min_relative * global_max;
+  });
+  if (peaks.size() > max_peaks) peaks.resize(max_peaks);
+  return peaks;
+}
+
+TEST(Peaks, OnePassMatchesBruteForceOracle) {
+  struct Shape {
+    std::size_t rows;
+    std::size_t cols;
+  };
+  const Shape shapes[] = {{1, 1}, {1, 9}, {9, 1}, {2, 2}, {3, 3}, {181, 320}};
+  Rng rng(19);
+  Workspace ws;
+  for (const Shape& shape : shapes) {
+    RMatrix random(shape.rows, shape.cols);
+    for (std::size_t i = 0; i < shape.rows; ++i) {
+      for (std::size_t j = 0; j < shape.cols; ++j) {
+        random(i, j) = rng.uniform(-1.0, 1.0);
+      }
+    }
+    // Three levels: exact ties between separate peaks, and plateaus.
+    RMatrix quantized = random;
+    for (std::size_t i = 0; i < shape.rows; ++i) {
+      for (double& v : quantized.row(i)) v = std::floor(v * 1.5);
+    }
+    std::vector<RMatrix> grids{random, quantized};
+    for (std::size_t b = 0; b < 2; ++b) {
+      RMatrix holed = grids[b];
+      for (std::size_t i = 0; i < shape.rows; ++i) {
+        for (double& v : holed.row(i)) {
+          if (rng.uniform() < 0.1) v = std::numeric_limits<double>::quiet_NaN();
+        }
+      }
+      grids.push_back(std::move(holed));
+    }
+    for (std::size_t k = 0; k < grids.size(); ++k) {
+      for (const bool wrap : {false, true}) {
+        for (const std::size_t max_peaks : {std::size_t{1}, std::size_t{16},
+                                            std::size_t{100000}}) {
+          for (const double min_relative : {0.0, 0.5}) {
+            SCOPED_TRACE(::testing::Message()
+                         << shape.rows << "x" << shape.cols << " grid " << k
+                         << " wrap " << wrap << " max_peaks " << max_peaks
+                         << " floor " << min_relative);
+            const std::vector<GridPeak> want =
+                peaks_oracle(grids[k], wrap, max_peaks, min_relative);
+            Workspace::Frame frame(ws);
+            const std::span<const GridPeak> got =
+                find_peaks_2d(grids[k], wrap, max_peaks, min_relative, ws);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t p = 0; p < want.size(); ++p) {
+              ASSERT_EQ(got[p].i, want[p].i) << "peak " << p;
+              ASSERT_EQ(got[p].j, want[p].j) << "peak " << p;
+              ASSERT_EQ(got[p].value, want[p].value) << "peak " << p;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Peaks, ArenaUseIndependentOfCandidateCount) {
+  // A checkerboard has a strict maximum on every other cell: 28,960 on
+  // the default 181 x 320 spectrum grid. The finder's scratch is its
+  // top-max_peaks buffer, not the candidate set.
+  RMatrix g(181, 320);
+  for (std::size_t i = 0; i < g.rows(); ++i) {
+    for (std::size_t j = 0; j < g.cols(); ++j) {
+      g(i, j) = (i + j) % 2 == 0 ? 1.0 : 0.0;
+    }
+  }
+  constexpr std::size_t kMaxPeaks = 16;
+  Workspace ws;
+  const std::size_t before = ws.stats().high_water_bytes;
+  Workspace::Frame frame(ws);
+  const std::span<const GridPeak> peaks =
+      find_peaks_2d(g, /*wrap_cols=*/true, kMaxPeaks, 0.0, ws);
+  EXPECT_LE(ws.stats().high_water_bytes - before,
+            kMaxPeaks * sizeof(GridPeak) + Workspace::kAlign);
+  // All candidates tie, so the first kMaxPeaks in row-major order win.
+  ASSERT_EQ(peaks.size(), kMaxPeaks);
+  for (std::size_t p = 0; p < kMaxPeaks; ++p) {
+    EXPECT_EQ(peaks[p].i, 0u);
+    EXPECT_EQ(peaks[p].j, 2 * p);
+  }
 }
 
 TEST(Peaks, ParabolicOffsetExactForQuadratic) {
@@ -378,6 +516,138 @@ TEST(JointMusic, SpectrumGridShapes) {
   EXPECT_EQ(sp.values.rows(), sp.aoa_grid_rad.size());
   EXPECT_EQ(sp.values.cols(), sp.tof_grid_s.size());
   EXPECT_TRUE(estimator.tof_axis_wraps());
+}
+
+TEST(JointMusic, KroneckerGramSweepMatchesDirectProjection) {
+  // The sweep evaluates ||E_n^H a(theta, tau)||^2 as a quadratic form in
+  // ant(theta) with a per-ToF Gram matrix of the noise subspace. The
+  // reference projects every joint steering vector onto E_n directly.
+  std::vector<CMatrix> inputs;
+  {
+    ExperimentConfig cfg;
+    cfg.packets_per_group = 3;
+    const ExperimentRunner runner(kLink, office_deployment(), cfg);
+    Rng rng(2024);
+    const std::vector<ApCapture> captures =
+        runner.simulate_captures({6.0, 3.5}, rng);
+    for (const auto& packet : captures[0].packets) {
+      inputs.push_back(packet.csi);
+    }
+  }
+  {
+    ImpairmentConfig imp;
+    imp.quantize_8bit = false;
+    imp.max_snr_db = 35.0;
+    const CsiSynthesizer synth(kLink, imp);
+    const PathComponent p = make_path(25.0, 60.0, -40.0);
+    Rng rng(35);
+    inputs.push_back(
+        synth.synthesize(std::span<const PathComponent>(&p, 1), 0.0, rng).csi);
+  }
+  inputs.push_back(ideal_synth().ideal_csi(std::vector<PathComponent>{
+      make_path(-55.0, 25.0, 0.0, 0.1), make_path(-20.0, 70.0, -2.0, 0.9),
+      make_path(5.0, 130.0, -4.0, -0.7), make_path(35.0, 200.0, -5.0, 1.7),
+      make_path(65.0, 280.0, -6.0, -2.1)}));
+
+  JointMusicConfig cfg;
+  cfg.refine_peaks = false;  // estimates then sit exactly on grid cells
+  const JointMusicEstimator est(kLink, cfg);
+  const RVector& aoa_grid = est.aoa_grid();
+  const RVector& tof_grid = est.tof_grid();
+  const std::size_t ant_len = cfg.smoothing.ant_len;
+  const std::size_t sub_len = cfg.smoothing.sub_len;
+  Workspace ws;
+  for (std::size_t n = 0; n < inputs.size(); ++n) {
+    SCOPED_TRACE(::testing::Message() << "input " << n);
+    Workspace::Frame frame(ws);
+    const SubspacesRef sub =
+        est.stage_subspace(ConstCMatrixView(inputs[n]), ws);
+    RMatrix want(aoa_grid.size(), tof_grid.size());
+    std::vector<cplx> a(ant_len * sub_len);
+    for (std::size_t i = 0; i < aoa_grid.size(); ++i) {
+      for (std::size_t j = 0; j < tof_grid.size(); ++j) {
+        joint_steering_into(aoa_grid[i], tof_grid[j], ant_len, sub_len, kLink,
+                            a);
+        double denom = 0.0;
+        for (std::size_t e = 0; e < sub.noise.cols(); ++e) {
+          cplx proj{};
+          for (std::size_t r = 0; r < a.size(); ++r) {
+            proj += std::conj(sub.noise(r, e)) * a[r];
+          }
+          denom += std::norm(proj);
+        }
+        want(i, j) = 1.0 / std::max(denom, 1e-12);
+      }
+    }
+
+    const AoaTofSpectrum got = est.spectrum(inputs[n]);
+    double worst = 0.0;
+    for (std::size_t i = 0; i < aoa_grid.size(); ++i) {
+      for (std::size_t j = 0; j < tof_grid.size(); ++j) {
+        worst = std::max(worst,
+                         std::abs(1.0 / got.values(i, j) - 1.0 / want(i, j)));
+      }
+    }
+    EXPECT_LE(worst, 1e-12) << "denominators are at most ||a||^2 = "
+                            << ant_len * sub_len;
+
+    // stage_spectrum keeps the reference grid's peak cells, in order:
+    // edge rows skipped, at most max_paths.
+    const std::span<const GridPeak> ref_peaks =
+        find_peaks_2d(want, est.tof_axis_wraps(), 2 * cfg.max_paths,
+                      cfg.min_relative_peak, ws);
+    std::vector<std::pair<std::size_t, std::size_t>> want_cells;
+    for (const GridPeak& pk : ref_peaks) {
+      if (pk.i == 0 || pk.i + 1 == aoa_grid.size()) continue;
+      if (want_cells.size() == cfg.max_paths) break;
+      want_cells.emplace_back(pk.i, pk.j);
+    }
+    ASSERT_FALSE(want_cells.empty());
+    std::vector<PathEstimate> out(cfg.max_paths);
+    const std::size_t n_out = est.stage_spectrum(sub, ws, out);
+    std::vector<std::pair<std::size_t, std::size_t>> got_cells;
+    for (std::size_t k = 0; k < n_out; ++k) {
+      const auto i = static_cast<std::size_t>(
+          std::find(aoa_grid.begin(), aoa_grid.end(), out[k].aoa_rad) -
+          aoa_grid.begin());
+      const auto j = static_cast<std::size_t>(
+          std::find(tof_grid.begin(), tof_grid.end(), out[k].tof_s) -
+          tof_grid.begin());
+      got_cells.emplace_back(i, j);
+    }
+    EXPECT_EQ(got_cells, want_cells);
+  }
+
+  // The antenna-only estimator is the same sweep with one ToF column.
+  const MusicAoaEstimator classic(kLink);
+  for (std::size_t n = 0; n < inputs.size(); ++n) {
+    SCOPED_TRACE(::testing::Message() << "MUSIC-AoA input " << n);
+    Workspace::Frame frame(ws);
+    const CMatrixView x =
+        smoothed_csi(ConstCMatrixView(inputs[n]), ws,
+                     SmoothingConfig{.sub_len = 1, .ant_len = kLink.n_antennas});
+    SubspaceConfig sub_cfg;
+    sub_cfg.max_signal_dims = kLink.n_antennas - 1;
+    const SubspacesRef sub = noise_subspace(ConstCMatrixView(x), sub_cfg, ws);
+    const AoaSpectrum got = classic.spectrum(inputs[n]);
+    ASSERT_EQ(got.values.size(), classic.aoa_grid().size());
+    double worst = 0.0;
+    for (std::size_t i = 0; i < got.values.size(); ++i) {
+      const CVector ant =
+          aoa_steering(classic.aoa_grid()[i], kLink.n_antennas, kLink);
+      double denom = 0.0;
+      for (std::size_t e = 0; e < sub.noise.cols(); ++e) {
+        cplx proj{};
+        for (std::size_t m = 0; m < ant.size(); ++m) {
+          proj += std::conj(sub.noise(m, e)) * ant[m];
+        }
+        denom += std::norm(proj);
+      }
+      worst = std::max(worst, std::abs(1.0 / got.values[i] -
+                                       std::max(denom, 1e-12)));
+    }
+    EXPECT_LE(worst, 1e-12);
+  }
 }
 
 TEST(JointMusic, WrongCsiShapeThrows) {
