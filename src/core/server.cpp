@@ -44,27 +44,30 @@ ApProcessorConfig SpotFiServer::ap_config() const {
   return cfg;
 }
 
+std::vector<Rng> fork_round_streams(Rng& rng, std::size_t n_captures) {
+  // Forked *before* dispatch: the estimates are then a pure function of
+  // (captures, seed), independent of how many threads ran the APs or in
+  // which order they finished.
+  std::vector<Rng> streams;
+  if (n_captures < 2) return streams;
+  streams.reserve(n_captures);
+  for (std::size_t i = 0; i < n_captures; ++i) streams.push_back(rng.fork());
+  return streams;
+}
+
 Expected<LocalizationRound, RoundError> SpotFiServer::try_localize(
     std::span<const ApCapture> captures, Rng& rng) const {
-  if (captures.size() < 2) {
-    return RoundError{"need at least two AP captures", 0};
-  }
-
-  // Fork one Rng stream per AP *before* dispatch, in capture order: the
-  // estimates are then a pure function of (captures, seed), independent
-  // of how many threads ran the APs or in which order they finished.
-  std::vector<Rng> streams;
-  streams.reserve(captures.size());
-  for (std::size_t i = 0; i < captures.size(); ++i) {
-    streams.push_back(rng.fork());
-  }
+  std::vector<Rng> streams = fork_round_streams(rng, captures.size());
   return try_localize_forked(captures, streams);
 }
 
 Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
     std::span<const ApCapture> captures, std::span<Rng> streams,
     ApStage rung) const {
-  SPOTFI_EXPECTS(streams.size() == captures.size() && captures.size() >= 2,
+  if (captures.size() < 2) {
+    return RoundError{"need at least two AP captures", 0};
+  }
+  SPOTFI_EXPECTS(streams.size() == captures.size(),
                  "try_localize_forked needs one forked stream per capture");
 
   // Per-AP stage: each AP's fallback chain on its own forked stream.

@@ -116,6 +116,14 @@ struct RoundError {
   std::size_t usable_aps = 0;
 };
 
+/// Forks the per-AP Rng streams of a round off `rng`: one per capture,
+/// in capture order, and none below two captures (such a round fails
+/// without consuming randomness). The one owner of this rule, so a
+/// round prepared now and executed later draws exactly what an inline
+/// try_localize() draws.
+[[nodiscard]] std::vector<Rng> fork_round_streams(Rng& rng,
+                                                  std::size_t n_captures);
+
 class SpotFiServer {
  public:
   SpotFiServer(LinkConfig link, ServerConfig config = {});
@@ -128,14 +136,14 @@ class SpotFiServer {
   [[nodiscard]] Expected<LocalizationRound, RoundError> try_localize(
       std::span<const ApCapture> captures, Rng& rng) const;
 
-  /// try_localize with the per-AP Rng streams already forked (one per
-  /// capture, in capture order). This is the batching entry point: the
+  /// try_localize with the per-AP Rng streams already forked by
+  /// fork_round_streams(). This is the batching entry point: the
   /// session layer forks streams at round-preparation time (fixing the
   /// deterministic order) and executes rounds later — possibly
   /// concurrently with other sessions' rounds — with identical results.
   /// `rung` is the round's overload rung, a floor on every AP's entry
-  /// stage (ApProcessor::process_robust). Requires
-  /// streams.size() == captures.size() >= 2.
+  /// stage (ApProcessor::process_robust). Fewer than two captures is a
+  /// RoundError; otherwise requires streams.size() == captures.size().
   [[nodiscard]] Expected<LocalizationRound, RoundError> try_localize_forked(
       std::span<const ApCapture> captures, std::span<Rng> streams,
       ApStage rung = ApStage::kPrimary) const;

@@ -14,10 +14,10 @@ const Clock& default_clock() {
 
 }  // namespace
 
-/// Per-tenant state. Address-stable (held by shared_ptr) because the
-/// round planner closure keeps a raw pointer back into it. Counters
-/// that cross the producer/consumer boundary are relaxed atomics —
-/// they are telemetry, not synchronization.
+/// Per-tenant state, held by shared_ptr so a drain keeps it alive
+/// across a racing close_session(). Counters that cross the
+/// producer/consumer boundary are relaxed atomics — they are telemetry,
+/// not synchronization.
 struct SessionManager::Session {
   Session(const LinkConfig& link, const SessionConfig& cfg,
           StreamingConfig streaming)
@@ -59,11 +59,6 @@ struct SessionManager::Session {
   /// restarts empty, so the witness carries over as a floor.
   std::size_t high_water_floor = 0;
 
-  /// The plan of the round currently firing, written by the planner
-  /// closure and read back by the pump right after push() returns.
-  /// Pump-thread-only.
-  RoundPlan last_plan{};
-
   [[nodiscard]] SessionStats snapshot() const {
     SessionStats s;
     s.offered = offered.load(std::memory_order_relaxed);
@@ -84,50 +79,45 @@ struct SessionManager::Session {
     return s;
   }
 
-  /// One preparation step (push_deferred or poll_deferred) plus the
-  /// accounting decided at preparation time: the `applied` replay mark,
-  /// and the shed and deadline-limited counters, read off the plan the
-  /// step made (none: last_plan stays a default run). Returns the round
-  /// when one is ready to execute. Pump-thread-only.
+  /// One preparation step (push_deferred or poll_deferred) under the
+  /// plan of this moment — queue occupancy and the cost model, which the
+  /// step leaves unchanged — plus the accounting decided at preparation
+  /// time: the `applied` replay mark, and the deadline-limited and shed
+  /// counters, read off the plan the round came back with. A shed
+  /// round is counted and dropped here. Returns the round when one is
+  /// ready to execute. Pump-thread-only.
   template <typename Step>
   [[nodiscard]] std::optional<PendingRound> prepare(
       std::atomic<std::uint64_t>& applied, Step&& step) {
-    last_plan = RoundPlan{};
-    std::optional<PendingRound> pending = step();
+    std::optional<PendingRound> pending =
+        step(policy.plan_round(queue.size(), cost));
     applied.fetch_add(1, std::memory_order_relaxed);
-    if (last_plan.deadline_limited) {
+    if (!pending) return std::nullopt;
+    if (pending->plan.deadline_limited) {
       deadline_limited_rounds.fetch_add(1, std::memory_order_relaxed);
     }
-    if (!last_plan.run) rounds_shed.fetch_add(1, std::memory_order_relaxed);
+    if (!pending->plan.run) {
+      rounds_shed.fetch_add(1, std::memory_order_relaxed);
+      return std::nullopt;
+    }
     return pending;
   }
 
-  /// Prepares the round a popped packet fires, if any: runs the planner
-  /// and ingest through push_deferred() and does the accounting decided
-  /// at preparation time. Pump-thread-only.
+  /// Prepares the round a popped packet fires, if any, through
+  /// push_deferred(). Pump-thread-only.
   [[nodiscard]] std::optional<PendingRound> prepare_item(IngestItem&& item) {
-    return prepare(applied_packets, [&] {
-      return localizer.push_deferred(item.ap_id, std::move(item.packet), rng);
+    return prepare(applied_packets, [&](const RoundPlan& plan) {
+      return localizer.push_deferred(item.ap_id, std::move(item.packet), rng,
+                                     plan);
     });
   }
 
   /// The timer-tick counterpart of prepare_item(), through
   /// poll_deferred(). Pump-thread-only.
   [[nodiscard]] std::optional<PendingRound> prepare_poll(double now_s) {
-    return prepare(applied_polls,
-                   [&] { return localizer.poll_deferred(now_s, rng); });
-  }
-
-  /// Runs a prepared round (if any) to completion on the calling thread:
-  /// the one-round case of pump_all()'s execute and complete phases.
-  /// Each round completes before the next is prepared, so every plan
-  /// sees the cost of every earlier round. Pump-thread-only.
-  [[nodiscard]] std::optional<LocationFix> run_round(
-      std::optional<PendingRound> pending, const Clock& clock) {
-    if (!pending) return std::nullopt;
-    const double t0 = clock.now_s();
-    localizer.execute_round(*pending);
-    return complete_prepared(std::move(*pending), clock.now_s() - t0);
+    return prepare(applied_polls, [&](const RoundPlan& plan) {
+      return localizer.poll_deferred(now_s, rng, plan);
+    });
   }
 
   /// Finishes an executed round and does the post-execution accounting
@@ -137,7 +127,7 @@ struct SessionManager::Session {
   /// Pump-thread-only, in preparation order.
   [[nodiscard]] std::optional<LocationFix> complete_prepared(
       PendingRound&& pending, double dt) {
-    const ApStage level = pending.level;
+    const ApStage level = pending.plan.level;
     auto fix = localizer.complete_round(std::move(pending));
     if (fix) {
       fix->durable_round_index =
@@ -212,15 +202,6 @@ std::shared_ptr<SessionManager::Session> SessionManager::make_session(
   for (const ArrayPose& pose : config.aps) {
     (void)session->localizer.add_ap(pose);
   }
-  // The planner closure is installed once per session (no per-packet
-  // std::function churn): occupancy comes straight off the SPSC queue,
-  // deadline slack from the session's own cost model.
-  Session* raw = session.get();
-  session->localizer.set_round_planner(
-      [raw](std::size_t /*n_aps*/, double /*now_s*/) {
-        raw->last_plan = raw->policy.plan_round(raw->queue.size(), raw->cost);
-        return raw->last_plan;
-      });
   return session;
 }
 
@@ -308,21 +289,25 @@ AdmissionVerdict SessionManager::offer_or_return(SessionId id,
   return verdict;
 }
 
+/// One prepared round of a drain's batch. The drain's caller holds a
+/// shared_ptr to `session` across all three phases, so a racing
+/// close_session() cannot retire it mid-batch.
+struct SessionManager::BatchedRound {
+  Session* session = nullptr;
+  PendingRound round;
+  double dt = 0.0;
+};
+
 std::vector<LocationFix> SessionManager::pump(SessionId id) {
   const auto session = find(id);
   std::vector<LocationFix> out;
-  while (auto item = session->queue.try_pop()) {
-    if (auto fix = session->run_round(session->prepare_item(std::move(*item)),
-                                      *clock_)) {
-      out.push_back(std::move(*fix));
-    }
-  }
+  (void)drain({&session, 1}, &out);
   return out;
 }
 
 std::optional<LocationFix> SessionManager::poll(SessionId id, double now_s) {
   const auto session = find(id);
-  return session->run_round(session->prepare_poll(now_s), *clock_);
+  return run_prepared(*session, session->prepare_poll(now_s));
 }
 
 std::size_t SessionManager::pump_all() {
@@ -331,30 +316,39 @@ std::size_t SessionManager::pump_all() {
     const std::lock_guard<std::mutex> lock(mutex_);
     live = sessions_;
   }
+  return drain(live, nullptr);
+}
 
-  /// One prepared round waiting in the shared batch. The shared_ptr
-  /// keeps the session alive across the three phases even if a racing
-  /// close_session() retires it mid-batch.
-  struct BatchedRound {
-    std::shared_ptr<Session> session;
-    PendingRound round;
-    double dt = 0.0;
-  };
-
-  // Phase 1 — prepare, serially in id order: drain every queue through
-  // the planner, popping captures and forking Rng streams on this
-  // thread. Everything order-sensitive happens here, so phases 2 and 3
-  // cannot perturb any session's deterministic stream.
+std::size_t SessionManager::drain(
+    std::span<const std::shared_ptr<Session>> sessions,
+    std::vector<LocationFix>* out) {
+  // Phase 1 — prepare, serially in the given order: drain every queue,
+  // planning each round and popping its captures and forking its Rng
+  // streams on this thread. Everything order-sensitive happens here, so
+  // phases 2 and 3 cannot perturb any session's deterministic stream.
   std::vector<BatchedRound> batch;
-  for (const auto& session : live) {
+  for (const auto& session : sessions) {
     while (auto item = session->queue.try_pop()) {
       if (auto pending = session->prepare_item(std::move(*item))) {
-        batch.push_back(BatchedRound{session, std::move(*pending), 0.0});
+        batch.push_back({session.get(), std::move(*pending)});
       }
     }
   }
+  return run_batch(batch, out);
+}
 
-  // Phase 2 — execute the shared batch: each prepared round is a
+std::optional<LocationFix> SessionManager::run_prepared(
+    Session& session, std::optional<PendingRound> pending) {
+  std::vector<BatchedRound> batch;
+  if (pending) batch.push_back({&session, std::move(*pending)});
+  std::vector<LocationFix> fixes;
+  if (run_batch(batch, &fixes) == 0) return std::nullopt;
+  return std::move(fixes.front());
+}
+
+std::size_t SessionManager::run_batch(std::vector<BatchedRound>& batch,
+                                      std::vector<LocationFix>* out) {
+  // Phase 2 — execute the batch: each prepared round is a
   // self-contained pure function of its captures and forked streams, so
   // rounds from different tenants (or several rounds of one tenant) run
   // concurrently on the pool, sharing its lane arenas and the process-
@@ -374,14 +368,15 @@ std::size_t SessionManager::pump_all() {
 
   // Phase 3 — complete, serially in preparation order: fix assembly,
   // tracker updates, cost-model feedback, and durable fix ordinals land
-  // exactly as the per-session pump() sequence would have produced them.
-  std::size_t total = 0;
+  // in each session's own order, whatever else shared the batch.
+  std::size_t fired = 0;
   for (BatchedRound& r : batch) {
-    if (r.session->complete_prepared(std::move(r.round), r.dt)) {
-      ++total;
-    }
+    auto fix = r.session->complete_prepared(std::move(r.round), r.dt);
+    if (!fix) continue;
+    ++fired;
+    if (out != nullptr) out->push_back(std::move(*fix));
   }
-  return total;
+  return fired;
 }
 
 SessionStats SessionManager::session_stats(SessionId id) const {
@@ -495,12 +490,7 @@ std::optional<LocationFix> SessionManager::replay_packet(
   IngestItem item;
   item.ap_id = ap_id;
   item.packet = std::move(packet);
-  return session->run_round(session->prepare_item(std::move(item)), *clock_);
-}
-
-std::optional<LocationFix> SessionManager::replay_poll(SessionId id,
-                                                       double now_s) {
-  return poll(id, now_s);
+  return run_prepared(*session, session->prepare_item(std::move(item)));
 }
 
 std::uint64_t SessionManager::applied_packets(SessionId id) const {

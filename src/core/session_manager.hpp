@@ -41,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -174,38 +175,36 @@ class SessionManager {
   /// still partitions exactly across retries.
   AdmissionVerdict offer_or_return(SessionId id, IngestItem& item);
 
-  /// Consumer side: drains `session`'s queue through its localizer,
-  /// planning every round against occupancy and deadline, and returns
-  /// the fixes that fired. Runs on the calling thread; per-AP work
-  /// fans out over the shared pool.
+  /// Consumer side: drains `session`'s queue through its localizer and
+  /// returns the fixes that fired — pump_all() restricted to this one
+  /// session. Runs on the calling thread; a backlog's rounds execute as
+  /// one batch across the shared pool, a lone round fans its per-AP
+  /// work out over it.
   [[nodiscard]] std::vector<LocationFix> pump(SessionId id);
 
   /// Advances one session's stream time without a packet (timer tick):
   /// deadline rounds for stalled tenants. Returns the fix if one fired.
   [[nodiscard]] std::optional<LocationFix> poll(SessionId id, double now_s);
 
-  /// Drains every live session (in id order) through the cross-session
-  /// batch scheduler and returns the total number of fixes fired.
-  /// Round lifecycle splits in three: every queue is drained serially on
-  /// the calling thread, *preparing* rounds (planner decision, capture
-  /// pop, Rng fork — everything order-sensitive); the prepared rounds
-  /// from all tenants are then *executed* as one shared batch across the
-  /// pool (group runs amortize the interned steering tables and reuse
-  /// the same per-lane arenas regardless of which session a round came
-  /// from); finally each round *completes* serially, in preparation
-  /// order (fix assembly, tracker update, counters). Because streams are
-  /// forked at preparation time and execution is a pure function of the
-  /// prepared round, every fix is byte-identical to what per-session
-  /// pump() calls in id order would have produced. The one observable
-  /// difference: round costs feed the deadline cost model at completion,
-  /// so planner decisions *within* a batch see cost data that is one
-  /// batch staler than the strictly serial path (irrelevant while
-  /// round_deadline_s is unset).
+  /// Drains every live session (in id order) through one batch and
+  /// returns the number of fixes fired. Every drain (this one, pump(),
+  /// poll(), replay_packet()) runs in three phases: *prepare* serially
+  /// on the calling thread (overload plan, capture pop, Rng fork —
+  /// everything order-sensitive), *execute* the prepared rounds as one
+  /// batch across the pool (shared steering tables and lane arenas,
+  /// whichever session a round came from), then *complete* serially in
+  /// preparation order (fix assembly, tracker, counters). Streams are
+  /// forked at preparation and execution is a pure function of the
+  /// prepared round, so every fix is byte-identical to per-session
+  /// pump() calls in id order. Round costs reach the deadline cost
+  /// model at completion, so a drain plans all its rounds against the
+  /// costs of earlier drains (irrelevant while round_deadline_s is
+  /// unset).
   std::size_t pump_all();
 
-  /// Rounds that executed inside a multi-round pump_all() batch on the
-  /// shared pool (the cross-session batching witness; serial drains and
-  /// single-round batches don't count).
+  /// Rounds that executed inside a multi-round batch on the shared pool
+  /// (the batching witness, from a backlogged pump() or a pump_all();
+  /// serial managers and single-round batches don't count).
   [[nodiscard]] std::uint64_t batched_rounds() const {
     return batched_rounds_.load(std::memory_order_relaxed);
   }
@@ -261,9 +260,6 @@ class SessionManager {
   [[nodiscard]] std::optional<LocationFix> replay_packet(
       SessionId id, std::size_t ap_id, CsiPacket packet,
       bool count_admission = true);
-  /// Replays one journaled timer poll (see poll()).
-  [[nodiscard]] std::optional<LocationFix> replay_poll(SessionId id,
-                                                       double now_s);
   /// Packets applied through `id`'s localizer so far (the durable replay
   /// mark; a resuming direct feeder skips this many accepted packets).
   [[nodiscard]] std::uint64_t applied_packets(SessionId id) const;
@@ -272,7 +268,20 @@ class SessionManager {
 
  private:
   struct Session;
+  struct BatchedRound;
 
+  /// The queue drain: prepares every queued packet of `sessions`, in
+  /// order, then run_batch(). Appends the fixes to `out` when it is
+  /// non-null; returns how many fired.
+  std::size_t drain(std::span<const std::shared_ptr<Session>> sessions,
+                    std::vector<LocationFix>* out);
+  /// run_batch() of the one round poll() or replay_packet() prepared.
+  [[nodiscard]] std::optional<LocationFix> run_prepared(
+      Session& session, std::optional<PendingRound> pending);
+  /// Phases 2 and 3 of every drain: executes `batch` across the pool,
+  /// then completes each round in preparation order.
+  std::size_t run_batch(std::vector<BatchedRound>& batch,
+                        std::vector<LocationFix>* out);
   [[nodiscard]] std::shared_ptr<Session> find(SessionId id) const;
   [[nodiscard]] std::shared_ptr<Session> make_session(
       const SessionConfig& config) const;
@@ -294,7 +303,7 @@ class SessionManager {
   SessionId next_id_ = 1;
   /// Aggregated counters of closed sessions.
   SessionStats retired_{};
-  /// Rounds executed inside multi-round pump_all() batches.
+  /// Rounds executed inside multi-round batches.
   std::atomic<std::uint64_t> batched_rounds_{0};
 };
 

@@ -126,18 +126,18 @@ std::optional<LocationFix> StreamingLocalizer::push(std::size_t ap_id,
 }
 
 std::optional<PendingRound> StreamingLocalizer::push_deferred(
-    std::size_t ap_id, CsiPacket packet, Rng& rng) {
+    std::size_t ap_id, CsiPacket packet, Rng& rng, const RoundPlan& plan) {
   ingest_packet(ap_id, std::move(packet));
-  return maybe_prepare(now_s_, rng);
+  return maybe_prepare(now_s_, rng, plan);
 }
 
-std::optional<PendingRound> StreamingLocalizer::poll_deferred(double now_s,
-                                                              Rng& rng) {
+std::optional<PendingRound> StreamingLocalizer::poll_deferred(
+    double now_s, Rng& rng, const RoundPlan& plan) {
   if (buffers_.size() < 2) return std::nullopt;
   now_s_ = std::max(now_s_, now_s);
   age_out(now_s_);
   update_health(now_s_);
-  return maybe_prepare(now_s_, rng);
+  return maybe_prepare(now_s_, rng, plan);
 }
 
 std::vector<LocationFix> StreamingLocalizer::ingest(std::size_t ap_id,
@@ -182,8 +182,8 @@ std::optional<LocationFix> StreamingLocalizer::poll(double now_s, Rng& rng) {
   return complete_round(std::move(*pending));
 }
 
-std::optional<PendingRound> StreamingLocalizer::maybe_prepare(double now_s,
-                                                              Rng& rng) {
+std::optional<PendingRound> StreamingLocalizer::maybe_prepare(
+    double now_s, Rng& rng, const RoundPlan& plan) {
   const DegradationConfig& d = config_.degradation;
 
   std::vector<std::size_t> ready;   // full group buffered
@@ -206,7 +206,7 @@ std::optional<PendingRound> StreamingLocalizer::maybe_prepare(double now_s,
   // AP has a full group.
   if (ready.size() == buffers_.size()) {
     armed_since_s_.reset();
-    return prepare_round(ready, /*deadline_round=*/false, now_s, rng);
+    return prepare_round(ready, /*deadline_round=*/false, now_s, rng, plan);
   }
   if (!d.enabled) return std::nullopt;
 
@@ -215,7 +215,7 @@ std::optional<PendingRound> StreamingLocalizer::maybe_prepare(double now_s,
   // contribute their packets.
   if (live >= 2 && live_ready == live && ready.size() >= d.min_quorum) {
     armed_since_s_.reset();
-    return prepare_round(usable, /*deadline_round=*/true, now_s, rng);
+    return prepare_round(usable, /*deadline_round=*/true, now_s, rng, plan);
   }
 
   // Deadline path: a quorum of full groups is waiting on stragglers.
@@ -223,7 +223,7 @@ std::optional<PendingRound> StreamingLocalizer::maybe_prepare(double now_s,
     if (!armed_since_s_) armed_since_s_ = now_s;
     if (now_s - *armed_since_s_ >= d.round_deadline_s) {
       armed_since_s_.reset();
-      return prepare_round(usable, /*deadline_round=*/true, now_s, rng);
+      return prepare_round(usable, /*deadline_round=*/true, now_s, rng, plan);
     }
   } else {
     armed_since_s_.reset();
@@ -231,11 +231,12 @@ std::optional<PendingRound> StreamingLocalizer::maybe_prepare(double now_s,
   return std::nullopt;
 }
 
-std::optional<PendingRound> StreamingLocalizer::prepare_round(
+PendingRound StreamingLocalizer::prepare_round(
     const std::vector<std::size_t>& ap_ids, bool deadline_round, double now_s,
-    Rng& rng) {
+    Rng& rng, const RoundPlan& plan) {
   PendingRound pending;
   pending.ap_ids = ap_ids;
+  pending.plan = plan;
   pending.deadline_round = deadline_round;
   pending.now_s = now_s;
   pending.captures.reserve(ap_ids.size());
@@ -253,35 +254,18 @@ std::optional<PendingRound> StreamingLocalizer::prepare_round(
     pending.captures.push_back(std::move(capture));
   }
 
-  // Overload planning happens *after* the captures are popped: a shed
-  // round still drains its backlog (that is the point of shedding), it
-  // just never reaches the estimator.
-  if (planner_) {
-    const RoundPlan plan = planner_(ap_ids.size(), now_s);
-    if (!plan.run) return std::nullopt;
-    pending.level = plan.level;
-    pending.plan_reason = plan.reason;
-  }
-
-  // Fork the per-capture streams in capture order, mirroring
-  // try_localize exactly: a <2-capture round fails without consuming
-  // any randomness there, so none may be consumed here either.
-  if (pending.captures.size() >= 2) {
-    pending.streams.reserve(pending.captures.size());
-    for (std::size_t i = 0; i < pending.captures.size(); ++i) {
-      pending.streams.push_back(rng.fork());
-    }
+  // A shed round still drains its backlog (that is the point of
+  // shedding); it just never reaches the estimator, so it draws no
+  // randomness.
+  if (plan.run) {
+    pending.streams = fork_round_streams(rng, pending.captures.size());
   }
   return pending;
 }
 
 void StreamingLocalizer::execute_round(PendingRound& round) const {
-  if (round.captures.size() < 2) {
-    round.outcome.emplace(RoundError{"need at least two AP captures", 0});
-    return;
-  }
-  round.outcome.emplace(
-      server_.try_localize_forked(round.captures, round.streams, round.level));
+  round.outcome.emplace(server_.try_localize_forked(
+      round.captures, round.streams, round.plan.level));
 }
 
 std::optional<LocationFix> StreamingLocalizer::complete_round(
@@ -297,20 +281,21 @@ std::optional<LocationFix> StreamingLocalizer::complete_round(
 
   LocationFix fix;
   fix.round = std::move(outcome).value();
-  fix.round.fidelity = pending.level;
+  const RoundPlan& plan = pending.plan;
+  fix.round.fidelity = plan.level;
   fix.raw = fix.round.location.position;
   fix.time_s = pending.latest_t;
   fix.aps_used = pending.ap_ids;
   fix.degraded = pending.deadline_round || fix.round.degraded ||
-                 pending.level != ApStage::kPrimary;
+                 plan.level != ApStage::kPrimary;
   fix.reasons = fix.round.notes;
-  if (pending.level != ApStage::kPrimary) {
+  if (plan.level != ApStage::kPrimary) {
     // The rung is a floor, so the APs may have run a cheaper stage than
     // it names; ap_stages says which.
     std::string reason = std::string("overload: round planned at ") +
-                         to_string(pending.level) + " fidelity";
-    if (pending.plan_reason[0] != '\0') {
-      reason += std::string(" (") + pending.plan_reason + ")";
+                         to_string(plan.level) + " fidelity";
+    if (plan.reason[0] != '\0') {
+      reason += std::string(" (") + plan.reason + ")";
     }
     fix.reasons.insert(fix.reasons.begin(), std::move(reason));
   }

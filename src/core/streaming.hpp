@@ -13,7 +13,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
@@ -135,34 +134,28 @@ struct StreamingState {
   double last_fix_time_s = -std::numeric_limits<double>::infinity();
 };
 
-/// Decides what happens to one about-to-fire round: the ladder rung it
-/// is planned at (a floor on every AP's entry stage), or that it is
-/// dropped (plan.run == false). Installed by the session layer, which
-/// owns queue-occupancy and deadline state and counts the sheds; the
-/// streaming localizer stays mechanical. Consulted *after* the round's
-/// captures are popped, so even a shed round drains its packet backlog.
-using RoundPlanner = std::function<RoundPlan(std::size_t n_aps, double now_s)>;
-
 /// A localization round that has been *prepared* (captures popped,
-/// overload plan applied, per-AP Rng streams forked in capture order)
-/// but not yet executed. Splitting the round lifecycle into prepare ->
-/// execute -> complete is what enables cross-session batching:
-/// preparation and completion touch localizer state and must run on the
-/// owning thread, while execute_round() is const and self-contained, so
-/// the session layer can gather prepared rounds from many tenants and
-/// execute them as one shared batch on the pool. Because the streams
-/// were forked at preparation time, the fix is byte-identical no matter
-/// where or when execution happens.
+/// overload plan attached, per-AP Rng streams forked by
+/// fork_round_streams()) but not yet executed. Splitting the round
+/// lifecycle into prepare -> execute -> complete is what enables
+/// batching: preparation and completion touch localizer state and must
+/// run on the owning thread, while execute_round() is const and
+/// self-contained, so the session layer can gather prepared rounds from
+/// one or many tenants and execute them as one shared batch on the
+/// pool. Because the streams were forked at preparation time, the fix
+/// is byte-identical no matter where or when execution happens.
 struct PendingRound {
   std::vector<ApCapture> captures;
   /// One forked stream per capture; empty when captures.size() < 2
   /// (the round will fail without consuming randomness, exactly like
-  /// the inline path).
+  /// the inline path) or when the plan shed the round.
   std::vector<Rng> streams;
   std::vector<std::size_t> ap_ids;
-  /// The planned rung (kPrimary without a planner).
-  ApStage level = ApStage::kPrimary;
-  const char* plan_reason = "";
+  /// The plan the round was prepared under: its rung (a floor on every
+  /// AP's entry stage) and reason. plan.run == false marks a shed round:
+  /// its captures are popped — the backlog drains — but it forks no
+  /// streams and must not be executed.
+  RoundPlan plan;
   bool deadline_round = false;
   double now_s = 0.0;
   /// Newest packet timestamp in the round's captures (the fix time).
@@ -197,21 +190,23 @@ class StreamingLocalizer {
 
   /// Deferred-execution flavor of push(): identical ingest and firing
   /// logic, but when a round becomes due it is returned *prepared*
-  /// instead of executed. The caller must pass it through
-  /// execute_round() and then complete_round() (in preparation order
-  /// per localizer) to obtain the fix; push() is exactly this
-  /// composition. Returns nullopt when no round fired or the planner
-  /// shed it (the planner's owner counts sheds).
-  [[nodiscard]] std::optional<PendingRound> push_deferred(std::size_t ap_id,
-                                                         CsiPacket packet,
-                                                         Rng& rng);
+  /// under `plan` instead of executed. The caller must pass a round
+  /// that runs through execute_round() and then complete_round() (in
+  /// preparation order per localizer) to obtain the fix; push() is
+  /// exactly this composition under the default plan (kPrimary).
+  /// Returns nullopt when no round fired. A round `plan` sheds comes
+  /// back with plan.run == false, its captures popped and no streams
+  /// forked; the plan's owner counts it and drops it.
+  [[nodiscard]] std::optional<PendingRound> push_deferred(
+      std::size_t ap_id, CsiPacket packet, Rng& rng,
+      const RoundPlan& plan = {});
   /// Deferred-execution flavor of poll().
-  [[nodiscard]] std::optional<PendingRound> poll_deferred(double now_s,
-                                                          Rng& rng);
+  [[nodiscard]] std::optional<PendingRound> poll_deferred(
+      double now_s, Rng& rng, const RoundPlan& plan = {});
   /// Runs a prepared round's estimation + fusion into round.outcome.
   /// Const and state-free: safe to run on any thread, concurrently with
   /// other rounds (including this localizer's — the captures and
-  /// streams are owned by the PendingRound).
+  /// streams are owned by the PendingRound). Not for shed rounds.
   void execute_round(PendingRound& round) const;
   /// Folds an executed round back into localizer state (tracker,
   /// counters, diagnostics) and assembles the fix. Must run on the
@@ -253,16 +248,9 @@ class StreamingLocalizer {
   /// Successful fixes emitted so far.
   [[nodiscard]] std::size_t fix_count() const { return fix_count_; }
 
-  /// Installs (or clears, with nullptr) the per-round overload planner.
-  /// Without one, every round is planned at kPrimary.
-  void set_round_planner(RoundPlanner planner) {
-    planner_ = std::move(planner);
-  }
-
   /// Snapshot/restore of the full dynamic state (durability). Restore
-  /// requires the same AP registrations (count checked); the installed
-  /// planner and the server are configuration, not state, and are
-  /// untouched.
+  /// requires the same AP registrations (count checked); the server is
+  /// configuration, not state, and is untouched.
   [[nodiscard]] StreamingState export_state() const;
   void restore_state(StreamingState state);
 
@@ -278,15 +266,15 @@ class StreamingLocalizer {
   /// The packet-acceptance half of push(): screening, buffering, health
   /// and stream-time updates — everything up to round firing.
   void ingest_packet(std::size_t ap_id, CsiPacket packet);
-  /// Prepares a round if one is due at `now_s`; nullopt otherwise (also
-  /// when the planner sheds it).
-  [[nodiscard]] std::optional<PendingRound> maybe_prepare(double now_s,
-                                                          Rng& rng);
-  /// Pops the captures, applies the overload plan and forks the
-  /// streams. Nullopt = shed.
-  [[nodiscard]] std::optional<PendingRound> prepare_round(
+  /// Prepares a round under `plan` if one is due at `now_s`; nullopt
+  /// otherwise.
+  [[nodiscard]] std::optional<PendingRound> maybe_prepare(
+      double now_s, Rng& rng, const RoundPlan& plan);
+  /// Pops the captures, attaches the plan and, unless it sheds the
+  /// round, forks the streams.
+  [[nodiscard]] PendingRound prepare_round(
       const std::vector<std::size_t>& ap_ids, bool deadline_round,
-      double now_s, Rng& rng);
+      double now_s, Rng& rng, const RoundPlan& plan);
 
   LinkConfig link_;
   StreamingConfig config_;
@@ -294,7 +282,6 @@ class StreamingLocalizer {
   /// shared by every round at every rung.
   SpotFiServer server_;
   std::vector<ApBuffer> buffers_;
-  RoundPlanner planner_;
   LocationTracker tracker_;
   IngestReport ingest_report_;
   std::size_t rejected_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -22,6 +23,10 @@ struct SkipMarks {
   std::uint64_t counted_through = 0;
   std::uint64_t emitted_fixes = 0;
 };
+
+/// oldest_queued_ value of a session with no packet in its queue.
+constexpr std::uint64_t kNoQueuedPacket =
+    std::numeric_limits<std::uint64_t>::max();
 
 }  // namespace
 
@@ -162,8 +167,7 @@ RecoveryReport DurableSessionManager::recover(const SessionConfigFn& config_of) 
         if (!rec.has_value()) break;
         if (!live.contains(rec->session)) break;
         if (rec->index <= marks[rec->session].applied_polls) break;
-        note_fix(rec->session,
-                 manager_.replay_poll(rec->session, rec->now_s));
+        note_fix(rec->session, manager_.poll(rec->session, rec->now_s));
         ++report.polls_replayed;
         ++report.records_replayed;
         break;
@@ -255,6 +259,7 @@ void DurableSessionManager::close_session(SessionId id) {
     ++journal_failures_;
   }
   manager_.close_session(id);
+  oldest_queued_.erase(id);
 }
 
 AdmissionVerdict DurableSessionManager::offer_journaled_locked(
@@ -272,6 +277,11 @@ AdmissionVerdict DurableSessionManager::offer_journaled_locked(
   const AdmissionVerdict verdict = manager_.offer_or_return(id, item);
   if (verdict.admitted()) {
     if (wal_ != nullptr) {
+      // The record lands at the journal tip; when the queue held none of
+      // this session's packets, it is now the oldest one queued.
+      std::uint64_t& oldest =
+          oldest_queued_.try_emplace(id, kNoQueuedPacket).first->second;
+      if (oldest == kNoQueuedPacket) oldest = wal_->committed_bytes();
       note_append(wal_->commit_staged(WalRecordType::kPacket));
     } else {
       ++journal_failures_;
@@ -300,6 +310,10 @@ std::vector<LocationFix> DurableSessionManager::pump(SessionId id) {
   SPOTFI_EXPECTS(recovered_, "durable manager used before recover()");
   const std::uint64_t batch_start = wal_ != nullptr ? wal_->committed_bytes() : 0;
   std::vector<LocationFix> fixes = manager_.pump(id);
+  // The pump drained the whole queue (offers wait on wal_mutex_).
+  if (const auto it = oldest_queued_.find(id); it != oldest_queued_.end()) {
+    it->second = kNoQueuedPacket;
+  }
   for (const LocationFix& fix : fixes) journal_fix(id, fix);
   // Cadence only after the whole batch is journaled: a snapshot taken
   // mid-batch would cover fixes whose records are not yet appended, and
@@ -404,6 +418,11 @@ Expected<std::string, DurabilityError> DurableSessionManager::snapshot_locked(
     std::uint64_t journal_mark) {
   SnapshotData data;
   data.seq = ++snapshot_seq_;
+  // A snapshot holds no queued packets, so recovery must replay every
+  // one of them: the scan starts at or below the oldest still queued.
+  for (const auto& entry : oldest_queued_) {
+    journal_mark = std::min(journal_mark, entry.second);
+  }
   data.journal_bytes = journal_mark;
   data.next_session_id = manager_.next_session_id();
   data.retired = manager_.retired_stats();

@@ -44,7 +44,9 @@ struct SnapshotData {
   /// mark at the *head* of the pump()/poll() batch that tripped it, so
   /// the batch's own fix records stay inside the scanned suffix and can
   /// be re-emitted after a crash between publish and the caller
-  /// consuming the batch. 0 = full scan.
+  /// consuming the batch. Either mark is lowered to the oldest packet
+  /// any session still holds queued, since the snapshot does not carry
+  /// queued packets. 0 = full scan.
   std::uint64_t journal_bytes = 0;
   /// SessionManager id horizon at capture time.
   SessionId next_session_id = 1;

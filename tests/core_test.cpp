@@ -213,10 +213,22 @@ TEST(Server, RequiresTwoAps) {
   const SpotFiServer server(kLink, {});
   std::vector<ApCapture> captures(1);
   Rng rng(11);
+  const RngState before = rng.state();
   const auto round = server.try_localize(captures, rng);
   ASSERT_FALSE(round.has_value());
   EXPECT_EQ(round.error().reason, "need at least two AP captures");
   EXPECT_EQ(round.error().usable_aps, 0u);
+  // The round failed without consuming randomness...
+  EXPECT_EQ(rng.state().s, before.s);
+  // ...and the forked entry point fails the same way on the (empty)
+  // stream set the fork rule gives one capture.
+  std::vector<Rng> streams = fork_round_streams(rng, captures.size());
+  EXPECT_TRUE(streams.empty());
+  EXPECT_EQ(rng.state().s, before.s);
+  const auto forked = server.try_localize_forked(captures, streams);
+  ASSERT_FALSE(forked.has_value());
+  EXPECT_EQ(forked.error().reason, "need at least two AP captures");
+  EXPECT_EQ(forked.error().usable_aps, 0u);
 }
 
 // --- location tracker ---

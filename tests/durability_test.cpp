@@ -1007,6 +1007,94 @@ TEST(DurableCrash, EveryKillPointRecoversToByteIdenticalFixes) {
   }
 }
 
+using FixesBySession = std::map<SessionId, FixesByRound>;
+
+/// Two tenants on the shared feed, resumable from wherever `dm` is: A
+/// is pumped after each of its offers, so its cadence snapshots publish
+/// while B's packets sit in B's queue; B is pumped once, at the end.
+/// Each session resumes at its durable replay mark.
+void drive_two_tenants(DurableSessionManager& dm, FixesBySession& fixes) {
+  const Feed& feed = shared_feed();
+  const std::size_t naps = feed.captures.size();
+  std::vector<SessionId> ids = dm.manager().session_ids();
+  while (ids.size() < 2) {
+    ids.push_back(dm.open_session(base_session(feed, kGroup)));
+  }
+  const SessionId a = ids[0];
+  const SessionId b = ids[1];
+  const std::uint64_t from_a = dm.manager().applied_packets(a);
+  const std::uint64_t from_b = dm.manager().applied_packets(b);
+  for (std::size_t i = 0; i < kPacketsPerAp * naps; ++i) {
+    const CsiPacket& packet = feed.captures[i % naps].packets[i / naps];
+    if (i >= from_a) {
+      ASSERT_TRUE(dm.offer(a, i % naps, packet).admitted());
+      for (const LocationFix& fix : dm.pump(a)) note_fix(fixes[a], fix);
+    }
+    if (i >= from_b) {
+      ASSERT_TRUE(dm.offer(b, i % naps, packet).admitted());
+    }
+  }
+  for (const LocationFix& fix : dm.pump(b)) note_fix(fixes[b], fix);
+}
+
+/// The kill-point sweep over the two-tenant workload: wherever the
+/// process dies — mid-append, mid-snapshot, after publish — B's queued
+/// packets and both tenants' fixes come back byte-identical.
+TEST(DurableCrash, EveryKillPointKeepsAnotherSessionsQueuedPackets) {
+  FixesBySession want;
+  std::array<std::uint64_t, kCrashPointCount> visits{};
+  {
+    TempDir dir;
+    CrashInjector inj;  // unarmed: counts visits only
+    DurableSessionManager dm(kLink, serial_manager(),
+                             durable_config(dir.path, &inj));
+    (void)dm.recover(shared_config_of());
+    drive_two_tenants(dm, want);
+    for (std::size_t p = 0; p < kCrashPointCount; ++p) {
+      visits[p] = inj.visits(static_cast<CrashPoint>(p));
+    }
+  }
+  ASSERT_EQ(want.size(), 2u);
+  for (std::size_t p = 0; p < kCrashPointCount; ++p) {
+    const auto point = static_cast<CrashPoint>(p);
+    if (point == CrashPoint::kRecoveryTruncate) continue;  // as above
+    ASSERT_GT(visits[p], 0u) << to_string(point);
+    for (const std::uint64_t seed : sweep_seeds()) {
+      const std::uint64_t nth = 1 + (seed * 0x9e3779b97f4a7c15ULL) % visits[p];
+      SCOPED_TRACE(std::string("point=") + to_string(point) +
+                   " nth=" + std::to_string(nth) +
+                   " seed=" + std::to_string(seed));
+      TempDir dir;
+      CrashInjector inj;
+      inj.arm(point, nth, seed);
+      FixesBySession got;
+      bool crashed = false;
+      {
+        DurableSessionManager dm(kLink, serial_manager(),
+                                 durable_config(dir.path, &inj));
+        (void)dm.recover(shared_config_of());
+        try {
+          drive_two_tenants(dm, got);
+        } catch (const CrashInjected&) {
+          crashed = true;
+        }
+      }
+      ASSERT_TRUE(crashed);
+      inj.disarm();
+      DurableSessionManager dm(kLink, serial_manager(),
+                               durable_config(dir.path, &inj));
+      const RecoveryReport report = dm.recover(shared_config_of());
+      EXPECT_EQ(report.fix_mismatches, 0u);
+      for (const auto& [sid, fix] : report.recovered_fixes) {
+        note_fix(got[sid], fix);
+      }
+      drive_two_tenants(dm, got);
+      ASSERT_EQ(got.size(), want.size());
+      for (const auto& [sid, fixes] : want) expect_same_fixes(got[sid], fixes);
+    }
+  }
+}
+
 TEST(DurableCrash, CrashDuringRecoveryTruncateIsItselfRecoverable) {
   const GoldenRun& golden = golden_run();
   const std::uint64_t torn_visits =
@@ -1132,6 +1220,65 @@ TEST(DurableCrash, MultiFixPumpBatchSurvivesSnapshotPublishCrash) {
     }
     expect_same_fixes(fixes, want);
   }
+}
+
+/// A cadence snapshot published inside one session's pump() holds none
+/// of the packets still queued for another session, so its scan mark
+/// must stay at or below the oldest of them: otherwise those journaled,
+/// acked but unpumped packets fall below the mark and recovery never
+/// replays them.
+TEST(DurableCrash, QueuedPacketsOfAnotherSessionSurviveACadenceSnapshot) {
+  const Feed& feed = shared_feed();
+  const std::size_t naps = feed.captures.size();
+  const std::size_t total = kPacketsPerAp * naps;
+  const auto offer_both = [&](DurableSessionManager& dm, SessionId a,
+                              SessionId b) {
+    for (std::size_t i = 0; i < total; ++i) {
+      const CsiPacket& packet = feed.captures[i % naps].packets[i / naps];
+      ASSERT_TRUE(dm.offer(a, i % naps, packet).admitted());
+      ASSERT_TRUE(dm.offer(b, i % naps, packet).admitted());
+    }
+  };
+  // Reference: the same feed, uncrashed, with B pumped too.
+  FixesByRound want;
+  {
+    TempDir dir;
+    DurableSessionManager dm(kLink, serial_manager(),
+                             durable_config(dir.path, nullptr));
+    (void)dm.recover(shared_config_of());
+    const SessionId a = dm.open_session(base_session(feed, kGroup));
+    const SessionId b = dm.open_session(base_session(feed, kGroup));
+    offer_both(dm, a, b);
+    (void)dm.pump(a);
+    for (const LocationFix& fix : dm.pump(b)) note_fix(want, fix);
+  }
+  ASSERT_EQ(want.size(), kPacketsPerAp / kGroup);
+
+  TempDir dir;
+  SessionId b = 0;
+  {
+    DurableSessionManager dm(kLink, serial_manager(),
+                             durable_config(dir.path, nullptr));
+    (void)dm.recover(shared_config_of());
+    const SessionId a = dm.open_session(base_session(feed, kGroup));
+    b = dm.open_session(base_session(feed, kGroup));
+    offer_both(dm, a, b);
+    // A's pump publishes a cadence snapshot while B's whole feed is
+    // still queued; then the process dies without pumping B.
+    ASSERT_FALSE(dm.pump(a).empty());
+    ASSERT_GE(dm.snapshots_written(), 1u);
+  }
+  DurableSessionManager dm(kLink, serial_manager(),
+                           durable_config(dir.path, nullptr));
+  const RecoveryReport report = dm.recover(shared_config_of());
+  EXPECT_TRUE(report.snapshot_loaded);
+  EXPECT_EQ(report.fix_mismatches, 0u);
+  EXPECT_EQ(dm.manager().applied_packets(b), total);
+  FixesByRound got;
+  for (const auto& [sid, fix] : report.recovered_fixes) {
+    if (sid == b) note_fix(got, fix);
+  }
+  expect_same_fixes(got, want);
 }
 
 /// The close record hits the journal before the in-memory close, same

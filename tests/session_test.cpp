@@ -197,6 +197,49 @@ TEST(SessionDeterminism, AcceptedFixesMatchStandaloneAtAnyThreadCount) {
   }
 }
 
+TEST(SessionDeterminism, BackloggedPumpRunsItsRoundsAsOneBatch) {
+  // pump() is pump_all() restricted to one session: a backlog's rounds
+  // are all prepared first, then execute as one batch across the pool —
+  // without changing a bit of any fix.
+  unsetenv("SPOTFI_THREADS");
+  constexpr std::size_t kGroup = 3;
+  Feed feed(3 * kGroup);
+  SessionConfig cfg = base_session(feed, kGroup);
+  cfg.overload.queue_capacity = 256;  // the backlog stays below every rung
+
+  std::vector<std::vector<LocationFix>> runs;
+  std::vector<std::uint64_t> batched;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SessionManagerConfig mgr_cfg;
+    mgr_cfg.num_threads = threads;
+    SessionManager manager(kLink, mgr_cfg);
+    const SessionId id = manager.open_session(cfg);
+    for (std::size_t p = 0; p < 3 * kGroup; ++p) {
+      for (std::size_t a = 0; a < feed.captures.size(); ++a) {
+        ASSERT_TRUE(
+            manager.offer(id, a, feed.captures[a].packets[p]).admitted());
+      }
+    }
+    runs.push_back(manager.pump(id));
+    batched.push_back(manager.batched_rounds());
+  }
+  ASSERT_EQ(runs[0].size(), 3u);
+  ASSERT_EQ(runs[1].size(), runs[0].size());
+  for (std::size_t i = 0; i < runs[0].size(); ++i) {
+    const LocationFix& serial = runs[0][i];
+    const LocationFix& pooled = runs[1][i];
+    EXPECT_EQ(pooled.raw.x, serial.raw.x) << i;
+    EXPECT_EQ(pooled.raw.y, serial.raw.y) << i;
+    EXPECT_EQ(pooled.tracked.x, serial.tracked.x) << i;
+    EXPECT_EQ(pooled.tracked.y, serial.tracked.y) << i;
+    EXPECT_EQ(pooled.time_s, serial.time_s) << i;
+    EXPECT_EQ(pooled.durable_round_index, serial.durable_round_index) << i;
+    EXPECT_EQ(pooled.round.fidelity, ApStage::kPrimary) << i;
+  }
+  EXPECT_EQ(batched[0], 0u);  // serial manager: no pool to batch on
+  EXPECT_EQ(batched[1], 3u);
+}
+
 // --- backlog degrades fidelity, and the books balance ---
 
 TEST(SessionOverload, BacklogDegradesRoundsAndCountersAccount) {

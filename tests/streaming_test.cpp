@@ -450,13 +450,33 @@ StreamingConfig one_round_config(const Feed& feed, std::size_t packets) {
   return cfg;
 }
 
-std::optional<LocationFix> push_one_round(StreamingLocalizer& server,
-                                          const Feed& feed,
-                                          std::size_t packets, Rng& rng) {
+/// A plan that runs the round at `rung`.
+RoundPlan plan_at(ApStage rung) {
+  RoundPlan plan;
+  plan.level = rung;
+  return plan;
+}
+
+/// Pushes one interleaved pass of `packets` packets per AP through the
+/// deferred lifecycle, every round prepared under `plan`: a round the
+/// plan runs goes on through execute_round() and complete_round(); a
+/// shed one is appended to `shed` instead. Returns the last fix.
+std::optional<LocationFix> plan_one_round(
+    StreamingLocalizer& server, const Feed& feed, std::size_t packets,
+    Rng& rng, const RoundPlan& plan,
+    std::vector<PendingRound>* shed = nullptr) {
   std::optional<LocationFix> fired;
   for (std::size_t p = 0; p < packets; ++p) {
     for (std::size_t a = 0; a < feed.captures.size(); ++a) {
-      if (auto fix = server.push(a, feed.captures[a].packets[p], rng)) {
+      auto pending =
+          server.push_deferred(a, feed.captures[a].packets[p], rng, plan);
+      if (!pending) continue;
+      if (!pending->plan.run) {
+        if (shed != nullptr) shed->push_back(std::move(*pending));
+        continue;
+      }
+      server.execute_round(*pending);
+      if (auto fix = server.complete_round(std::move(*pending))) {
         fired = std::move(fix);
       }
     }
@@ -464,23 +484,14 @@ std::optional<LocationFix> push_one_round(StreamingLocalizer& server,
   return fired;
 }
 
-/// A planner that plans every round at `rung`.
-RoundPlanner plan_every_round_at(ApStage rung) {
-  return [rung](std::size_t, double) {
-    RoundPlan plan;
-    plan.level = rung;
-    return plan;
-  };
-}
-
 TEST(OverloadFidelity, ManualEspritFidelityEntersChainAtEsprit) {
   Feed feed(6);
   StreamingLocalizer server(kLink, one_round_config(feed, 6));
   for (const auto& capture : feed.captures) server.add_ap(capture.pose);
-  server.set_round_planner(plan_every_round_at(ApStage::kEsprit));
 
   Rng rng(21);
-  const auto fix = push_one_round(server, feed, 6, rng);
+  const auto fix =
+      plan_one_round(server, feed, 6, rng, plan_at(ApStage::kEsprit));
   ASSERT_TRUE(fix.has_value());
   EXPECT_EQ(fix->round.fidelity, ApStage::kEsprit);
   EXPECT_TRUE(fix->degraded);
@@ -497,10 +508,10 @@ TEST(OverloadFidelity, RssiOnlyFidelityYieldsBearinglessRound) {
   Feed feed(6);
   StreamingLocalizer server(kLink, one_round_config(feed, 6));
   for (const auto& capture : feed.captures) server.add_ap(capture.pose);
-  server.set_round_planner(plan_every_round_at(ApStage::kRssiOnly));
 
   Rng rng(22);
-  const auto fix = push_one_round(server, feed, 6, rng);
+  const auto fix =
+      plan_one_round(server, feed, 6, rng, plan_at(ApStage::kRssiOnly));
   ASSERT_TRUE(fix.has_value());
   EXPECT_EQ(fix->round.fidelity, ApStage::kRssiOnly);
   for (const ApStage stage : fix->round.ap_stages) {
@@ -515,20 +526,18 @@ TEST(OverloadFidelity, PlannerShedDropsRoundButDrainsBacklog) {
   Feed feed(6);
   StreamingLocalizer server(kLink, one_round_config(feed, 6));
   for (const auto& capture : feed.captures) server.add_ap(capture.pose);
-  std::size_t planned = 0;
-  server.set_round_planner([&](std::size_t n_aps, double) {
-    ++planned;
-    EXPECT_EQ(n_aps, feed.captures.size());
-    RoundPlan plan;
-    plan.run = false;
-    plan.reason = "test shed";
-    return plan;
-  });
+  RoundPlan plan;
+  plan.run = false;
+  plan.reason = "test shed";
 
   Rng rng(23);
-  const auto fix = push_one_round(server, feed, 6, rng);
+  std::vector<PendingRound> shed;
+  const auto fix = plan_one_round(server, feed, 6, rng, plan, &shed);
   EXPECT_FALSE(fix.has_value());
-  EXPECT_EQ(planned, 1u);
+  // One round came back shed, with no streams forked.
+  ASSERT_EQ(shed.size(), 1u);
+  EXPECT_TRUE(shed[0].streams.empty());
+  EXPECT_EQ(shed[0].ap_ids.size(), feed.captures.size());
   EXPECT_EQ(server.fix_count(), 0u);
   // A shed round never ran, so it cannot have failed.
   EXPECT_EQ(server.failed_rounds(), 0u);
@@ -542,15 +551,11 @@ TEST(OverloadFidelity, PlannerLevelOverridesManualFidelity) {
   Feed feed(6);
   StreamingLocalizer server(kLink, one_round_config(feed, 6));
   for (const auto& capture : feed.captures) server.add_ap(capture.pose);
-  server.set_round_planner([](std::size_t, double) {
-    RoundPlan plan;
-    plan.level = ApStage::kRelaxedMusic;
-    plan.reason = "planner says coarse";
-    return plan;
-  });
+  RoundPlan plan = plan_at(ApStage::kRelaxedMusic);
+  plan.reason = "planner says coarse";
 
   Rng rng(24);
-  const auto fix = push_one_round(server, feed, 6, rng);
+  const auto fix = plan_one_round(server, feed, 6, rng, plan);
   ASSERT_TRUE(fix.has_value());
   EXPECT_EQ(fix->round.fidelity, ApStage::kRelaxedMusic);
   for (const ApStage stage : fix->round.ap_stages) {
