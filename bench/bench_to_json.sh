@@ -9,6 +9,11 @@
 #   --smoke  near-zero min-time per benchmark: exercises the full runner
 #            path in seconds (CI uses this; numbers are NOT stable).
 #
+# Benches registered with Repetitions() + ReportAggregatesOnly() (the ones
+# whose single iteration fills the time budget) are stored under their
+# plain name with the median's times, plus `repetitions` and
+# `real_time_cv` (standard deviation over mean of the repetitions).
+#
 # Do not export SPOTFI_THREADS when running this: the pipeline benches
 # parameterize thread counts explicitly (threads:1 vs threads:4) and the
 # env override would collapse every variant onto one value.
@@ -56,6 +61,7 @@ python3 - "${TMP}/perf_music.json" "${TMP}/perf_pipeline.json" \
   "${TMP}/perf_transport.json" "${TMP}/perf_durability.json" \
   "${OUT}" "${MODE}" <<'PY'
 import json
+import re
 import sys
 
 (music_path, pipeline_path, memory_path, sessions_path, transport_path,
@@ -65,6 +71,8 @@ import sys
 # (a bench registered with ->Unit(kMillisecond) reports milliseconds);
 # the snapshot stores nanoseconds.
 NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+# google-benchmark appends "/repeats:N" to a repeated bench's name.
+REPEATS = re.compile(r"/repeats:\d+$")
 
 merged = {
     "schema": "spotfi-bench-v1",
@@ -81,14 +89,26 @@ for name, path in (("perf_music", music_path),
         raw = json.load(f)
     merged.setdefault("context", raw.get("context", {}))
     suite = []
+    cvs = {}
     for b in raw.get("benchmarks", []):
+        bench_name = b["name"]
+        if b.get("run_type") == "aggregate":
+            # A repeated bench: its median stands in under the plain name,
+            # and its CV rides along; mean and stddev are dropped.
+            bench_name = REPEATS.sub("", b["run_name"])
+            if b["aggregate_name"] == "cv":
+                cvs[bench_name] = b["real_time"]
+            if b["aggregate_name"] != "median":
+                continue
         scale = NS_PER_UNIT[b.get("time_unit", "ns")]
         entry = {
-            "name": b["name"],
+            "name": bench_name,
             "real_time_ns": b["real_time"] * scale,
             "cpu_time_ns": b["cpu_time"] * scale,
             "iterations": b["iterations"],
         }
+        if b.get("run_type") == "aggregate":
+            entry["repetitions"] = b["repetitions"]
         # Memory benches attach custom counters (allocs/bytes per packet,
         # arena high-water); session benches attach p99 round latency.
         # Keep them so the zero-allocation contract and the tail-latency
@@ -99,6 +119,9 @@ for name, path in (("perf_music", music_path),
             if key in b:
                 entry[key] = b[key]
         suite.append(entry)
+    for entry in suite:
+        if entry["name"] in cvs:
+            entry["real_time_cv"] = cvs[entry["name"]]
     merged["suites"][name] = suite
 # Snapshots from machines with different core counts do not compare
 # (the threads:N benches), so the count sits beside the results.

@@ -52,8 +52,10 @@ BENCHMARK(BM_Reference_DependentLoop);
 void BM_HermitianEig30(benchmark::State& state) {
   const CMatrix x = smoothed_csi(test_csi());
   const CMatrix cov = x.gram();
+  Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eigh(cov));
+    Workspace::Frame frame(ws);
+    benchmark::DoNotOptimize(eigh(cov, ws));
   }
 }
 BENCHMARK(BM_HermitianEig30);
@@ -69,8 +71,8 @@ void BM_Gram30(benchmark::State& state) {
 BENCHMARK(BM_Gram30);
 
 void BM_MatMul30(benchmark::State& state) {
-  // 30 x 30 complex product (the eigensolver's rotation updates live in
-  // this regime).
+  // 30 x 30 complex product (the eigensolver's reflector updates and its
+  // final eigenvector product live in this regime).
   const CMatrix x = smoothed_csi(test_csi());
   const CMatrix cov = x.gram();
   for (auto _ : state) {

@@ -148,10 +148,15 @@ void BM_SessionRounds(benchmark::State& state) {
   state.counters["sessions"] =
       benchmark::Counter(static_cast<double>(n_sessions));
 }
+BENCHMARK(BM_SessionRounds)->Arg(10)->Unit(benchmark::kMillisecond);
+// One iteration of these fills the time budget, so a single run is one
+// sample: repeat them and report the median and its coefficient of
+// variation (bench_to_json.sh keeps those two).
 BENCHMARK(BM_SessionRounds)
-    ->Arg(10)
     ->Arg(100)
     ->Arg(1000)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMillisecond);
 
 /// The admission path in overload steady state: the queue is full, so

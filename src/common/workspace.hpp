@@ -62,9 +62,10 @@ class Workspace {
  public:
   /// Alignment of every checkout (covers cplx and SIMD-friendly loads).
   static constexpr std::size_t kAlign = 16;
-  /// First-block size: sized so one default-grid MUSIC packet (pseudo-
-  /// spectrum + steering projections + eigensolver scratch, ~1 MiB)
-  /// warms up in at most a couple of growth steps.
+  /// First-block size: one default-grid MUSIC packet peaks at ~0.75 MiB
+  /// (the 181x320 pseudospectrum and the sweep's tables; the ~24 KB of
+  /// eigensolver scratch is released before the sweep), so it warms up
+  /// in a single block.
   static constexpr std::size_t kDefaultBlockBytes = std::size_t{1} << 20;
 
   Workspace() = default;

@@ -19,7 +19,7 @@
 
 namespace spotfi {
 
-/// Every durability I/O boundary. The harness sweeps all of them.
+/// Every durability I/O boundary. The harness drives every one of them.
 enum class CrashPoint : std::uint8_t {
   kJournalAppendStart = 0,  ///< before any record byte reaches the file
   kJournalAppendTorn = 1,   ///< a prefix of the record reaches the file

@@ -10,44 +10,224 @@
 namespace spotfi {
 namespace {
 
-/// Sum of squared magnitudes of the strict upper triangle.
-double off_diagonal_mass(ConstCMatrixView a) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = i + 1; j < a.cols(); ++j) s += std::norm(a(i, j));
-  return s;
+/// Largest per-eigenpair residual ||A v - lambda v|| / ||A||_F that still
+/// counts as converged. A backward-stable solve leaves a few n * eps; the
+/// bound sits orders of magnitude above that and orders below anything
+/// that could move a signal/noise split.
+constexpr double kResidualTolerance = 1e-10;
+
+/// QL iterations allowed per eigenvalue (LAPACK's zsteqr budget).
+constexpr std::size_t kQlIterationsPerEigenvalue = 30;
+
+/// Householder reduction of the Hermitian matrix held in the lower
+/// triangle of `a` (diagonal included) to tridiagonal form:
+/// H_{n-2} ... H_0 A H_0 ... H_{n-2} = T. Reflector k is
+/// H_k = I - beta[k] u u^H on indices k+1..n-1 (the identity when
+/// beta[k] == 0), with u left in column k of `a` below the diagonal.
+/// On return d holds T's diagonal and e its complex subdiagonal,
+/// e[k] = T(k+1, k). The strict upper triangle of `a` is never touched.
+/// `u` and `p` are length-n scratch.
+void tridiagonalize(CMatrixView a, std::span<double> d, std::span<cplx> e,
+                    std::span<double> beta, std::span<cplx> u,
+                    std::span<cplx> p) {
+  const std::size_t n = a.rows();
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    const std::size_t m = n - k - 1;  // length of the column below (k, k)
+    const cplx alpha = a(k + 1, k);
+    double tail = 0.0;
+    for (std::size_t i = k + 2; i < n; ++i) tail += std::norm(a(i, k));
+    if (tail == 0.0) {
+      e[k] = alpha;  // already tridiagonal here (always so for the last k)
+      continue;
+    }
+    // u = x + phase r e_1 sends x to -phase r e_1 without cancellation.
+    const double abs_alpha = std::abs(alpha);
+    const double r = std::sqrt(abs_alpha * abs_alpha + tail);
+    const cplx phase = abs_alpha > 0.0 ? alpha / abs_alpha : cplx{1.0};
+    a(k + 1, k) = phase * (abs_alpha + r);
+    e[k] = -phase * r;
+    const double b =
+        2.0 / ((abs_alpha + r) * (abs_alpha + r) + tail);  // 2 / u^H u
+    beta[k] = b;
+    for (std::size_t i = 0; i < m; ++i) u[i] = a(k + 1 + i, k);
+
+    // p = b A22 u, with A22 = a(k+1.., k+1..) read from its lower triangle.
+    std::fill_n(p.begin(), m, cplx{});
+    for (std::size_t i = 0; i < m; ++i) {
+      const cplx* row = a.row_ptr(k + 1 + i) + (k + 1);
+      const cplx ui = u[i];
+      cplx acc = row[i].real() * ui;
+      for (std::size_t j = 0; j < i; ++j) {
+        acc += row[j] * u[j];
+        p[j] += std::conj(row[j]) * ui;
+      }
+      p[i] += acc;
+    }
+    cplx uhp{};
+    for (std::size_t i = 0; i < m; ++i) {
+      p[i] *= b;
+      uhp += std::conj(u[i]) * p[i];
+    }
+    // w = p - gamma u with gamma = b/2 u^H p (real: A22 is Hermitian), so
+    // that H A22 H = A22 - u w^H - w u^H. w overwrites p.
+    const double gamma = 0.5 * b * uhp.real();
+    for (std::size_t i = 0; i < m; ++i) p[i] -= gamma * u[i];
+    for (std::size_t i = 0; i < m; ++i) {
+      cplx* row = a.row_ptr(k + 1 + i) + (k + 1);
+      const cplx ui = u[i];
+      const cplx wi = p[i];
+      for (std::size_t j = 0; j <= i; ++j) {
+        row[j] -= ui * std::conj(p[j]) + wi * std::conj(u[j]);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) d[i] = a(i, i).real();
 }
 
-double max_abs(ConstCMatrixView a) {
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j)
-      m = std::max(m, std::abs(a(i, j)));
-  return m;
+/// Q = H_0 H_1 ... H_{n-2} from the reflectors tridiagonalize() left in
+/// `a`, built into the zero-filled `q` by backward accumulation (H_k only
+/// mixes rows and columns k+1.. of the partial product).
+void accumulate_reflectors(ConstCMatrixView a, std::span<const double> beta,
+                           CMatrixView q, std::span<cplx> u,
+                           std::span<cplx> w) {
+  const std::size_t n = a.rows();
+  for (std::size_t i = 0; i < n; ++i) q(i, i) = 1.0;
+  for (std::size_t k = n; k-- > 0;) {
+    if (beta[k] == 0.0) continue;
+    const std::size_t m = n - k - 1;
+    for (std::size_t i = 0; i < m; ++i) u[i] = a(k + 1 + i, k);
+    // Q22 <- Q22 - beta u (u^H Q22).
+    std::fill_n(w.begin(), m, cplx{});
+    for (std::size_t i = 0; i < m; ++i) {
+      const cplx* row = q.row_ptr(k + 1 + i) + (k + 1);
+      const cplx ci = std::conj(u[i]);
+      for (std::size_t j = 0; j < m; ++j) w[j] += ci * row[j];
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      cplx* row = q.row_ptr(k + 1 + i) + (k + 1);
+      const cplx f = beta[k] * u[i];
+      for (std::size_t j = 0; j < m; ++j) row[j] -= f * w[j];
+    }
+  }
+}
+
+/// Implicit QL with Wilkinson shifts on the real symmetric tridiagonal
+/// (diagonal d, subdiagonal off[0..n-2]; off[n-1] must be 0). Overwrites d
+/// with the eigenvalues (unsorted) and rotates the rows of `zt`, which
+/// enters as the identity, so row k ends as the eigenvector of d[k].
+/// Returns false if the iteration budget ran out first.
+bool tridiagonal_ql(std::span<double> d, std::span<double> off,
+                    RMatrixView zt) {
+  const std::size_t n = d.size();
+  const double eps = std::numeric_limits<double>::epsilon();
+  std::size_t budget = kQlIterationsPerEigenvalue * n;
+  for (std::size_t l = 0; l < n; ++l) {
+    for (;;) {
+      // The unreduced block starting at l ends at the first negligible
+      // subdiagonal entry.
+      std::size_t m = l;
+      while (m + 1 < n &&
+             std::abs(off[m]) > eps * (std::abs(d[m]) + std::abs(d[m + 1]))) {
+        ++m;
+      }
+      if (m == l) break;  // d[l] has converged
+      if (budget-- == 0) return false;
+
+      // Wilkinson shift: the eigenvalue of the leading 2x2 nearer d[l].
+      double g = (d[l + 1] - d[l]) / (2.0 * off[l]);
+      double r = std::hypot(g, 1.0);
+      g = d[m] - d[l] + off[l] / (g + std::copysign(r, g));
+      double s = 1.0;
+      double c = 1.0;
+      double p = 0.0;
+      bool split = false;
+      // Chase the bulge from the bottom of the block up to l.
+      for (std::size_t i = m; i-- > l;) {
+        const double f = s * off[i];
+        const double b = c * off[i];
+        r = std::hypot(f, g);
+        off[i + 1] = r;
+        if (r == 0.0) {
+          // The bulge vanished: the block splits at i + 1; start over.
+          d[i + 1] -= p;
+          off[m] = 0.0;
+          split = true;
+          break;
+        }
+        s = f / r;
+        c = g / r;
+        g = d[i + 1] - p;
+        r = (d[i] - g) * s + 2.0 * c * b;
+        p = s * r;
+        d[i + 1] = g + p;
+        g = c * r - b;
+        double* zi = zt.row_ptr(i);
+        double* zi1 = zt.row_ptr(i + 1);
+        for (std::size_t k = 0; k < n; ++k) {
+          const double t = zi1[k];
+          zi1[k] = s * zi[k] + c * t;
+          zi[k] = c * zi[k] - s * t;
+        }
+      }
+      if (split) continue;
+      d[l] -= p;
+      off[l] = g;
+      off[m] = 0.0;
+    }
+  }
+  return true;
+}
+
+/// max_k ||A v_k - lambda_k v_k||_2 against the symmetrized input, whose
+/// strict upper triangle `a` still holds (its diagonal is `diag`).
+/// `row` and `acc` are length-n scratch, `res2` length-n accumulators.
+double max_eigenpair_residual(ConstCMatrixView a, std::span<const double> diag,
+                              std::span<const double> lambda,
+                              ConstCMatrixView v, std::span<cplx> row,
+                              std::span<cplx> acc, std::span<double> res2) {
+  const std::size_t n = a.rows();
+  std::fill(res2.begin(), res2.end(), 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) row[j] = std::conj(a(j, i));
+    row[i] = diag[i];
+    for (std::size_t j = i + 1; j < n; ++j) row[j] = a(i, j);
+    std::fill(acc.begin(), acc.end(), cplx{});
+    for (std::size_t j = 0; j < n; ++j) {
+      const cplx aij = row[j];
+      const cplx* vj = v.row_ptr(j);
+      for (std::size_t k = 0; k < n; ++k) acc[k] += aij * vj[k];
+    }
+    const cplx* vi = v.row_ptr(i);
+    for (std::size_t k = 0; k < n; ++k) {
+      res2[k] += std::norm(acc[k] - lambda[k] * vi[k]);
+    }
+  }
+  double worst = 0.0;
+  for (const double r2 : res2) worst = std::max(worst, std::sqrt(r2));
+  return worst;
 }
 
 }  // namespace
 
-HermitianEigRef eigh(ConstCMatrixView input, Workspace& ws) {
+EighResult eigh(ConstCMatrixView input, Workspace& ws) {
   SPOTFI_EXPECTS(input.rows() == input.cols(),
                  "eigh requires a square matrix");
   const std::size_t n = input.rows();
 
   // Results first: they must outlive the scratch frame below.
-  HermitianEigRef result;
+  EighResult result;
   result.eigenvalues = ws.take<double>(n);
   result.eigenvectors = workspace_matrix<cplx>(ws, n, n);
   if (n == 0) return result;
 
-  // A poisoned input would only churn NaN through all 64 sweeps; report
-  // it as a non-convergence immediately.
+  // A poisoned input would only churn NaN through the QL iteration;
+  // report it as a non-convergence immediately.
   for (std::size_t i = 0; i < n; ++i) {
     for (const cplx& v : input.row(i)) {
       if (!std::isfinite(v.real()) || !std::isfinite(v.imag())) {
         result.converged = false;
         result.rcond = 0.0;
-        result.off_diagonal_residual =
-            std::numeric_limits<double>::infinity();
+        result.max_residual = std::numeric_limits<double>::infinity();
         std::fill(result.eigenvalues.begin(), result.eigenvalues.end(),
                   std::numeric_limits<double>::quiet_NaN());
         for (std::size_t k = 0; k < n; ++k) result.eigenvectors(k, k) = 1.0;
@@ -63,6 +243,7 @@ HermitianEigRef eigh(ConstCMatrixView input, Workspace& ws) {
   // input was so grossly wrong inputs fail fast.
   CMatrixView a = workspace_clone<cplx>(ws, input);
   double asym = 0.0;
+  double scale = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i; j < n; ++j) {
       const cplx upper = a(i, j);
@@ -71,97 +252,86 @@ HermitianEigRef eigh(ConstCMatrixView input, Workspace& ws) {
       const cplx avg = 0.5 * (upper + lower);
       a(i, j) = avg;
       a(j, i) = std::conj(avg);
+      scale = std::max(scale, std::abs(avg));
     }
-    a(i, i) = cplx(a(i, i).real(), 0.0);
   }
-  const double scale = std::max(max_abs(a), 1e-300);
   SPOTFI_EXPECTS(asym <= 1e-8 * std::max(scale, 1.0),
                  "eigh input is not Hermitian");
 
-  CMatrixView v = workspace_matrix<cplx>(ws, n, n);
-  for (std::size_t i = 0; i < n; ++i) v(i, i) = 1.0;
-  const double tol = 1e-26 * scale * scale * static_cast<double>(n * n);
-  constexpr int kMaxSweeps = 64;
-
-  int sweep = 0;
-  for (; sweep < kMaxSweeps; ++sweep) {
-    if (off_diagonal_mass(a) <= tol) break;
-    for (std::size_t p = 0; p < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const cplx apq = a(p, q);
-        const double abs_apq = std::abs(apq);
-        if (abs_apq <= 1e-300) {
-          a(p, q) = a(q, p) = cplx{};
-          continue;
-        }
-        // Phase rotation to make the pivot real: scale column q (and row q)
-        // by conj(phase) so a(p,q) becomes |a(p,q)|.
-        const cplx phase = apq / abs_apq;
-        const cplx cphase = std::conj(phase);
-        // D^H A D with D = diag(..., cphase at q, ...): scales column q by
-        // cphase and row q by phase; the diagonal a(q,q) is unchanged.
-        for (std::size_t k = 0; k < n; ++k) {
-          if (k == q) continue;
-          a(k, q) *= cphase;
-          a(q, k) = std::conj(a(k, q));
-        }
-        for (std::size_t k = 0; k < n; ++k) v(k, q) *= cphase;
-
-        // Real Jacobi rotation annihilating the (now real) pivot.
-        const double app = a(p, p).real();
-        const double aqq = a(q, q).real();
-        const double b = a(p, q).real();  // == |apq|
-        const double theta = (aqq - app) / (2.0 * b);
-        const double t =
-            (theta >= 0.0 ? 1.0 : -1.0) /
-            (std::abs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-
-        for (std::size_t k = 0; k < n; ++k) {
-          if (k == p || k == q) continue;
-          const cplx akp = a(k, p);
-          const cplx akq = a(k, q);
-          a(k, p) = c * akp - s * akq;
-          a(k, q) = s * akp + c * akq;
-          a(p, k) = std::conj(a(k, p));
-          a(q, k) = std::conj(a(k, q));
-        }
-        a(p, p) = cplx(app - t * b, 0.0);
-        a(q, q) = cplx(aqq + t * b, 0.0);
-        a(p, q) = a(q, p) = cplx{};
-
-        for (std::size_t k = 0; k < n; ++k) {
-          const cplx vkp = v(k, p);
-          const cplx vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
-      }
+  // Work at unit scale, so the sums of squares below (reflector norms,
+  // ||A||_F) neither underflow nor overflow for any finite input. The
+  // factor is a power of two: scaling is exact, and the eigenvectors are
+  // bit for bit those of the unscaled matrix wherever that stays in range.
+  int exponent = 0;
+  if (scale > 0.0) std::frexp(scale, &exponent);
+  const double unit = std::ldexp(1.0, -exponent);
+  const std::span<double> diag = ws.take<double>(n);
+  double frob2 = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (cplx& v : a.row(i)) {
+      v *= unit;
+      frob2 += std::norm(v);
     }
-  }
-  result.sweeps = sweep;
-  const double final_mass = off_diagonal_mass(a);
-  result.off_diagonal_residual = final_mass / (scale * scale);
-  if (sweep == kMaxSweeps && final_mass > tol) {
-    // Surface the partial decomposition with diagnostics instead of a
-    // bare convergence throw; callers decide (noise_subspace throws).
-    result.converged = false;
-    count_numerics(&NumericsCounters::eigh_nonconverged);
+    diag[i] = a(i, i).real();
   }
 
-  // Sort ascending, permuting eigenvector columns to match.
+  // A = Q T Q^H with T Hermitian tridiagonal; Q is built in the result's
+  // eigenvector slab.
+  const std::span<double> d = ws.take<double>(n);
+  const std::span<cplx> e = ws.take<cplx>(n);
+  const std::span<double> beta = ws.take<double>(n);
+  const std::span<cplx> u = ws.take<cplx>(n);
+  const std::span<cplx> p = ws.take<cplx>(n);
+  tridiagonalize(a, d, e, beta, u, p);
+  const CMatrixView q = result.eigenvectors;
+  accumulate_reflectors(a, beta, q, u, p);
+
+  // T = D T' D^H with D = diag(delta) unitary and T' real: delta_{k+1}
+  // carries e[k]'s phase so that T'(k+1, k) = |e[k]|. beta is spent, so
+  // its storage takes T''s subdiagonal.
+  const std::span<cplx> delta = u;
+  const std::span<double> off = beta;
+  delta[0] = 1.0;
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    const double mag = std::abs(e[k]);
+    off[k] = mag;
+    delta[k + 1] = mag > 0.0 ? delta[k] * (e[k] / mag) : delta[k];
+  }
+  off[n - 1] = 0.0;
+
+  // T' = Z diag(d) Z^T, so A's eigenvectors are the columns of Q D Z.
+  const RMatrixView zt = workspace_matrix<double>(ws, n, n);
+  for (std::size_t i = 0; i < n; ++i) zt(i, i) = 1.0;
+  const bool finished = tridiagonal_ql(d, off, zt);
+
+  // Sort ascending; the product Q D Z writes the columns in that order.
   const std::span<std::size_t> order = ws.take<std::size_t>(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
-    return a(i, i).real() < a(j, j).real();
+    return d[i] < d[j] || (d[i] == d[j] && i < j);
   });
-
-  for (std::size_t k = 0; k < n; ++k) {
-    result.eigenvalues[k] = a(order[k], order[k]).real();
-    for (std::size_t i = 0; i < n; ++i)
-      result.eigenvectors(i, k) = v(i, order[k]);
+  for (std::size_t k = 0; k < n; ++k) result.eigenvalues[k] = d[order[k]];
+  const std::span<cplx> qd = p;
+  for (std::size_t i = 0; i < n; ++i) {
+    cplx* row = q.row_ptr(i);
+    for (std::size_t j = 0; j < n; ++j) qd[j] = row[j] * delta[j];
+    for (std::size_t k = 0; k < n; ++k) {
+      const double* z = zt.row_ptr(order[k]);
+      cplx acc{};
+      for (std::size_t j = 0; j < n; ++j) acc += qd[j] * z[j];
+      row[k] = acc;
+    }
   }
+
+  // e, p and d are spent; they hold the residual check's scratch.
+  const double norm_a = std::sqrt(frob2);
+  const double worst = max_eigenpair_residual(
+      a, diag, result.eigenvalues, result.eigenvectors, e, p, d);
+  result.max_residual = norm_a > 0.0 ? worst / norm_a : 0.0;
+  result.converged = finished && result.max_residual <= kResidualTolerance;
+  if (!result.converged) count_numerics(&NumericsCounters::eigh_nonconverged);
+  for (double& ev : result.eigenvalues) ev = std::ldexp(ev, exponent);
+
   double abs_min = std::abs(result.eigenvalues.front());
   double abs_max = abs_min;
   for (const double ev : result.eigenvalues) {
@@ -172,38 +342,18 @@ HermitianEigRef eigh(ConstCMatrixView input, Workspace& ws) {
   return result;
 }
 
-HermitianEig eigh(const CMatrix& input) {
+SymmetricEig eigh(const RMatrix& a) {
   Workspace& ws = thread_workspace();
   Workspace::Frame frame(ws);
-  const HermitianEigRef r = eigh(input.view(), ws);
-
-  HermitianEig out;
-  out.converged = r.converged;
-  out.sweeps = r.sweeps;
-  out.off_diagonal_residual = r.off_diagonal_residual;
-  out.rcond = r.rcond;
-  out.eigenvalues.assign(r.eigenvalues.begin(), r.eigenvalues.end());
-  const std::size_t n = input.rows();
-  out.eigenvectors = CMatrix(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const cplx* src = r.eigenvectors.row_ptr(i);
-    cplx* dst = out.eigenvectors.row(i).data();
-    std::copy(src, src + n, dst);
-  }
-  return out;
-}
-
-SymmetricEig eigh(const RMatrix& a) {
-  CMatrix c(a.rows(), a.cols());
+  const CMatrixView c = workspace_matrix<cplx>(ws, a.rows(), a.cols());
   for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j) c(i, j) = cplx(a(i, j), 0.0);
-  HermitianEig he = eigh(c);
+    for (std::size_t j = 0; j < a.cols(); ++j) c(i, j) = a(i, j);
+  const EighResult he = eigh(ConstCMatrixView(c), ws);
 
   SymmetricEig result;
-  result.eigenvalues = std::move(he.eigenvalues);
+  result.eigenvalues.assign(he.eigenvalues.begin(), he.eigenvalues.end());
   result.converged = he.converged;
-  result.sweeps = he.sweeps;
-  result.off_diagonal_residual = he.off_diagonal_residual;
+  result.max_residual = he.max_residual;
   result.rcond = he.rcond;
   result.eigenvectors = RMatrix(a.rows(), a.cols());
   // Eigenvectors of a real symmetric matrix are real up to a unit complex

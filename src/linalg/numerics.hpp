@@ -57,7 +57,8 @@ struct NumericsCounters {
   std::size_t lstsq_regularized = 0;      ///< QR failed; ridged normal eqs
   std::size_t lstsq_pseudoinverse = 0;    ///< terminal pseudo-inverse used
   std::size_t solve_regularized = 0;      ///< complex LU needed jitter
-  std::size_t eigh_nonconverged = 0;      ///< Jacobi hit the sweep limit
+  std::size_t eigh_nonconverged = 0;      ///< QL cap hit, residual too big,
+                                          ///< or non-finite input
   std::size_t eig_general_nonconverged = 0;  ///< QR hit the iteration limit
   std::size_t levmar_nonfinite_trials = 0;   ///< trial residuals NaN/Inf
   std::size_t levmar_poisoned = 0;        ///< LM entered/hit non-finite terrain

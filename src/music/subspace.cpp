@@ -13,12 +13,12 @@ namespace {
 /// partial decomposition becomes unusable (noise/signal separation is
 /// meaningless without orthonormal eigenvectors), so the throw that the
 /// MUSIC pipeline's fallback ladder expects is re-raised here.
-void require_converged(bool converged, double off_diagonal_residual) {
+void require_converged(bool converged, double max_residual) {
   if (!converged) {
     throw NumericalError(
         "noise_subspace: covariance eigendecomposition did not converge "
-        "(off-diagonal residual " +
-        std::to_string(off_diagonal_residual) + ")");
+        "(eigenpair residual " +
+        std::to_string(max_residual) + ")");
   }
 }
 
@@ -108,8 +108,8 @@ SubspacesRef noise_subspace(ConstCMatrixView measurement,
     Workspace::Frame frame(ws);
     const CMatrixView g = workspace_matrix<cplx>(ws, dim, dim);
     gram_into<cplx>(measurement, g);
-    const HermitianEigRef eig = eigh(ConstCMatrixView(g), ws);
-    require_converged(eig.converged, eig.off_diagonal_residual);
+    const EighResult eig = eigh(ConstCMatrixView(g), ws);
+    require_converged(eig.converged, eig.max_residual);
     n_signal = select_signal_dims(eig.eigenvalues, measurement.cols(), config);
     std::copy(eig.eigenvalues.begin(), eig.eigenvalues.end(),
               evals_out.begin());

@@ -2,7 +2,7 @@
 //
 // Algorithm 2, line 5: "construct E_N whose columns are eigenvectors of
 // X X^H corresponding to eigenvalues smaller than a threshold". One
-// eigendecomposition yields both halves: the noise basis MUSIC sweeps and
+// eigendecomposition yields both halves: the noise basis MUSIC scans and
 // the signal basis ESPRIT's shift-invariance solve reads.
 #pragma once
 

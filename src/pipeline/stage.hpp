@@ -6,8 +6,8 @@
 // server then fuses the APs (localize). Each step runs under a
 // StageMeter, which attributes wall time and arena growth to one
 // StagePhase. MUSIC's two phases are the estimator's stage_subspace and
-// stage_spectrum, so a direct eigensolver (ROADMAP item 2) and an exact
-// Kronecker-Gram sweep (item 3) each land in one place.
+// stage_spectrum, so the eigensolver (Householder + implicit QL) and the
+// Kronecker-Gram sweep each land in, and are metered in, one place.
 //
 // Contract (DESIGN.md §15):
 //  - A step allocates its OUTPUT into the caller's open arena frame

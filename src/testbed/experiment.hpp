@@ -16,7 +16,7 @@ namespace spotfi {
 
 struct ExperimentConfig {
   /// Packets per localization group (the paper chops traces into groups
-  /// of 40; Fig. 9(b) sweeps this down to 6).
+  /// of 40; Fig. 9(b) varies this down to 6).
   std::size_t packets_per_group = 15;
   double packet_interval_s = 0.1;
   MultipathConfig multipath{};

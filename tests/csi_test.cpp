@@ -242,7 +242,8 @@ TEST(Smoothing, RankEqualsPathCountForFewPaths) {
 
     const CMatrix x = smoothed_csi(synth.ideal_csi(paths));
     // Count numerically nonzero singular values via gram eigenvalues.
-    const auto eig = eigh(x.gram());
+    Workspace ws;
+    const auto eig = eigh(x.gram(), ws);
     const double lambda_max = eig.eigenvalues.back();
     int rank = 0;
     for (double ev : eig.eigenvalues) {

@@ -706,7 +706,8 @@ TEST(ModelOrder, MdlCountsPathsOnCleanData) {
     paths.back().is_direct = (l == 0);
     const auto packet = noisy.synthesize(paths, 0.0, rng);
     const CMatrix x = smoothed_csi(packet.csi);
-    const auto eig = eigh(x.gram());
+    Workspace ws;
+    const auto eig = eigh(x.gram(), ws);
     const std::size_t k =
         estimate_model_order(eig.eigenvalues, x.cols(), OrderMethod::kMdl);
     // Smoothing correlates the noise across columns, which is known to

@@ -5,8 +5,10 @@
 // scaling, GMM flooring on coincident data, and degenerate GDOP geometry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "cluster/gmm.hpp"
 #include "common/rng.hpp"
@@ -164,7 +166,8 @@ TEST(EighDiagnostics, RankOneOuterProductIsDiagnosedNotThrown) {
     norm_sq += std::norm(v[i]);
   }
 
-  const HermitianEig eig = eigh(a);
+  Workspace ws;
+  const EighResult eig = eigh(a, ws);
   EXPECT_TRUE(eig.converged);
   EXPECT_NEAR(eig.eigenvalues.back(), norm_sq, 1e-9 * norm_sq);
   for (std::size_t k = 0; k + 1 < n; ++k) {
@@ -222,7 +225,8 @@ TEST(EighDiagnostics, ClusteredEigenvaluesStillConverge) {
       a(j, i) = std::conj(avg);
     }
   }
-  const HermitianEig eig = eigh(a);
+  Workspace ws;
+  const EighResult eig = eigh(a, ws);
   EXPECT_TRUE(eig.converged);
   EXPECT_NEAR(eig.eigenvalues.back(), 2.0, 1e-9);
   EXPECT_NEAR(eig.eigenvalues.front(), 1.0, 1e-9);
@@ -232,11 +236,241 @@ TEST(EighDiagnostics, NanInputReportsNonConvergenceInsteadOfChurning) {
   CMatrix a(4, 4);
   a(1, 2) = cplx(kNan, 0.0);
   NumericsScope scope;
-  const HermitianEig eig = eigh(a);
+  Workspace ws;
+  const EighResult eig = eigh(a, ws);
   EXPECT_FALSE(eig.converged);
   EXPECT_EQ(eig.rcond, 0.0);
-  EXPECT_TRUE(std::isinf(eig.off_diagonal_residual));
+  EXPECT_TRUE(std::isinf(eig.max_residual));
   EXPECT_EQ(scope.counters().eigh_nonconverged, 1u);
+}
+
+// --- eigh edge cases (Householder tridiagonalization + implicit QL) ---
+
+/// Unit-norm, mutually orthogonal eigenvector columns.
+void expect_orthonormal(const EighResult& eig, double tol) {
+  const std::size_t n = eig.eigenvalues.size();
+  for (std::size_t p = 0; p < n; ++p) {
+    for (std::size_t q = 0; q < n; ++q) {
+      cplx dot{};
+      for (std::size_t i = 0; i < n; ++i) {
+        dot += std::conj(eig.eigenvectors(i, p)) * eig.eigenvectors(i, q);
+      }
+      EXPECT_NEAR(std::abs(dot - cplx(p == q ? 1.0 : 0.0)), 0.0, tol)
+          << "p=" << p << " q=" << q;
+    }
+  }
+}
+
+TEST(EighEdgeCases, OneByOne) {
+  const CMatrix a{{cplx(-2.5, 0.0)}};
+  Workspace ws;
+  const EighResult eig = eigh(a, ws);
+  EXPECT_TRUE(eig.converged);
+  ASSERT_EQ(eig.eigenvalues.size(), 1u);
+  EXPECT_EQ(eig.eigenvalues[0], -2.5);
+  EXPECT_EQ(eig.eigenvectors(0, 0), cplx(1.0, 0.0));
+  EXPECT_EQ(eig.max_residual, 0.0);
+  EXPECT_EQ(eig.rcond, 1.0);
+}
+
+TEST(EighEdgeCases, TwoByTwoWithComplexCoupling) {
+  // [[1, 2-2i], [2+2i, 3]]: eigenvalues 2 -+ sqrt(1 + 8) = -1 and 5. No
+  // Householder step runs; the phase change alone makes it real.
+  const CMatrix a{{cplx(1.0, 0.0), cplx(2.0, -2.0)},
+                  {cplx(2.0, 2.0), cplx(3.0, 0.0)}};
+  Workspace ws;
+  const EighResult eig = eigh(a, ws);
+  EXPECT_TRUE(eig.converged);
+  EXPECT_NEAR(eig.eigenvalues[0], -1.0, 1e-14);
+  EXPECT_NEAR(eig.eigenvalues[1], 5.0, 1e-14);
+  EXPECT_LT(eig.max_residual, 1e-15);
+  expect_orthonormal(eig, 1e-15);
+}
+
+TEST(EighEdgeCases, DiagonalInputIsReturnedExactly) {
+  const RVector diag{3.0, -1.0, 2.0, 0.5, 7.0};
+  const std::size_t n = diag.size();
+  CMatrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) a(i, i) = diag[i];
+  Workspace ws;
+  const EighResult eig = eigh(a, ws);
+  EXPECT_TRUE(eig.converged);
+  EXPECT_EQ(eig.max_residual, 0.0);
+  // Already tridiagonal with a zero subdiagonal: nothing rotates, the
+  // result is the sorted diagonal and permuted unit vectors, bit-exact.
+  const std::vector<std::size_t> source{1, 3, 2, 0, 4};
+  for (std::size_t k = 0; k < n; ++k) {
+    EXPECT_EQ(eig.eigenvalues[k], diag[source[k]]);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(eig.eigenvectors(i, k), cplx(i == source[k] ? 1.0 : 0.0))
+          << "i=" << i << " k=" << k;
+    }
+  }
+}
+
+TEST(EighEdgeCases, BlockDiagonalSplitsTheTridiagonal) {
+  // A 3x3 and a 2x2 Hermitian block with no coupling. Reduction keeps the
+  // blocks apart (the subdiagonal entry between them is an exact zero),
+  // so QL deflates there and every eigenvector stays inside its block.
+  const CMatrix b1{{cplx(4.0, 0.0), cplx(1.0, 1.0), cplx(0.0, -2.0)},
+                   {cplx(1.0, -1.0), cplx(1.0, 0.0), cplx(0.5, 0.0)},
+                   {cplx(0.0, 2.0), cplx(0.5, 0.0), cplx(-3.0, 0.0)}};
+  const CMatrix b2{{cplx(2.0, 0.0), cplx(0.0, 1.5)},
+                   {cplx(0.0, -1.5), cplx(-1.0, 0.0)}};
+  CMatrix a(5, 5);
+  for (std::size_t i = 0; i < 3; ++i)
+    for (std::size_t j = 0; j < 3; ++j) a(i, j) = b1(i, j);
+  for (std::size_t i = 0; i < 2; ++i)
+    for (std::size_t j = 0; j < 2; ++j) a(3 + i, 3 + j) = b2(i, j);
+
+  Workspace ws;
+  const EighResult eig = eigh(a, ws);
+  EXPECT_TRUE(eig.converged);
+  EXPECT_LT(eig.max_residual, 1e-14);
+  expect_orthonormal(eig, 1e-14);
+
+  // Block spectra from their own decompositions, merged ascending.
+  std::vector<double> want;
+  for (const CMatrix* b : {&b1, &b2}) {
+    Workspace::Frame frame(ws);
+    const EighResult part = eigh(*b, ws);
+    want.insert(want.end(), part.eigenvalues.begin(), part.eigenvalues.end());
+  }
+  std::sort(want.begin(), want.end());
+  const double b2_lo = 0.5 - std::sqrt(1.5 * 1.5 + 1.5 * 1.5);
+  const double b2_hi = 0.5 + std::sqrt(1.5 * 1.5 + 1.5 * 1.5);
+  for (std::size_t k = 0; k < 5; ++k) {
+    EXPECT_NEAR(eig.eigenvalues[k], want[k], 1e-13) << "k=" << k;
+    // Every eigenvector lives entirely in one block.
+    double in_b1 = 0.0;
+    double in_b2 = 0.0;
+    for (std::size_t i = 0; i < 5; ++i) {
+      (i < 3 ? in_b1 : in_b2) += std::norm(eig.eigenvectors(i, k));
+    }
+    const bool from_b2 = std::abs(eig.eigenvalues[k] - b2_lo) < 1e-12 ||
+                         std::abs(eig.eigenvalues[k] - b2_hi) < 1e-12;
+    EXPECT_EQ(from_b2 ? in_b1 : in_b2, 0.0) << "k=" << k;
+  }
+}
+
+TEST(EighEdgeCases, IdentityHasExactlyRepeatedEigenvalues) {
+  const std::size_t n = 7;
+  Workspace ws;
+  const EighResult eig = eigh(CMatrix::identity(n), ws);
+  EXPECT_TRUE(eig.converged);
+  EXPECT_EQ(eig.max_residual, 0.0);
+  EXPECT_EQ(eig.rcond, 1.0);
+  for (const double ev : eig.eigenvalues) EXPECT_EQ(ev, 1.0);
+  expect_orthonormal(eig, 0.0);
+}
+
+TEST(EighEdgeCases, ZeroMatrixIsSingularButConverged) {
+  const std::size_t n = 4;
+  Workspace ws;
+  const EighResult eig = eigh(CMatrix(n, n), ws);
+  EXPECT_TRUE(eig.converged);
+  EXPECT_EQ(eig.max_residual, 0.0);
+  EXPECT_EQ(eig.rcond, 0.0);
+  for (const double ev : eig.eigenvalues) EXPECT_EQ(ev, 0.0);
+  expect_orthonormal(eig, 0.0);
+}
+
+TEST(EighEdgeCases, RankOneCollapseAtMusicSize) {
+  // v v^H at the 30x30 covariance size: the whole spectrum collapses onto
+  // one eigenvalue ||v||^2 and 29 exact zeros.
+  Rng rng(17);
+  const std::size_t n = 30;
+  CVector v(n);
+  for (auto& e : v) e = cplx(rng.normal(), rng.normal());
+  double norm_sq = 0.0;
+  CMatrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) a(i, j) = v[i] * std::conj(v[j]);
+    norm_sq += std::norm(v[i]);
+  }
+  Workspace ws;
+  const EighResult eig = eigh(a, ws);
+  EXPECT_TRUE(eig.converged);
+  EXPECT_LT(eig.max_residual, 1e-14);
+  EXPECT_LT(eig.rcond, 1e-14);
+  EXPECT_NEAR(eig.eigenvalues.back(), norm_sq, 1e-13 * norm_sq);
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    EXPECT_NEAR(eig.eigenvalues[k], 0.0, 1e-13 * norm_sq) << "k=" << k;
+  }
+  expect_orthonormal(eig, 1e-13);
+  // The dominant eigenvector is v's direction: |<v, u>| = ||v||.
+  cplx overlap{};
+  for (std::size_t i = 0; i < n; ++i) {
+    overlap += std::conj(v[i]) * eig.eigenvectors(i, n - 1);
+  }
+  EXPECT_NEAR(std::abs(overlap), std::sqrt(norm_sq), 1e-12 * norm_sq);
+}
+
+TEST(EighEdgeCases, ExtremeScalesMatchUnitScaleExactly) {
+  // Entries near 2^-600 or 2^600 square to under- or overflow. eigh works
+  // at unit scale internally (a power-of-two factor), so both extremes
+  // reproduce the unit-scale decomposition bit for bit.
+  Rng rng(29);
+  const std::size_t n = 30;
+  CMatrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a(i, i) = rng.normal();
+    for (std::size_t j = 0; j < i; ++j) {
+      a(i, j) = cplx(rng.normal(), rng.normal());
+      a(j, i) = std::conj(a(i, j));
+    }
+  }
+  Workspace ws;
+  const EighResult unit = eigh(a, ws);
+  ASSERT_TRUE(unit.converged);
+  for (const int power : {-600, 600}) {
+    SCOPED_TRACE(::testing::Message() << "scale 2^" << power);
+    CMatrix scaled = a;
+    for (cplx& v : scaled.flat()) {
+      v = cplx(std::ldexp(v.real(), power), std::ldexp(v.imag(), power));
+    }
+    Workspace::Frame frame(ws);
+    const EighResult eig = eigh(scaled, ws);
+    EXPECT_TRUE(eig.converged);
+    EXPECT_EQ(eig.max_residual, unit.max_residual);
+    EXPECT_EQ(eig.rcond, unit.rcond);
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(eig.eigenvalues[k], std::ldexp(unit.eigenvalues[k], power));
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(eig.eigenvectors(i, k), unit.eigenvectors(i, k));
+      }
+    }
+  }
+}
+
+TEST(EighEdgeCases, InfInputReportsNonConvergenceOnce) {
+  CMatrix a = CMatrix::identity(5);
+  a(2, 3) = cplx(std::numeric_limits<double>::infinity(), 0.0);
+  a(3, 2) = a(2, 3);
+  NumericsScope scope;
+  Workspace ws;
+  const EighResult eig = eigh(a, ws);
+  EXPECT_FALSE(eig.converged);
+  EXPECT_TRUE(std::isinf(eig.max_residual));
+  EXPECT_EQ(eig.rcond, 0.0);
+  for (const double ev : eig.eigenvalues) EXPECT_TRUE(std::isnan(ev));
+  EXPECT_EQ(scope.counters().eigh_nonconverged, 1u);
+  EXPECT_EQ(scope.counters().total(), 1u);
+}
+
+TEST(EighEdgeCases, ResidualIsAtRoundoffOnRandomCovariance) {
+  // The converged flag is a residual test: on an ordinary full-rank
+  // covariance the worst eigenpair sits a few ulps from exact.
+  Rng rng(23);
+  const std::size_t n = 30;
+  CMatrix x(n, 2 * n);
+  for (auto& e : x.flat()) e = cplx(rng.normal(), rng.normal());
+  Workspace ws;
+  const EighResult eig = eigh(x.gram(), ws);
+  EXPECT_TRUE(eig.converged);
+  EXPECT_GT(eig.max_residual, 0.0);
+  EXPECT_LT(eig.max_residual, 1e-14);
+  expect_orthonormal(eig, 1e-13);
 }
 
 // --- eig_general diagnostics ---

@@ -132,7 +132,8 @@ TEST(StressSuite, RankCollapseProducesRankOneCovariance) {
   for (const cplx& v : packet.csi.flat()) {
     ASSERT_TRUE(std::isfinite(v.real()) && std::isfinite(v.imag()));
   }
-  const HermitianEig eig = eigh(packet.csi.gram());
+  Workspace ws;
+  const EighResult eig = eigh(packet.csi.gram(), ws);
   EXPECT_TRUE(eig.converged);
   EXPECT_LT(eig.rcond, 1e-10);
   const double top = eig.eigenvalues.back();
