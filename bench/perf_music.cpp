@@ -1,8 +1,9 @@
 // Performance microbenchmarks for the signal-processing primitives:
 // Hermitian eigendecomposition, smoothed-CSI construction, ToF
-// sanitization, the joint 2-D MUSIC spectrum sweep, and full per-packet
-// estimation. These quantify why the Kronecker-factorized spectrum makes
-// whole-testbed experiments feasible on one core.
+// sanitization, the joint 2-D MUSIC spectrum sweep, its peak search,
+// and full per-packet estimation. These quantify why the
+// Kronecker-factorized spectrum makes whole-testbed experiments feasible
+// on one core.
 #include <benchmark/benchmark.h>
 
 #include "channel/csi_synthesis.hpp"
@@ -11,6 +12,8 @@
 #include "csi/smoothing.hpp"
 #include "linalg/hermitian_eig.hpp"
 #include "music/estimators.hpp"
+#include "music/peaks.hpp"
+#include "testbed/experiment.hpp"
 
 namespace {
 
@@ -107,6 +110,32 @@ void BM_JointSpectrum(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JointSpectrum);
+
+void BM_FindPeaks2d(benchmark::State& state) {
+  // The peak half of the spectrum stage: find_peaks_2d on the 181 x 320
+  // pseudospectrum of the office packet BM_Stage_Spectrum (perf_pipeline)
+  // sweeps, so the two split that stage into sweep and peaks.
+  const LinkConfig link = LinkConfig::intel5300_40mhz();
+  ExperimentConfig cfg;
+  cfg.packets_per_group = 10;
+  const ExperimentRunner runner(link, office_deployment(), cfg);
+  Rng rng(3);
+  const std::vector<ApCapture> captures =
+      runner.simulate_captures({6.0, 3.5}, rng);
+  const JointMusicEstimator estimator(link);
+  const AoaTofSpectrum sp = estimator.spectrum(captures[0].packets[0].csi);
+  const JointMusicConfig& c = estimator.config();
+  const std::size_t max_peaks =
+      c.max_paths + (c.exclude_aoa_edges ? c.max_paths : 0);
+  Workspace ws;
+  for (auto _ : state) {
+    Workspace::Frame frame(ws);
+    benchmark::DoNotOptimize(find_peaks_2d(sp.values,
+                                           estimator.tof_axis_wraps(),
+                                           max_peaks, c.min_relative_peak, ws));
+  }
+}
+BENCHMARK(BM_FindPeaks2d);
 
 void BM_JointEstimatePacket(benchmark::State& state) {
   const LinkConfig link = LinkConfig::intel5300_40mhz();

@@ -62,8 +62,9 @@ class Workspace {
  public:
   /// Alignment of every checkout (covers cplx and SIMD-friendly loads).
   static constexpr std::size_t kAlign = 16;
-  /// First-block size: one default-grid MUSIC packet peaks at ~0.75 MiB
-  /// (the 181x320 pseudospectrum and the sweep's tables; the ~24 KB of
+  /// First-block size: one default-grid MUSIC packet peaks at ~0.5 MiB
+  /// (almost all of it the 181x320 pseudospectrum; the sweep's polynomial
+  /// coefficients and per-column Grams are ~12 KB, and the ~24 KB of
   /// eigensolver scratch is released before the sweep), so it warms up
   /// in a single block.
   static constexpr std::size_t kDefaultBlockBytes = std::size_t{1} << 20;

@@ -50,16 +50,27 @@ ConstCMatrixView steering_view(const SteeringAxisTable& axis) {
 /// `sub` one subcarrier steering vector per row. values(i, j) is the
 /// spectrum at (ant_i, sub_j).
 ///
-/// The g table holds g_e(j)[a] = sum_s conj(e[a*sub_len+s]) sub_j[s] for
-/// every ToF column j and noise eigenvector e, so the denominator at
-/// (i, j) is the quadratic form
-///   ||E_n^H a||^2 = sum_e |ant_i . g_e(j)|^2 = ant_i^T M(j) conj(ant_i)
-/// in the ant_len x ant_len Hermitian Gram M(j) = sum_e g_e(j) g_e(j)^H.
+/// The denominator at (i, j) is the quadratic form
+///   ||E_n^H a||^2 = ant_i^T M(j) conj(ant_i)
+/// in the ant_len x ant_len Hermitian noise Gram
+///   M_ab(j) = sum_{s,s'} sum_e conj(E_n[a*S+s, e]) E_n[b*S+s', e]
+///             * sub_j[s] conj(sub_j[s']).
+/// sub_j = [1, Omega_j, ..., Omega_j^(S-1)] with |Omega_j| = 1 (Eq. 6),
+/// so sub_j[s] conj(sub_j[s']) = Omega_j^(s-s') and each entry is a
+/// trigonometric polynomial with 2S - 1 terms,
+///   M_ab(j) = sum_{k=-(S-1)}^{S-1} c_ab[k] Omega_j^k,
+/// whose coefficients c_ab[k] are the k-th diagonal sums of the noise
+/// projector's (a, b) block. They are built once per packet for a <= b;
+/// c_aa[-k] = conj(c_aa[k]), so a diagonal block needs only s' <= s.
+/// Each ToF column evaluates them on its steering row, where sub_j[k] is
+/// Omega_j^k and its conjugate stands in for Omega_j^-k, and stores
 /// M(j)'s ant_len^2 real degrees of freedom (the diagonal, Re/Im above
-/// it) are folded once per column; each grid point is then one real dot
-/// product with the matching weights of ant_i (|ant_a|^2, and
-/// 2 Re / -2 Im of ant_a conj(ant_b)), whatever the noise dimension.
-/// Cost: O(N_tof * D * S) for the table, O(G * ant_len^2) for the sweep.
+/// it). Each grid point is then one real dot product with the matching
+/// weights of ant_i (|ant_a|^2, and 2 Re / -2 Im of ant_a conj(ant_b)),
+/// whatever the noise dimension.
+/// Cost: O(ant_len^2 * S^2 * D) for the coefficients,
+/// O(N_tof * ant_len^2 * S) for the per-column Grams, O(G * ant_len^2)
+/// for the sweep.
 void spectrum_values(ConstCMatrixView noise, ConstCMatrixView ant,
                      ConstCMatrixView sub, Workspace& ws, RMatrixView values) {
   const std::size_t n_aoa = ant.rows();
@@ -74,38 +85,55 @@ void spectrum_values(ConstCMatrixView noise, ConstCMatrixView ant,
                  "noise basis length disagrees with the steering tables");
 
   Workspace::Frame frame(ws);
-  // conj(E_n) regrouped by subcarrier (row s holds conj(e[a*sub_len+s])
-  // for every (e, a)), so each ToF column of the g table accumulates
-  // n_noise * ant_len independent sums, each over s in ascending order.
-  const std::size_t width = n_noise * ant_len;
-  const std::span<cplx> conj_noise = ws.take<cplx>(sub_len * width);
-  for (std::size_t s = 0; s < sub_len; ++s) {
-    for (std::size_t e = 0; e < n_noise; ++e) {
-      for (std::size_t a = 0; a < ant_len; ++a) {
-        conj_noise[s * width + e * ant_len + a] =
-            std::conj(noise(a * sub_len + s, e));
+  // c_ab[k] for each pair a <= b, pair-major: a pair's 2S - 1 terms run
+  // from k = -(S-1) up, so c_ab[k] sits at c = pair + S - 1 as c[k] for
+  // k >= 0 and *(c - |k|) for k < 0.
+  const std::size_t n_terms = 2 * sub_len - 1;
+  const std::span<cplx> coef =
+      ws.take<cplx>(ant_len * (ant_len + 1) / 2 * n_terms);  // zero-filled
+  cplx* pair = coef.data();
+  for (std::size_t a = 0; a < ant_len; ++a) {
+    for (std::size_t b = a; b < ant_len; ++b, pair += n_terms) {
+      cplx* c = pair + (sub_len - 1);
+      for (std::size_t s = 0; s < sub_len; ++s) {
+        const cplx* row_a = noise.row_ptr(a * sub_len + s);
+        const std::size_t t_end = b == a ? s + 1 : sub_len;
+        for (std::size_t t = 0; t < t_end; ++t) {
+          const cplx* row_b = noise.row_ptr(b * sub_len + t);
+          cplx acc{};
+          for (std::size_t e = 0; e < n_noise; ++e) {
+            acc += std::conj(row_a[e]) * row_b[e];
+          }
+          *(c + s - t) += acc;
+        }
       }
     }
   }
-  const std::span<cplx> g = ws.take<cplx>(n_tof * width);  // zero-filled
+
   const std::span<double> gram = ws.take<double>(n_tof * dof);
   for (std::size_t ti = 0; ti < n_tof; ++ti) {
-    const cplx* sub_vec = sub.row_ptr(ti);
-    cplx* gt = &g[ti * width];
-    for (std::size_t s = 0; s < sub_len; ++s) {
-      const cplx* row = &conj_noise[s * width];
-      const cplx w = sub_vec[s];
-      for (std::size_t k = 0; k < width; ++k) gt[k] += row[k] * w;
-    }
+    const cplx* omega_pow = sub.row_ptr(ti);
     double* m = &gram[ti * dof];
+    pair = coef.data();
     for (std::size_t a = 0; a < ant_len; ++a) {
-      for (std::size_t b = a; b < ant_len; ++b) {
-        cplx acc{};
-        for (std::size_t e = 0; e < n_noise; ++e) {
-          acc += gt[e * ant_len + a] * std::conj(gt[e * ant_len + b]);
+      for (std::size_t b = a; b < ant_len; ++b, pair += n_terms) {
+        const cplx* c = pair + (sub_len - 1);
+        if (b == a) {
+          // Real: c[0] + 2 Re sum_{k>0} c[k] Omega^k.
+          double acc = 0.0;
+          for (std::size_t k = 1; k < sub_len; ++k) {
+            acc += c[k].real() * omega_pow[k].real() -
+                   c[k].imag() * omega_pow[k].imag();
+          }
+          *m++ = c[0].real() + 2.0 * acc;
+        } else {
+          cplx acc = c[0];
+          for (std::size_t k = 1; k < sub_len; ++k) {
+            acc += c[k] * omega_pow[k] + *(c - k) * std::conj(omega_pow[k]);
+          }
+          *m++ = acc.real();
+          *m++ = acc.imag();
         }
-        *m++ = acc.real();
-        if (b != a) *m++ = acc.imag();
       }
     }
   }

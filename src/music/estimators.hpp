@@ -5,10 +5,13 @@
 // (AoA, ToF) -> peaks = multipath components. The joint steering vector
 // factors as ant(theta) (x) sub(tau), so the MUSIC denominator at
 // (theta, tau) is a quadratic form in ant(theta) with a small per-tau
-// Gram matrix of the noise subspace (ant_len x ant_len, 2 x 2 here). The
-// sweep builds that matrix once per ToF column; a grid point then costs
-// ant_len^2 real multiply-adds whatever the noise dimension, and a full
-// 181 x 320 grid well under a millisecond.
+// Gram matrix of the noise subspace (ant_len x ant_len, 2 x 2 here).
+// Since |Omega(tau)| = 1, each entry of that matrix is a trigonometric
+// polynomial in Omega(tau) with 2 sub_len - 1 terms (29 here); the sweep
+// builds the coefficients once per packet and evaluates them once per
+// ToF column. A grid point then costs ant_len^2 real multiply-adds
+// whatever the noise dimension, and a full 181 x 320 grid about a
+// quarter of a millisecond.
 //
 // MusicAoaEstimator — the classic antenna-only MUSIC (Sec. 3.1.1) used by
 // the paper's practical ArrayTrack/Phaser baseline: the 3-antenna array

@@ -121,11 +121,20 @@ std::span<const GridPeak> find_peaks_2d(ConstRMatrixView grid, bool wrap_cols,
     for (; k > 0 && top[k - 1].value < v; --k) top[k] = top[k - 1];
     top[k] = {i, j, v};
   };
-  double global_max = 0.0;
+  // max|grid| in four independent lanes, merged after the pass. Exact: a
+  // max over non-NaN values does not depend on order, and
+  // std::max(acc, NaN) keeps acc, so no lane ever holds a NaN.
+  double lane_max[4] = {0.0, 0.0, 0.0, 0.0};
+  const std::size_t blocked = cols - cols % 4;
   for (std::size_t i = 0; i < rows; ++i) {
     const double* mid = grid.row_ptr(i);
-    for (std::size_t j = 0; j < cols; ++j) {
-      global_max = std::max(global_max, std::abs(mid[j]));
+    for (std::size_t j = 0; j < blocked; j += 4) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        lane_max[l] = std::max(lane_max[l], std::abs(mid[j + l]));
+      }
+    }
+    for (std::size_t j = blocked; j < cols; ++j) {
+      lane_max[0] = std::max(lane_max[0], std::abs(mid[j]));
     }
     if (i == 0 || i + 1 == rows) {
       for (std::size_t j = 0; j < cols; ++j) {
@@ -143,6 +152,8 @@ std::span<const GridPeak> find_peaks_2d(ConstRMatrixView grid, bool wrap_cols,
       offer(i, cols - 1, mid[cols - 1]);
     }
   }
+  const double global_max = std::max(std::max(lane_max[0], lane_max[1]),
+                                     std::max(lane_max[2], lane_max[3]));
   const double floor_value = min_relative * global_max;
   while (n > 0 && top[n - 1].value < floor_value) --n;
   return top.first(n);

@@ -63,6 +63,9 @@ namespace spotfi {
 namespace {
 
 const LinkConfig kLink = LinkConfig::intel5300_40mhz();
+/// The default 181 x 320 MUSIC pseudospectrum, the largest arena checkout
+/// of a packet: a lower bound on any MUSIC packet's high-water mark.
+constexpr std::size_t kSpectrumBytes = 181 * 320 * sizeof(double);
 
 std::size_t allocations() {
   return g_allocations.load(std::memory_order_relaxed);
@@ -167,8 +170,9 @@ TEST(ZeroAlloc, ArenaHighWaterMarkIsPinned) {
   // The per-packet footprint of the default MUSIC configuration. A
   // regression here means a buffer moved onto the arena (fine, update the
   // bound) or a config change exploded the grid (worth noticing either
-  // way). Default grid: 181 x 320 spectrum (~463 KiB) + steering
-  // projections + smoothing/eigen scratch.
+  // way). Default grid: 181 x 320 spectrum (~463 KB) + the sweep's
+  // polynomial coefficients and per-column Grams + smoothing/eigen
+  // scratch.
   const auto packets = synthesize_group(2);
   const ApProcessor processor(kLink, ArrayPose{{0.0, 0.0}, 0.0}, {});
   Workspace ws;
@@ -177,7 +181,7 @@ TEST(ZeroAlloc, ArenaHighWaterMarkIsPinned) {
   (void)processor.estimate_packet(packets[1], ws, out);
 
   const WorkspaceStats stats = ws.stats();
-  EXPECT_GT(stats.high_water_bytes, 500u * 1024u);  // the spectrum alone
+  EXPECT_GT(stats.high_water_bytes, kSpectrumBytes);
   EXPECT_LT(stats.high_water_bytes, 4u * 1024u * 1024u)
       << "per-packet arena footprint exploded: " << stats.high_water_bytes;
   EXPECT_EQ(stats.used_bytes, 0u);  // frames rewound cleanly
@@ -229,7 +233,7 @@ TEST(ZeroAlloc, WorkspacePeakTelemetryRidesApOutcome) {
   const ApOutcome outcome = processor.process_robust(packets, rng);
   ASSERT_TRUE(outcome.usable);
   EXPECT_EQ(outcome.stage, ApStage::kPrimary);
-  EXPECT_GT(outcome.workspace_peak_bytes, 500u * 1024u);
+  EXPECT_GT(outcome.workspace_peak_bytes, kSpectrumBytes);
   EXPECT_LT(outcome.workspace_peak_bytes, 4u * 1024u * 1024u);
 }
 

@@ -301,8 +301,14 @@ TEST(Peaks, OnePassMatchesBruteForceOracle) {
   struct Shape {
     std::size_t rows;
     std::size_t cols;
+    // Plant max|grid| in one of the last four columns, a different one
+    // per grid. With a column count that is not a multiple of 4 these are
+    // the tail past the finder's four-lane blocks and lanes 3, 2 and 1 of
+    // the last block, so a lost tail or lane fails the 0.5-floor cases.
+    bool tail_max = false;
   };
-  const Shape shapes[] = {{1, 1}, {1, 9}, {9, 1}, {2, 2}, {3, 3}, {181, 320}};
+  const Shape shapes[] = {{1, 1}, {1, 9}, {9, 1}, {2, 2}, {3, 3}, {181, 320},
+                          {7, 13, /*tail_max=*/true}};
   Rng rng(19);
   Workspace ws;
   for (const Shape& shape : shapes) {
@@ -326,6 +332,11 @@ TEST(Peaks, OnePassMatchesBruteForceOracle) {
         }
       }
       grids.push_back(std::move(holed));
+    }
+    if (shape.tail_max) {
+      for (std::size_t k = 0; k < grids.size(); ++k) {
+        grids[k](shape.rows / 2, shape.cols - 1 - k) = -4.0;
+      }
     }
     for (std::size_t k = 0; k < grids.size(); ++k) {
       for (const bool wrap : {false, true}) {
@@ -549,73 +560,85 @@ TEST(JointMusic, KroneckerGramSweepMatchesDirectProjection) {
       make_path(5.0, 130.0, -4.0, -0.7), make_path(35.0, 200.0, -5.0, 1.7),
       make_path(65.0, 280.0, -6.0, -2.1)}));
 
-  JointMusicConfig cfg;
-  cfg.refine_peaks = false;  // estimates then sit exactly on grid cells
-  const JointMusicEstimator est(kLink, cfg);
-  const RVector& aoa_grid = est.aoa_grid();
-  const RVector& tof_grid = est.tof_grid();
-  const std::size_t ant_len = cfg.smoothing.ant_len;
-  const std::size_t sub_len = cfg.smoothing.sub_len;
+  // The default wrapping 2 x 15 grid; a ToF range that does not wrap
+  // (columns off the 320-point period grid, 1 ns apart); and a 3 x 10
+  // subarray, whose noise Gram has three off-diagonal antenna pairs and
+  // 19-term polynomials.
+  std::vector<JointMusicConfig> configs(3);
+  configs[1].tof_min_s = -50e-9;
+  configs[1].tof_max_s = 300e-9;
+  configs[1].tof_step_s = 1e-9;
+  configs[2].smoothing = SmoothingConfig{.sub_len = 10, .ant_len = 3};
   Workspace ws;
-  for (std::size_t n = 0; n < inputs.size(); ++n) {
-    SCOPED_TRACE(::testing::Message() << "input " << n);
-    Workspace::Frame frame(ws);
-    const SubspacesRef sub =
-        est.stage_subspace(ConstCMatrixView(inputs[n]), ws);
-    RMatrix want(aoa_grid.size(), tof_grid.size());
-    std::vector<cplx> a(ant_len * sub_len);
-    for (std::size_t i = 0; i < aoa_grid.size(); ++i) {
-      for (std::size_t j = 0; j < tof_grid.size(); ++j) {
-        joint_steering_into(aoa_grid[i], tof_grid[j], ant_len, sub_len, kLink,
-                            a);
-        double denom = 0.0;
-        for (std::size_t e = 0; e < sub.noise.cols(); ++e) {
-          cplx proj{};
-          for (std::size_t r = 0; r < a.size(); ++r) {
-            proj += std::conj(sub.noise(r, e)) * a[r];
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    JointMusicConfig& cfg = configs[c];
+    cfg.refine_peaks = false;  // estimates then sit exactly on grid cells
+    const JointMusicEstimator est(kLink, cfg);
+    EXPECT_EQ(est.tof_axis_wraps(), c != 1);
+    const RVector& aoa_grid = est.aoa_grid();
+    const RVector& tof_grid = est.tof_grid();
+    const std::size_t ant_len = cfg.smoothing.ant_len;
+    const std::size_t sub_len = cfg.smoothing.sub_len;
+    for (std::size_t n = 0; n < inputs.size(); ++n) {
+      SCOPED_TRACE(::testing::Message() << "config " << c << " input " << n);
+      Workspace::Frame frame(ws);
+      const SubspacesRef sub =
+          est.stage_subspace(ConstCMatrixView(inputs[n]), ws);
+      RMatrix want(aoa_grid.size(), tof_grid.size());
+      std::vector<cplx> a(ant_len * sub_len);
+      for (std::size_t i = 0; i < aoa_grid.size(); ++i) {
+        for (std::size_t j = 0; j < tof_grid.size(); ++j) {
+          joint_steering_into(aoa_grid[i], tof_grid[j], ant_len, sub_len,
+                              kLink, a);
+          double denom = 0.0;
+          for (std::size_t e = 0; e < sub.noise.cols(); ++e) {
+            cplx proj{};
+            for (std::size_t r = 0; r < a.size(); ++r) {
+              proj += std::conj(sub.noise(r, e)) * a[r];
+            }
+            denom += std::norm(proj);
           }
-          denom += std::norm(proj);
+          want(i, j) = 1.0 / std::max(denom, 1e-12);
         }
-        want(i, j) = 1.0 / std::max(denom, 1e-12);
       }
-    }
 
-    const AoaTofSpectrum got = est.spectrum(inputs[n]);
-    double worst = 0.0;
-    for (std::size_t i = 0; i < aoa_grid.size(); ++i) {
-      for (std::size_t j = 0; j < tof_grid.size(); ++j) {
-        worst = std::max(worst,
-                         std::abs(1.0 / got.values(i, j) - 1.0 / want(i, j)));
+      const AoaTofSpectrum got = est.spectrum(inputs[n]);
+      double worst = 0.0;
+      for (std::size_t i = 0; i < aoa_grid.size(); ++i) {
+        for (std::size_t j = 0; j < tof_grid.size(); ++j) {
+          worst = std::max(
+              worst, std::abs(1.0 / got.values(i, j) - 1.0 / want(i, j)));
+        }
       }
-    }
-    EXPECT_LE(worst, 1e-12) << "denominators are at most ||a||^2 = "
-                            << ant_len * sub_len;
+      EXPECT_LE(worst, 1e-12) << "denominators are at most ||a||^2 = "
+                              << ant_len * sub_len;
 
-    // stage_spectrum keeps the reference grid's peak cells, in order:
-    // edge rows skipped, at most max_paths.
-    const std::span<const GridPeak> ref_peaks =
-        find_peaks_2d(want, est.tof_axis_wraps(), 2 * cfg.max_paths,
-                      cfg.min_relative_peak, ws);
-    std::vector<std::pair<std::size_t, std::size_t>> want_cells;
-    for (const GridPeak& pk : ref_peaks) {
-      if (pk.i == 0 || pk.i + 1 == aoa_grid.size()) continue;
-      if (want_cells.size() == cfg.max_paths) break;
-      want_cells.emplace_back(pk.i, pk.j);
+      // stage_spectrum keeps the reference grid's peak cells, in order:
+      // edge rows skipped, at most max_paths.
+      const std::span<const GridPeak> ref_peaks =
+          find_peaks_2d(want, est.tof_axis_wraps(), 2 * cfg.max_paths,
+                        cfg.min_relative_peak, ws);
+      std::vector<std::pair<std::size_t, std::size_t>> want_cells;
+      for (const GridPeak& pk : ref_peaks) {
+        if (pk.i == 0 || pk.i + 1 == aoa_grid.size()) continue;
+        if (want_cells.size() == cfg.max_paths) break;
+        want_cells.emplace_back(pk.i, pk.j);
+      }
+      ASSERT_FALSE(want_cells.empty());
+      std::vector<PathEstimate> out(cfg.max_paths);
+      const std::size_t n_out = est.stage_spectrum(sub, ws, out);
+      std::vector<std::pair<std::size_t, std::size_t>> got_cells;
+      for (std::size_t k = 0; k < n_out; ++k) {
+        const auto i = static_cast<std::size_t>(
+            std::find(aoa_grid.begin(), aoa_grid.end(), out[k].aoa_rad) -
+            aoa_grid.begin());
+        const auto j = static_cast<std::size_t>(
+            std::find(tof_grid.begin(), tof_grid.end(), out[k].tof_s) -
+            tof_grid.begin());
+        got_cells.emplace_back(i, j);
+      }
+      EXPECT_EQ(got_cells, want_cells);
     }
-    ASSERT_FALSE(want_cells.empty());
-    std::vector<PathEstimate> out(cfg.max_paths);
-    const std::size_t n_out = est.stage_spectrum(sub, ws, out);
-    std::vector<std::pair<std::size_t, std::size_t>> got_cells;
-    for (std::size_t k = 0; k < n_out; ++k) {
-      const auto i = static_cast<std::size_t>(
-          std::find(aoa_grid.begin(), aoa_grid.end(), out[k].aoa_rad) -
-          aoa_grid.begin());
-      const auto j = static_cast<std::size_t>(
-          std::find(tof_grid.begin(), tof_grid.end(), out[k].tof_s) -
-          tof_grid.begin());
-      got_cells.emplace_back(i, j);
-    }
-    EXPECT_EQ(got_cells, want_cells);
   }
 
   // The antenna-only estimator is the same sweep with one ToF column.
