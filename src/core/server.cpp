@@ -164,7 +164,9 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
   const FusionConfig& fusion = config_.fusion;
   if (fusion.loo_rejection) {
     while (usable.size() > fusion.loo_min_aps) {
-      std::vector<double> misses;
+      Workspace::Frame pass_frame(ws);
+      const std::span<double> misses = ws.take<double>(usable.size());
+      std::size_t n_misses = 0;
       double worst_miss = 0.0;
       std::size_t worst = usable.size();
       LocationEstimate worst_estimate;
@@ -182,7 +184,7 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
           const double miss = std::abs(
               wrap_pi(usable[drop].pose.apparent_aoa_of(est.position) -
                       usable[drop].direct_aoa_rad));
-          misses.push_back(miss);
+          misses[n_misses++] = miss;
           if (miss > worst_miss) {
             worst_miss = miss;
             worst = drop;
@@ -193,7 +195,8 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
         }
       }
       if (worst >= usable.size() || worst_miss <= fusion.loo_max_aoa_miss_rad ||
-          worst_miss <= fusion.loo_median_factor * median(misses)) {
+          worst_miss <= fusion.loo_median_factor *
+                            percentile_in_place(misses.first(n_misses), 50.0)) {
         break;
       }
       round.location = worst_estimate;

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/rng.hpp"
+#include "linalg/numerics.hpp"
 
 namespace spotfi {
 
@@ -49,15 +50,12 @@ void solve_complex_into(ConstCMatrixView a, std::span<const cplx> b,
   }
 }
 
-CVector solve_complex(const CMatrix& a, std::span<const cplx> b) {
-  CVector x(b.size());
-  solve_complex_into(ConstCMatrixView(a), b, x, thread_workspace());
-  return x;
-}
-
-void solve_complex_into(ConstCMatrixView a, std::span<const cplx> b,
-                        std::span<cplx> x, const NumericsPolicy& policy,
-                        Workspace& ws) {
+void solve_complex_regularized_into(ConstCMatrixView a,
+                                    std::span<const cplx> b,
+                                    std::span<cplx> x, Workspace& ws) {
+  constexpr double kInitialRidge = 1e-12;  // of max|A|
+  constexpr double kRidgeGrowth = 100.0;
+  constexpr int kMaxRidgeSteps = 6;
   SPOTFI_EXPECTS(a.rows() == a.cols(), "solve_complex requires square A");
   SPOTFI_EXPECTS(a.rows() == b.size(), "solve_complex shape mismatch");
   const std::size_t n = a.rows();
@@ -84,10 +82,10 @@ void solve_complex_into(ConstCMatrixView a, std::span<const cplx> b,
     for (const cplx& v : a.row(i)) max_abs = std::max(max_abs, std::abs(v));
   }
   const double scale = std::max(max_abs, 1e-300);
-  double ridge = policy.initial_ridge * scale;
+  double ridge = kInitialRidge * scale;
   Workspace::Frame frame(ws);
   const CMatrixView damped = workspace_matrix<cplx>(ws, n, n);
-  for (int attempt = 0; attempt < policy.max_ridge_steps; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRidgeSteps; ++attempt) {
     for (std::size_t i = 0; i < n; ++i) {
       const cplx* src = a.row_ptr(i);
       std::copy(src, src + n, damped.row_ptr(i));
@@ -98,17 +96,10 @@ void solve_complex_into(ConstCMatrixView a, std::span<const cplx> b,
       count_numerics(&NumericsCounters::solve_regularized);
       return;
     } catch (const NumericalError&) {
-      ridge *= policy.ridge_growth;
+      ridge *= kRidgeGrowth;
     }
   }
   throw NumericalError("solve_complex: regularization ladder exhausted");
-}
-
-CVector solve_complex(const CMatrix& a, std::span<const cplx> b,
-                      const NumericsPolicy& policy) {
-  CVector x(b.size());
-  solve_complex_into(ConstCMatrixView(a), b, x, policy, thread_workspace());
-  return x;
 }
 
 namespace {
@@ -340,23 +331,6 @@ GeneralEigRef eig_general(ConstCMatrixView input, Workspace& ws) {
     }
     result.max_residual =
         std::max(result.max_residual, std::sqrt(res) / scale);
-  }
-  return result;
-}
-
-GeneralEig eig_general(const CMatrix& input) {
-  Workspace& ws = thread_workspace();
-  Workspace::Frame frame(ws);
-  const GeneralEigRef ref = eig_general(ConstCMatrixView(input), ws);
-  GeneralEig result;
-  result.converged = ref.converged;
-  result.max_residual = ref.max_residual;
-  result.eigenvalues.assign(ref.eigenvalues.begin(), ref.eigenvalues.end());
-  const std::size_t n = input.rows();
-  result.eigenvectors = CMatrix(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const cplx* src = ref.eigenvectors.row_ptr(i);
-    std::copy(src, src + n, result.eigenvectors.row(i).data());
   }
   return result;
 }

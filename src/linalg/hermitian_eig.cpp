@@ -342,40 +342,4 @@ EighResult eigh(ConstCMatrixView input, Workspace& ws) {
   return result;
 }
 
-SymmetricEig eigh(const RMatrix& a) {
-  Workspace& ws = thread_workspace();
-  Workspace::Frame frame(ws);
-  const CMatrixView c = workspace_matrix<cplx>(ws, a.rows(), a.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j) c(i, j) = a(i, j);
-  const EighResult he = eigh(ConstCMatrixView(c), ws);
-
-  SymmetricEig result;
-  result.eigenvalues.assign(he.eigenvalues.begin(), he.eigenvalues.end());
-  result.converged = he.converged;
-  result.max_residual = he.max_residual;
-  result.rcond = he.rcond;
-  result.eigenvectors = RMatrix(a.rows(), a.cols());
-  // Eigenvectors of a real symmetric matrix are real up to a unit complex
-  // phase; rotate each column so its largest entry is real before dropping
-  // the imaginary part.
-  for (std::size_t j = 0; j < a.cols(); ++j) {
-    std::size_t imax = 0;
-    double best = -1.0;
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      const double m = std::abs(he.eigenvectors(i, j));
-      if (m > best) {
-        best = m;
-        imax = i;
-      }
-    }
-    const cplx pivot = he.eigenvectors(imax, j);
-    const cplx rot =
-        std::abs(pivot) > 0.0 ? std::conj(pivot) / std::abs(pivot) : cplx{1.0};
-    for (std::size_t i = 0; i < a.rows(); ++i)
-      result.eigenvectors(i, j) = (he.eigenvectors(i, j) * rot).real();
-  }
-  return result;
-}
-
 }  // namespace spotfi

@@ -57,15 +57,4 @@ struct EighResult {
 /// diagnostics instead.
 [[nodiscard]] EighResult eigh(ConstCMatrixView a, Workspace& ws);
 
-/// Real symmetric convenience wrapper over the kernel above (used by the
-/// least-squares pseudo-inverse and by gdop).
-struct SymmetricEig {
-  RVector eigenvalues;
-  RMatrix eigenvectors;
-  bool converged = true;
-  double max_residual = 0.0;
-  double rcond = 1.0;
-};
-[[nodiscard]] SymmetricEig eigh(const RMatrix& a);
-
 }  // namespace spotfi

@@ -13,9 +13,6 @@ struct NamedCounter {
 };
 
 constexpr NamedCounter kCounters[] = {
-    {"cholesky-regularized", &NumericsCounters::cholesky_regularized},
-    {"lstsq-regularized", &NumericsCounters::lstsq_regularized},
-    {"lstsq-pseudoinverse", &NumericsCounters::lstsq_pseudoinverse},
     {"solve-regularized", &NumericsCounters::solve_regularized},
     {"eigh-nonconverged", &NumericsCounters::eigh_nonconverged},
     {"eig-general-nonconverged", &NumericsCounters::eig_general_nonconverged},
@@ -29,11 +26,6 @@ constexpr NamedCounter kCounters[] = {
 };
 
 }  // namespace
-
-const NumericsPolicy& NumericsPolicy::defaults() {
-  static const NumericsPolicy policy{};
-  return policy;
-}
 
 std::size_t NumericsCounters::total() const {
   std::size_t sum = 0;

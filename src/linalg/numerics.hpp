@@ -1,17 +1,15 @@
-// Numerical fault containment: the shared policy and telemetry layer for
-// the dense-linalg kernels.
+// Numerical fault containment: the shared telemetry layer for the
+// dense-linalg kernels.
 //
 // SpotFi's estimate chain feeds its kernels adversarial inputs by physics:
 // coherent multipath collapses the smoothed covariance toward rank
 // deficiency before eigh ever runs, the Eq. 9 objective is non-convex, and
 // ill-conditioning — not noise — is the dominant failure mode for
 // super-resolution CSI estimators. Instead of every kernel throwing
-// NumericalError and every caller catching ad hoc, the kernels share:
+// NumericalError and every caller catching ad hoc, the kernels contain
+// their faults in place (ESPRIT's jittered complex solve, eigensolver
+// diagnostics, Levenberg-Marquardt's damping) and report through:
 //
-//  * NumericsPolicy — a retry ladder (exact -> escalating Tikhonov/jitter
-//    regularization -> pivoted/pseudo-inverse fallback) with scales
-//    expressed *relative* to the input, so the same policy works for
-//    metre-scale geometry and nanosecond-scale ToF systems alike.
 //  * NumericsCounters — a telemetry struct counting every time a kernel
 //    had to leave the exact path. ApProcessor::process_robust and
 //    SpotFiServer::try_localize surface these in ApOutcome::note /
@@ -27,35 +25,10 @@
 
 namespace spotfi {
 
-/// Knobs for the regularized retry ladders. All regularization scales are
-/// relative to the magnitude of the input matrix (its largest diagonal or
-/// absolute entry), never absolute.
-struct NumericsPolicy {
-  /// Regularized attempts after the exact factorization fails. Each step
-  /// multiplies the ridge by `ridge_growth`.
-  int max_ridge_steps = 6;
-  /// First ridge, as a fraction of the matrix scale.
-  double initial_ridge = 1e-12;
-  /// Ridge escalation factor between attempts.
-  double ridge_growth = 100.0;
-  /// Let lstsq fall through to a truncated-eigenvalue pseudo-inverse when
-  /// even the ridged normal equations fail.
-  bool allow_pseudoinverse = true;
-  /// Relative eigenvalue cutoff for the pseudo-inverse: eigenvalues below
-  /// `pinv_rcond * lambda_max` are treated as exact zeros.
-  double pinv_rcond = 1e-10;
-
-  /// The library-wide default policy.
-  [[nodiscard]] static const NumericsPolicy& defaults();
-};
-
 /// Telemetry: how many times each containment mechanism fired. One counter
 /// per mechanism, so a degradation note can name the exact fallback that
 /// saved (or failed to save) a round.
 struct NumericsCounters {
-  std::size_t cholesky_regularized = 0;   ///< SPD solve needed a ridge
-  std::size_t lstsq_regularized = 0;      ///< QR failed; ridged normal eqs
-  std::size_t lstsq_pseudoinverse = 0;    ///< terminal pseudo-inverse used
   std::size_t solve_regularized = 0;      ///< complex LU needed jitter
   std::size_t eigh_nonconverged = 0;      ///< QL cap hit, residual too big,
                                           ///< or non-finite input

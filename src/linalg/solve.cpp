@@ -2,53 +2,11 @@
 
 #include <cmath>
 
-#include "linalg/hermitian_eig.hpp"
-
 namespace spotfi {
 namespace {
 
-bool all_finite(const RMatrix& a) {
-  for (const double v : a.flat()) {
-    if (!std::isfinite(v)) return false;
-  }
-  return true;
-}
-
-bool all_finite(std::span<const double> v) {
-  for (const double x : v) {
-    if (!std::isfinite(x)) return false;
-  }
-  return true;
-}
-
-/// Largest diagonal magnitude — the natural scale for an SPD ridge.
-double diagonal_scale(const RMatrix& a) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i) s = std::max(s, std::abs(a(i, i)));
-  return s;
-}
-
-/// Triangular solves L y = b, L^T x = y for a Cholesky factor L.
-RVector cholesky_solve(const RMatrix& l, std::span<const double> b) {
-  const std::size_t n = l.rows();
-  RVector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (std::size_t k = 0; k < i; ++k) sum -= l(i, k) * y[k];
-    y[i] = sum / l(i, i);
-  }
-  RVector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double sum = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) sum -= l(k, ii) * x[k];
-    x[ii] = sum / l(ii, ii);
-  }
-  return x;
-}
-
 /// Factors A = L L^T into a caller-provided slab whose upper triangle must
-/// arrive zeroed (workspace checkouts are). Same loops and throws as the
-/// value flavour.
+/// arrive zeroed (workspace checkouts are).
 void cholesky_into(ConstRMatrixView a, RMatrixView l) {
   SPOTFI_EXPECTS(a.rows() == a.cols(), "cholesky requires a square matrix");
   const std::size_t n = a.rows();
@@ -71,45 +29,6 @@ void cholesky_into(ConstRMatrixView a, RMatrixView l) {
 }
 
 }  // namespace
-
-RMatrix cholesky(const RMatrix& a) {
-  SPOTFI_EXPECTS(a.rows() == a.cols(), "cholesky requires a square matrix");
-  const std::size_t n = a.rows();
-  RMatrix l(n, n);
-  cholesky_into(ConstRMatrixView(a), l.view());
-  return l;
-}
-
-RegularizedCholesky cholesky(const RMatrix& a, const NumericsPolicy& policy) {
-  SPOTFI_EXPECTS(a.rows() == a.cols(), "cholesky requires a square matrix");
-  if (!all_finite(a)) {
-    throw NumericalError("cholesky: matrix has non-finite entries");
-  }
-  RegularizedCholesky result;
-  try {
-    result.l = cholesky(a);
-    return result;
-  } catch (const NumericalError&) {
-    // Fall through to the ladder.
-  }
-  const double scale = std::max(diagonal_scale(a), 1e-300);
-  double ridge = policy.initial_ridge * scale;
-  for (int attempt = 1; attempt <= policy.max_ridge_steps; ++attempt) {
-    RMatrix damped = a;
-    for (std::size_t i = 0; i < a.rows(); ++i) damped(i, i) += ridge;
-    try {
-      result.l = cholesky(damped);
-      result.ridge = ridge;
-      result.attempts = attempt;
-      count_numerics(&NumericsCounters::cholesky_regularized);
-      return result;
-    } catch (const NumericalError&) {
-      ridge *= policy.ridge_growth;
-    }
-  }
-  throw NumericalError(
-      "cholesky: not positive definite even after the regularization ladder");
-}
 
 RVector solve_spd(const RMatrix& a, std::span<const double> b) {
   RVector x(b.size());
@@ -136,134 +55,6 @@ void solve_spd_into(ConstRMatrixView a, std::span<const double> b,
     for (std::size_t k = ii + 1; k < n; ++k) sum -= l(k, ii) * x[k];
     x[ii] = sum / l(ii, ii);
   }
-}
-
-RVector solve_spd(const RMatrix& a, std::span<const double> b,
-                  const NumericsPolicy& policy) {
-  SPOTFI_EXPECTS(a.rows() == b.size(), "solve_spd shape mismatch");
-  if (!all_finite(b)) {
-    throw NumericalError("solve_spd: rhs has non-finite entries");
-  }
-  return cholesky_solve(cholesky(a, policy).l, b);
-}
-
-RVector lstsq(const RMatrix& a, std::span<const double> b) {
-  SPOTFI_EXPECTS(a.rows() >= a.cols(), "lstsq requires rows >= cols");
-  SPOTFI_EXPECTS(a.rows() == b.size(), "lstsq shape mismatch");
-  RVector x(a.cols());
-  lstsq_into(ConstRMatrixView(a), b, x, thread_workspace());
-  return x;
-}
-
-void lstsq_into(ConstRMatrixView a, std::span<const double> b,
-                std::span<double> x, Workspace& ws) {
-  SPOTFI_EXPECTS(a.rows() >= a.cols(), "lstsq requires rows >= cols");
-  SPOTFI_EXPECTS(a.rows() == b.size(), "lstsq shape mismatch");
-  SPOTFI_EXPECTS(x.size() == a.cols(), "lstsq solution size mismatch");
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-
-  // Householder QR, transforming b alongside.
-  Workspace::Frame frame(ws);
-  const RMatrixView r = workspace_clone<double>(ws, a);
-  const std::span<double> rhs = ws.take<double>(m);
-  std::copy(b.begin(), b.end(), rhs.begin());
-  const std::span<double> v_buf = ws.take<double>(m);
-  for (std::size_t k = 0; k < n; ++k) {
-    double norm = 0.0;
-    for (std::size_t i = k; i < m; ++i) norm += r(i, k) * r(i, k);
-    norm = std::sqrt(norm);
-    if (!std::isfinite(norm)) {
-      throw NumericalError("lstsq: matrix has non-finite entries");
-    }
-    if (norm <= 1e-13 * (1.0 + std::abs(r(k, k)))) {
-      throw NumericalError("lstsq: rank-deficient matrix");
-    }
-    const double alpha = r(k, k) >= 0.0 ? -norm : norm;
-    // Householder vector v (implicitly stored), v_k = r(k,k) - alpha.
-    const std::span<double> v = v_buf.first(m - k);
-    v[0] = r(k, k) - alpha;
-    for (std::size_t i = k + 1; i < m; ++i) v[i - k] = r(i, k);
-    const double vtv = dot(std::span<const double>(v), v);
-    if (vtv <= 0.0) continue;
-
-    // Apply H = I - 2 v v^T / (v^T v) to the trailing columns and to rhs.
-    for (std::size_t j = k; j < n; ++j) {
-      double proj = 0.0;
-      for (std::size_t i = k; i < m; ++i) proj += v[i - k] * r(i, j);
-      const double f = 2.0 * proj / vtv;
-      for (std::size_t i = k; i < m; ++i) r(i, j) -= f * v[i - k];
-    }
-    double proj = 0.0;
-    for (std::size_t i = k; i < m; ++i) proj += v[i - k] * rhs[i];
-    const double f = 2.0 * proj / vtv;
-    for (std::size_t i = k; i < m; ++i) rhs[i] -= f * v[i - k];
-    r(k, k) = alpha;
-  }
-
-  // Back substitution on the upper-triangular leading block.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double sum = rhs[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) sum -= r(ii, j) * x[j];
-    if (std::abs(r(ii, ii)) <= 1e-300) {
-      throw NumericalError("lstsq: zero pivot in back substitution");
-    }
-    x[ii] = sum / r(ii, ii);
-  }
-}
-
-RVector lstsq(const RMatrix& a, std::span<const double> b,
-              const NumericsPolicy& policy) {
-  SPOTFI_EXPECTS(a.rows() >= a.cols(), "lstsq requires rows >= cols");
-  SPOTFI_EXPECTS(a.rows() == b.size(), "lstsq shape mismatch");
-  if (!all_finite(a) || !all_finite(b)) {
-    throw NumericalError("lstsq: input has non-finite entries");
-  }
-  try {
-    return lstsq(a, b);
-  } catch (const NumericalError&) {
-    // Fall through to the regularized normal equations.
-  }
-
-  const RMatrix at = a.transpose();
-  const RMatrix ata = at * a;
-  const RVector atb = matvec(at, b);
-  const double scale = std::max(diagonal_scale(ata), 1e-300);
-
-  double ridge = policy.initial_ridge * scale;
-  for (int attempt = 0; attempt < policy.max_ridge_steps; ++attempt) {
-    RMatrix damped = ata;
-    for (std::size_t i = 0; i < ata.rows(); ++i) damped(i, i) += ridge;
-    try {
-      RVector x = solve_spd(damped, atb);
-      count_numerics(&NumericsCounters::lstsq_regularized);
-      return x;
-    } catch (const NumericalError&) {
-      ridge *= policy.ridge_growth;
-    }
-  }
-
-  if (policy.allow_pseudoinverse) {
-    // Terminal fallback: minimum-norm least squares via the truncated
-    // eigendecomposition of A^T A (its eigenvectors are A's right singular
-    // vectors; eigenvalues are squared singular values).
-    const SymmetricEig eig = eigh(ata);
-    const double lambda_max = std::max(eig.eigenvalues.back(), 0.0);
-    const double cut = policy.pinv_rcond * lambda_max;
-    const std::size_t n = ata.rows();
-    RVector x(n, 0.0);
-    for (std::size_t k = 0; k < n; ++k) {
-      const double lambda = eig.eigenvalues[k];
-      if (lambda <= cut || lambda <= 0.0) continue;
-      double proj = 0.0;
-      for (std::size_t i = 0; i < n; ++i) proj += eig.eigenvectors(i, k) * atb[i];
-      const double coeff = proj / lambda;
-      for (std::size_t i = 0; i < n; ++i) x[i] += coeff * eig.eigenvectors(i, k);
-    }
-    count_numerics(&NumericsCounters::lstsq_pseudoinverse);
-    return x;
-  }
-  throw NumericalError("lstsq: regularization ladder exhausted");
 }
 
 }  // namespace spotfi

@@ -2,9 +2,8 @@
 
 #include <cmath>
 
-#include "linalg/hermitian_eig.hpp"
+#include "linalg/matrix.hpp"
 #include "linalg/numerics.hpp"
-#include "linalg/solve.hpp"
 
 namespace spotfi {
 
@@ -30,7 +29,6 @@ Expected<GdopResult, std::string> try_bearing_gdop(
     fim(1, 1) += w * u_perp.y * u_perp.y;
   }
 
-  // Covariance = FIM^-1; its eigenvalues are the squared ellipse axes.
   const double det = fim(0, 0) * fim(1, 1) - fim(0, 1) * fim(1, 0);
   if (!(det > 1e-12 * (1.0 + fim.max_abs() * fim.max_abs()))) {
     // !(>) also rejects a NaN determinant from non-finite poses.
@@ -39,16 +37,15 @@ Expected<GdopResult, std::string> try_bearing_gdop(
         "bearing_gdop: degenerate geometry (all bearings parallel — "
         "APs collinear with the query point, or non-finite input)");
   }
-  RMatrix cov(2, 2);
-  cov(0, 0) = fim(1, 1) / det;
-  cov(0, 1) = -fim(0, 1) / det;
-  cov(1, 0) = -fim(1, 0) / det;
-  cov(1, 1) = fim(0, 0) / det;
-
-  const SymmetricEig eig = eigh(cov);
+  // The squared ellipse axes are the eigenvalues of the covariance
+  // FIM^-1, the reciprocals of the FIM's. The FIM's larger eigenvalue
+  // mu = (f00 + f11)/2 + hypot((f00 - f11)/2, f01) has no cancellation,
+  // and its smaller one is det/mu, so minor^2 = 1/mu and major^2 = mu/det.
+  const double mu = 0.5 * (fim(0, 0) + fim(1, 1)) +
+                    std::hypot(0.5 * (fim(0, 0) - fim(1, 1)), fim(0, 1));
   GdopResult result;
-  result.minor_m = std::sqrt(std::max(eig.eigenvalues[0], 0.0));
-  result.major_m = std::sqrt(std::max(eig.eigenvalues[1], 0.0));
+  result.minor_m = std::sqrt(1.0 / mu);
+  result.major_m = std::sqrt(mu / det);
   result.drms_m = std::hypot(result.major_m, result.minor_m);
   return result;
 }

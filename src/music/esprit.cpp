@@ -12,7 +12,7 @@ namespace {
 /// Least-squares solution of A X = B for skinny complex A via the normal
 /// equations (columns of X solved independently). A rank-deficient normal
 /// matrix — coherent paths collapsing the signal subspace — goes through
-/// the policy's regularization ladder instead of failing outright. The
+/// the regularized solve's jitter ladder instead of failing outright. The
 /// result is checked out of `ws` (caller's frame); all scratch is
 /// released before returning.
 CMatrixView complex_lstsq(ConstCMatrixView a, ConstCMatrixView b,
@@ -33,8 +33,7 @@ CMatrixView complex_lstsq(ConstCMatrixView a, ConstCMatrixView b,
   const std::span<cplx> sol = ws.take<cplx>(a.cols());
   for (std::size_t j = 0; j < b.cols(); ++j) {
     for (std::size_t i = 0; i < a.cols(); ++i) rhs[i] = atb(i, j);
-    solve_complex_into(ConstCMatrixView(ata), rhs, sol,
-                       NumericsPolicy::defaults(), ws);
+    solve_complex_regularized_into(ConstCMatrixView(ata), rhs, sol, ws);
     for (std::size_t i = 0; i < a.cols(); ++i) x(i, j) = sol[i];
   }
   return x;
@@ -147,8 +146,8 @@ std::size_t JointEspritEstimator::estimate_into(
     const std::span<cplx> sol = ws.take<cplx>(n_signal);
     for (std::size_t j = 0; j < n_signal; ++j) {
       for (std::size_t i = 0; i < n_signal; ++i) col[i] = rhs(i, j);
-      solve_complex_into(ConstCMatrixView(te.eigenvectors), col, sol,
-                         NumericsPolicy::defaults(), ws);
+      solve_complex_regularized_into(ConstCMatrixView(te.eigenvectors), col,
+                                     sol, ws);
       for (std::size_t i = 0; i < n_signal; ++i) phi_in_basis(i, j) = sol[i];
     }
   } catch (const NumericalError&) {

@@ -281,6 +281,21 @@ TEST(Gdop, PerpendicularBearingsGiveCircularEllipse) {
   EXPECT_NEAR(g.drms_m, std::sqrt(2.0) * sigma * d, 1e-9);
 }
 
+TEST(Gdop, UnequalRangesGiveTheirOwnAxes) {
+  // Perpendicular bearings from 3 m and 8 m, rotated 30 degrees off the
+  // axes: the covariance has unequal eigenvalues and an off-diagonal
+  // term, and each semi-axis is sigma times the range of the AP whose
+  // bearing constrains it.
+  const double sigma = deg_to_rad(3.0);
+  const double rot = deg_to_rad(30.0);
+  const Vec2 u{std::cos(rot), std::sin(rot)};
+  const std::vector<ArrayPose> aps{
+      ArrayPose{u * -3.0, rot}, ArrayPose{u.perp() * -8.0, rot + kPi / 2.0}};
+  const GdopResult g = bearing_gdop(aps, {0.0, 0.0}, sigma);
+  EXPECT_NEAR(g.major_m, 8.0 * sigma, 1e-9);
+  EXPECT_NEAR(g.minor_m, 3.0 * sigma, 1e-9);
+}
+
 TEST(Gdop, NearCollinearBearingsBlowUpTheMajorAxis) {
   const double sigma = deg_to_rad(3.0);
   // Two APs almost in line with the target: bearings nearly parallel.

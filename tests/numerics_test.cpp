@@ -1,8 +1,9 @@
 // Edge-case tests for the numerical fault containment layer: the
-// NumericsScope telemetry, the regularized retry ladders in the dense
-// solvers, eigensolver diagnostics on defective/rank-deficient inputs,
-// Levenberg-Marquardt's non-finite containment and per-parameter FD
-// scaling, GMM flooring on coincident data, and degenerate GDOP geometry.
+// NumericsScope telemetry, the strict SPD solve's throws and the complex
+// solve's jitter ladder, eigensolver diagnostics on defective and
+// rank-deficient inputs, Levenberg-Marquardt's non-finite containment and
+// per-parameter FD scaling, GMM flooring on coincident data, and
+// degenerate GDOP geometry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,13 +29,13 @@ constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
 TEST(NumericsScope, CountsOnlyWhileActive) {
   EXPECT_FALSE(numerics_scope_active());
-  count_numerics(&NumericsCounters::cholesky_regularized);  // no-op, no scope
+  count_numerics(&NumericsCounters::solve_regularized);  // no-op, no scope
   {
     NumericsScope scope;
     EXPECT_TRUE(numerics_scope_active());
-    count_numerics(&NumericsCounters::cholesky_regularized);
+    count_numerics(&NumericsCounters::solve_regularized);
     count_numerics(&NumericsCounters::gdop_degenerate, 3);
-    EXPECT_EQ(scope.counters().cholesky_regularized, 1u);
+    EXPECT_EQ(scope.counters().solve_regularized, 1u);
     EXPECT_EQ(scope.counters().gdop_degenerate, 3u);
     EXPECT_EQ(scope.counters().total(), 4u);
     EXPECT_TRUE(scope.counters().any());
@@ -44,96 +45,51 @@ TEST(NumericsScope, CountsOnlyWhileActive) {
 
 TEST(NumericsScope, NestedScopesFoldIntoParent) {
   NumericsScope outer;
-  count_numerics(&NumericsCounters::lstsq_regularized);
+  count_numerics(&NumericsCounters::levmar_solve_failed);
   {
     NumericsScope inner;
-    count_numerics(&NumericsCounters::lstsq_regularized);
+    count_numerics(&NumericsCounters::levmar_solve_failed);
     count_numerics(&NumericsCounters::eigh_nonconverged);
     // While the inner scope is active, events land there, not in outer.
-    EXPECT_EQ(inner.counters().lstsq_regularized, 1u);
-    EXPECT_EQ(outer.counters().lstsq_regularized, 1u);
+    EXPECT_EQ(inner.counters().levmar_solve_failed, 1u);
+    EXPECT_EQ(outer.counters().levmar_solve_failed, 1u);
   }
   // Destruction folded the inner tallies into the outer scope.
-  EXPECT_EQ(outer.counters().lstsq_regularized, 2u);
+  EXPECT_EQ(outer.counters().levmar_solve_failed, 2u);
   EXPECT_EQ(outer.counters().eigh_nonconverged, 1u);
 }
 
 TEST(NumericsCounters, SummaryNamesOnlyNonZero) {
   NumericsCounters c;
   EXPECT_EQ(c.summary(), "");
-  c.cholesky_regularized = 2;
+  c.solve_regularized = 2;
   c.gmm_variance_floored = 1;
   const std::string s = c.summary();
-  EXPECT_NE(s.find("cholesky-regularized=2"), std::string::npos);
+  EXPECT_NE(s.find("solve-regularized=2"), std::string::npos);
   EXPECT_NE(s.find("gmm-variance-floored=1"), std::string::npos);
-  EXPECT_EQ(s.find("lstsq"), std::string::npos);
+  EXPECT_EQ(s.find("levmar"), std::string::npos);
 }
 
-// --- cholesky / solve ladders ---
-
-TEST(RetryLadder, CholeskyRecoversSingularPsdMatrix) {
-  // Rank-1 PSD: strictly not positive definite, so the exact factorization
-  // fails and the ladder must step in.
-  const RMatrix a{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_THROW((void)cholesky(a), NumericalError);
-
-  NumericsScope scope;
-  const RegularizedCholesky rc = cholesky(a, NumericsPolicy::defaults());
-  EXPECT_GT(rc.ridge, 0.0);
-  EXPECT_GE(rc.attempts, 1);
-  EXPECT_GE(scope.counters().cholesky_regularized, 1u);
-  // The factor reproduces the damped matrix: L L^T = A + ridge I.
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < 2; ++k) s += rc.l(i, k) * rc.l(j, k);
-      const double expected = a(i, j) + (i == j ? rc.ridge : 0.0);
-      EXPECT_NEAR(s, expected, 1e-9 * (1.0 + std::abs(expected)));
-    }
-  }
-}
-
-TEST(RetryLadder, CholeskyRejectsNonFiniteInput) {
-  RMatrix a{{1.0, 0.0}, {0.0, 1.0}};
-  a(0, 1) = kNan;
-  EXPECT_THROW((void)cholesky(a, NumericsPolicy::defaults()), NumericalError);
-}
+// --- strict SPD solve / complex solve ladder ---
 
 TEST(RetryLadder, StrictCholeskyCatchesNanPivot) {
   // A NaN on the diagonal must fail the factorization, not propagate.
   RMatrix a{{1.0, 0.0}, {0.0, 1.0}};
   a(1, 1) = kNan;
-  EXPECT_THROW((void)cholesky(a), NumericalError);
-}
-
-TEST(RetryLadder, LstsqRecoversRankDeficientSystem) {
-  // Columns are exact multiples: rank 1, so strict QR refuses.
-  const RMatrix a{{1.0, 2.0}, {2.0, 4.0}, {3.0, 6.0}};
-  const RVector b{1.0, 2.0, 3.0};
-  EXPECT_THROW((void)lstsq(a, b), NumericalError);
-
-  NumericsScope scope;
-  const RVector x = lstsq(a, b, NumericsPolicy::defaults());
-  EXPECT_GE(scope.counters().lstsq_regularized +
-                scope.counters().lstsq_pseudoinverse,
-            1u);
-  // b lies in the column space, so the regularized solution must still
-  // reproduce it: A x ~= b.
-  for (std::size_t i = 0; i < 3; ++i) {
-    double ax = 0.0;
-    for (std::size_t j = 0; j < 2; ++j) ax += a(i, j) * x[j];
-    EXPECT_NEAR(ax, b[i], 1e-5);
-  }
+  const RVector b{1.0, 1.0};
+  EXPECT_THROW((void)solve_spd(a, b), NumericalError);
 }
 
 TEST(RetryLadder, SolveComplexRegularizesSingularMatrix) {
   const CMatrix a{{cplx(1.0, 0.0), cplx(2.0, 0.0)},
                   {cplx(2.0, 0.0), cplx(4.0, 0.0)}};
   const CVector b{cplx(1.0, 0.0), cplx(2.0, 0.0)};
-  EXPECT_THROW((void)solve_complex(a, b), NumericalError);
+  Workspace ws;
+  CVector x(2);
+  EXPECT_THROW(solve_complex_into(a, b, x, ws), NumericalError);
 
   NumericsScope scope;
-  const CVector x = solve_complex(a, b, NumericsPolicy::defaults());
+  solve_complex_regularized_into(a, b, x, ws);
   EXPECT_GE(scope.counters().solve_regularized, 1u);
   // The rhs is in the range of A; the jittered solve must reproduce it.
   for (std::size_t i = 0; i < 2; ++i) {
@@ -146,8 +102,9 @@ TEST(RetryLadder, SolveComplexRegularizesSingularMatrix) {
 TEST(RetryLadder, SolveComplexRejectsNonFiniteRhs) {
   const CMatrix a{{cplx(1.0, 0.0), cplx{}}, {cplx{}, cplx(1.0, 0.0)}};
   const CVector b{cplx(kNan, 0.0), cplx(1.0, 0.0)};
-  EXPECT_THROW((void)solve_complex(a, b, NumericsPolicy::defaults()),
-               NumericalError);
+  Workspace ws;
+  CVector x(2);
+  EXPECT_THROW(solve_complex_regularized_into(a, b, x, ws), NumericalError);
 }
 
 // --- eigh diagnostics ---
@@ -482,7 +439,8 @@ TEST(EigGeneralDiagnostics, JordanBlockDoesNotThrow) {
   const std::size_t n = 4;
   CMatrix a(n, n);
   for (std::size_t i = 0; i + 1 < n; ++i) a(i, i + 1) = cplx(1.0, 0.0);
-  const GeneralEig eig = eig_general(a);
+  Workspace ws;
+  const GeneralEigRef eig = eig_general(a, ws);
   EXPECT_EQ(eig.eigenvalues.size(), n);
   for (const cplx& ev : eig.eigenvalues) {
     EXPECT_TRUE(std::isfinite(ev.real()) && std::isfinite(ev.imag()));
@@ -494,7 +452,8 @@ TEST(EigGeneralDiagnostics, CleanMatrixHasTinyResidual) {
   Rng rng(9);
   CMatrix a(4, 4);
   for (auto& e : a.flat()) e = cplx(rng.normal(), rng.normal());
-  const GeneralEig eig = eig_general(a);
+  Workspace ws;
+  const GeneralEigRef eig = eig_general(a, ws);
   EXPECT_TRUE(eig.converged);
   EXPECT_LT(eig.max_residual, 1e-6);
 }
@@ -503,7 +462,8 @@ TEST(EigGeneralDiagnostics, NanInputIsPoisonedNotLooped) {
   CMatrix a(3, 3);
   a(0, 0) = cplx(kNan, 0.0);
   NumericsScope scope;
-  const GeneralEig eig = eig_general(a);
+  Workspace ws;
+  const GeneralEigRef eig = eig_general(a, ws);
   EXPECT_FALSE(eig.converged);
   EXPECT_TRUE(std::isinf(eig.max_residual));
   EXPECT_EQ(scope.counters().eig_general_nonconverged, 1u);
