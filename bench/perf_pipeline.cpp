@@ -76,6 +76,26 @@ void BM_LocalizeSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalizeSolve);
 
+/// uplink_durable's solve: the first three APs, each at the fallback
+/// chain's RSSI-only rung, so every residual evaluation skips the bearing.
+void BM_LocalizeSolveRssiOnly3Aps(benchmark::State& state) {
+  auto& f = fixture();
+  LocalizerConfig cfg;
+  cfg.area_min = f.runner.deployment().area_min;
+  cfg.area_max = f.runner.deployment().area_max;
+  const SpotFiLocalizer localizer(cfg);
+  std::vector<ApObservation> observations(f.observations.begin(),
+                                          f.observations.begin() + 3);
+  for (ApObservation& obs : observations) {
+    obs.has_aoa = false;
+    obs.likelihood = ApFallbackConfig{}.rssi_only_likelihood;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(localizer.locate(observations));
+  }
+}
+BENCHMARK(BM_LocalizeSolveRssiOnly3Aps);
+
 void BM_FullRound6Aps(benchmark::State& state) {
   auto& f = fixture();
   ServerConfig cfg = f.runner.config().server;

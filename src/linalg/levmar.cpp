@@ -1,6 +1,7 @@
 #include "linalg/levmar.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "linalg/numerics.hpp"
 #include "linalg/solve.hpp"
@@ -31,11 +32,13 @@ bool all_finite(ConstRMatrixView a) {
 }
 
 /// Central-difference Jacobian written into a caller-provided slab. `xp`
-/// is the perturbed-parameter scratch (size n).
+/// is the perturbed-parameter scratch (size n), `rp`/`rm` the two probes'
+/// residuals (size m).
 void finite_difference_jacobian(const ResidualFn& f,
-                                std::span<const double> x, std::size_t m,
+                                std::span<const double> x,
                                 const LevMarOptions& options, RMatrixView j,
-                                std::span<double> xp) {
+                                std::span<double> xp, std::span<double> rp,
+                                std::span<double> rm) {
   std::copy(x.begin(), x.end(), xp.begin());
   for (std::size_t col = 0; col < x.size(); ++col) {
     const double scale = options.fd_scales.empty()
@@ -45,32 +48,29 @@ void finite_difference_jacobian(const ResidualFn& f,
         options.fd_step * std::max(std::abs(x[col]), std::max(scale, 1e-300));
     const double orig = xp[col];
     xp[col] = orig + step;
-    const RVector rp = f(xp);
+    f(xp, rp);
     xp[col] = orig - step;
-    const RVector rm = f(xp);
+    f(xp, rm);
     xp[col] = orig;
-    SPOTFI_EXPECTS(rp.size() == m && rm.size() == m,
-                   "residual size changed between evaluations");
-    for (std::size_t row = 0; row < m; ++row)
+    for (std::size_t row = 0; row < rp.size(); ++row)
       j(row, col) = (rp[row] - rm[row]) / (2.0 * step);
   }
 }
 
 }  // namespace
 
-LevMarResult levenberg_marquardt(const ResidualFn& residuals,
+LevMarResult levenberg_marquardt(const ResidualFn& residuals, std::size_t m,
                                  std::span<const double> x0,
-                                 const LevMarOptions& options,
-                                 const JacobianFn& jacobian) {
-  return levenberg_marquardt(residuals, x0, options, jacobian,
-                             thread_workspace());
+                                 const LevMarOptions& options) {
+  return levenberg_marquardt(residuals, m, x0, options, thread_workspace());
 }
 
-LevMarResult levenberg_marquardt(const ResidualFn& residuals,
+LevMarResult levenberg_marquardt(const ResidualFn& residuals, std::size_t m,
                                  std::span<const double> x0,
-                                 const LevMarOptions& options,
-                                 const JacobianFn& jacobian, Workspace& ws) {
+                                 const LevMarOptions& options, Workspace& ws) {
   SPOTFI_EXPECTS(!x0.empty(), "levenberg_marquardt requires parameters");
+  SPOTFI_EXPECTS(m >= x0.size(),
+                 "need at least as many residuals as parameters");
   SPOTFI_EXPECTS(options.max_iterations > 0, "max_iterations must be > 0");
   SPOTFI_EXPECTS(
       options.fd_scales.empty() || options.fd_scales.size() == x0.size(),
@@ -86,9 +86,25 @@ LevMarResult levenberg_marquardt(const ResidualFn& residuals,
     return result;
   }
 
-  RVector r = residuals(result.x);
-  SPOTFI_EXPECTS(r.size() >= x0.size(),
-                 "need at least as many residuals as parameters");
+  // All buffers are taken once and fully overwritten on every use, so
+  // the iterations cost zero allocations; the residual function writes
+  // into them.
+  const std::size_t n = x0.size();
+  Workspace::Frame frame(ws);
+  std::span<double> r = ws.take<double>(m);
+  std::span<double> r_try = ws.take<double>(m);
+  const std::span<double> fd_rp = ws.take<double>(m);
+  const std::span<double> fd_rm = ws.take<double>(m);
+  const RMatrixView j = workspace_matrix<double>(ws, m, n);
+  const RMatrixView jtj = workspace_matrix<double>(ws, n, n);
+  const RMatrixView damped = workspace_matrix<double>(ws, n, n);
+  const std::span<double> jtr = ws.take<double>(n);
+  const std::span<double> neg_jtr = ws.take<double>(n);
+  const std::span<double> dx = ws.take<double>(n);
+  const std::span<double> x_try = ws.take<double>(n);
+  const std::span<double> fd_x = ws.take<double>(n);
+
+  residuals(result.x, r);
   result.cost = half_squared_norm(r);
   if (!all_finite(r) || !std::isfinite(result.cost)) {
     // The start itself sits in a non-finite region; there is no finite
@@ -99,8 +115,6 @@ LevMarResult levenberg_marquardt(const ResidualFn& residuals,
     return result;
   }
 
-  const std::size_t n = x0.size();
-  const std::size_t m = r.size();
   double lambda = options.initial_lambda;
 
   // Characteristic parameter scale for the step-size trust guard.
@@ -111,36 +125,13 @@ LevMarResult levenberg_marquardt(const ResidualFn& residuals,
   }
   x_scale = std::max(x_scale, 1e-300);
 
-  // All per-iteration buffers are hoisted out of the loop and fully
-  // overwritten on every use, so steady-state iterations cost zero
-  // allocations beyond the caller's residual closure.
-  Workspace::Frame frame(ws);
-  const RMatrixView j = workspace_matrix<double>(ws, m, n);
-  const RMatrixView jtj = workspace_matrix<double>(ws, n, n);
-  const RMatrixView damped = workspace_matrix<double>(ws, n, n);
-  const std::span<double> jtr = ws.take<double>(n);
-  const std::span<double> neg_jtr = ws.take<double>(n);
-  const std::span<double> dx = ws.take<double>(n);
-  const std::span<double> x_try = ws.take<double>(n);
-  const std::span<double> fd_x = ws.take<double>(n);
-
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
-    if (jacobian) {
-      const RMatrix ja = jacobian(result.x);
-      SPOTFI_EXPECTS(ja.rows() == m && ja.cols() == n,
-                     "jacobian shape mismatch");
-      for (std::size_t row = 0; row < m; ++row) {
-        const auto src = ja.row(row);
-        std::copy(src.begin(), src.end(), j.row(row).begin());
-      }
-    } else {
-      finite_difference_jacobian(residuals, result.x, m, options, j, fd_x);
-    }
+    finite_difference_jacobian(residuals, result.x, options, j, fd_x, fd_rp,
+                               fd_rm);
     if (!all_finite(ConstRMatrixView(j))) {
       // The current point is finite but its neighborhood is not (FD probes
-      // crossed into a NaN region, or an analytic Jacobian blew up). No
-      // usable descent direction exists.
+      // crossed into a NaN region). No usable descent direction exists.
       result.diverged = true;
       result.reason = "non-finite Jacobian";
       count_numerics(&NumericsCounters::levmar_poisoned);
@@ -188,7 +179,7 @@ LevMarResult levenberg_marquardt(const ResidualFn& residuals,
       }
 
       for (std::size_t a = 0; a < n; ++a) x_try[a] = result.x[a] + dx[a];
-      RVector r_try = residuals(std::span<const double>(x_try));
+      residuals(x_try, r_try);
       const double cost_try = half_squared_norm(r_try);
       if (!all_finite(r_try) || !std::isfinite(cost_try)) {
         // Stepped into a non-finite region: reject and shrink the step.
@@ -203,7 +194,7 @@ LevMarResult levenberg_marquardt(const ResidualFn& residuals,
         const double improvement =
             (result.cost - cost_try) / std::max(result.cost, 1e-300);
         std::copy(x_try.begin(), x_try.end(), result.x.begin());
-        r = std::move(r_try);
+        std::swap(r, r_try);
         result.cost = cost_try;
         lambda = std::max(lambda * options.lambda_down, 1e-12);
         stepped = true;

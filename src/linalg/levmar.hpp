@@ -23,13 +23,12 @@
 
 namespace spotfi {
 
-/// Residual function: given parameters x (size n), returns residuals r
-/// (size m >= n). The objective minimized is 0.5 * ||r(x)||^2.
-using ResidualFn = std::function<RVector(std::span<const double>)>;
-
-/// Optional analytic Jacobian: J(i,j) = d r_i / d x_j. When absent, a
-/// central-difference Jacobian is used.
-using JacobianFn = std::function<RMatrix(std::span<const double>)>;
+/// Residual function: given parameters x (size n), writes the residuals
+/// into r, whose size is the residual count m >= n passed to the solver.
+/// It must write all m values on every call. The objective minimized is
+/// 0.5 * ||r(x)||^2; the Jacobian is central differences.
+using ResidualFn =
+    std::function<void(std::span<const double> x, std::span<double> r)>;
 
 struct LevMarOptions {
   int max_iterations = 100;
@@ -76,17 +75,18 @@ struct LevMarResult {
   std::size_t nonfinite_trials = 0;
 };
 
-/// Minimizes 0.5*||r(x)||^2 starting from x0.
+/// Minimizes 0.5*||r(x)||^2 over m residuals starting from x0.
 [[nodiscard]] LevMarResult levenberg_marquardt(
-    const ResidualFn& residuals, std::span<const double> x0,
-    const LevMarOptions& options = {}, const JacobianFn& jacobian = {});
+    const ResidualFn& residuals, std::size_t m, std::span<const double> x0,
+    const LevMarOptions& options = {});
 
-/// Workspace variant: the Jacobian, normal-equation, and trial buffers
-/// live on `ws` (hoisted once per call, reused across iterations); only
-/// the result struct and the caller's residual closures allocate. The
-/// default overload wraps this one; results are bit-identical.
+/// Workspace variant: the current and trial residuals, both
+/// finite-difference probes, the Jacobian and the normal equations live
+/// on `ws` (taken once per call, reused across iterations); only the
+/// result's `x` allocates. The default overload wraps this one; results
+/// are bit-identical.
 [[nodiscard]] LevMarResult levenberg_marquardt(
-    const ResidualFn& residuals, std::span<const double> x0,
-    const LevMarOptions& options, const JacobianFn& jacobian, Workspace& ws);
+    const ResidualFn& residuals, std::size_t m, std::span<const double> x0,
+    const LevMarOptions& options, Workspace& ws);
 
 }  // namespace spotfi

@@ -49,17 +49,17 @@ Vec2 trilaterate_rssi(std::span<const ApObservation> observations,
   }
   centroid = centroid / static_cast<double>(observations.size());
 
-  const ResidualFn residuals = [&](std::span<const double> p) {
-    RVector r(observations.size());
+  const ResidualFn residuals = [&](std::span<const double> p,
+                                   std::span<double> r) {
     for (std::size_t i = 0; i < observations.size(); ++i) {
       const double d =
           distance({p[0], p[1]}, observations[i].pose.position);
       r[i] = d - ranges[i];
     }
-    return r;
   };
   const RVector x0{centroid.x, centroid.y};
-  const LevMarResult res = levenberg_marquardt(residuals, x0, config.levmar);
+  const LevMarResult res = levenberg_marquardt(
+      residuals, observations.size(), x0, config.levmar);
   return {res.x[0], res.x[1]};
 }
 

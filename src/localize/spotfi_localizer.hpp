@@ -82,16 +82,17 @@ class SpotFiLocalizer {
   [[nodiscard]] LocationEstimate locate(
       std::span<const ApObservation> observations) const;
 
-  /// Workspace variant: the usable-observation list, the multi-start seed
-  /// grid, and the LM solver scratch (Jacobian, normal equations, trial
-  /// points) live on `ws`, frame-scoped; only the residual closure's
-  /// return vectors allocate. The value flavour wraps this one; results
-  /// are identical.
+  /// Workspace variant: the per-AP term table, the per-point distances,
+  /// the multi-start seed grid and the LM solver scratch (residuals,
+  /// finite-difference probes, Jacobian, normal equations) live on `ws`,
+  /// frame-scoped; only each start's `LevMarResult::x` allocates. The
+  /// value flavour wraps this one; results are identical.
   [[nodiscard]] LocationEstimate locate(
       std::span<const ApObservation> observations, Workspace& ws) const;
 
   /// The Eq. 9 objective at a given location/path-loss (diagnostics and
-  /// tests).
+  /// tests), evaluated by the kernel behind `locate`'s residuals. Scratch
+  /// comes from thread_workspace().
   [[nodiscard]] double objective(std::span<const ApObservation> observations,
                                  Vec2 location,
                                  const PathLossModel& model) const;

@@ -23,6 +23,7 @@
 #include "csi/sanitize.hpp"
 #include "geom/floorplan.hpp"
 #include "pipeline/stages.hpp"
+#include "testbed/experiment.hpp"
 
 // --- counting allocator -----------------------------------------------
 
@@ -235,6 +236,41 @@ TEST(ZeroAlloc, WorkspacePeakTelemetryRidesApOutcome) {
   EXPECT_EQ(outcome.stage, ApStage::kPrimary);
   EXPECT_GT(outcome.workspace_peak_bytes, kSpectrumBytes);
   EXPECT_LT(outcome.workspace_peak_bytes, 4u * 1024u * 1024u);
+}
+
+TEST(ZeroAlloc, WarmLocateAllocatesOncePerSeedPlusOne) {
+  // The Eq. 9 solve keeps its per-AP term table, per-point distances and
+  // every LM buffer (residuals, finite-difference probes, Jacobian) on
+  // the arena. What stays on the heap is each multi-start seed's
+  // LevMarResult::x, plus at most one residual closure. The set: the six
+  // served observations of one office round (perf_pipeline's fixture).
+  ExperimentConfig ecfg;
+  ecfg.packets_per_group = 10;
+  const ExperimentRunner runner(kLink, office_deployment(), ecfg);
+  Rng rng(3);
+  const auto captures = runner.simulate_captures({6.0, 3.5}, rng);
+  const SpotFiServer server(kLink, runner.config().server);
+  const auto round = server.try_localize(captures, rng);
+  ASSERT_TRUE(round.has_value());
+  std::vector<ApObservation> obs;
+  for (const auto& r : round->ap_results) obs.push_back(r.observation);
+  ASSERT_EQ(obs.size(), 6u);
+
+  const SpotFiLocalizer localizer(runner.config().server.localizer);
+  Workspace ws;
+  (void)localizer.locate(obs, ws);
+  ws.reset();
+  const WorkspaceStats warmed = ws.stats();
+
+  const std::size_t before = allocations();
+  const LocationEstimate est = localizer.locate(obs, ws);
+  const std::size_t n_allocs = allocations() - before;
+  const std::size_t grid = localizer.config().seed_grid;
+  const std::size_t seeds = grid * grid + 1;
+  EXPECT_EQ(est.starts_tried, seeds);
+  EXPECT_LE(n_allocs, seeds + 1)
+      << "a warm locate() allocated per residual evaluation, not per seed";
+  EXPECT_EQ(ws.stats().block_allocations, warmed.block_allocations);
 }
 
 }  // namespace

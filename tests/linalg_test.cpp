@@ -248,15 +248,13 @@ TEST(LevMar, SolvesLinearFitExactly) {
   const RVector t{0.0, 1.0, 2.0, 3.0, 4.0};
   RVector y(t.size());
   for (std::size_t i = 0; i < t.size(); ++i) y[i] = 1.5 - 2.0 * t[i];
-  const ResidualFn fn = [&](std::span<const double> p) {
-    RVector r(t.size());
+  const ResidualFn fn = [&](std::span<const double> p, std::span<double> r) {
     for (std::size_t i = 0; i < t.size(); ++i) {
       r[i] = p[0] + p[1] * t[i] - y[i];
     }
-    return r;
   };
   const RVector x0{0.0, 0.0};
-  const LevMarResult res = levenberg_marquardt(fn, x0);
+  const LevMarResult res = levenberg_marquardt(fn, t.size(), x0);
   EXPECT_TRUE(res.converged);
   EXPECT_NEAR(res.x[0], 1.5, 1e-6);
   EXPECT_NEAR(res.x[1], -2.0, 1e-6);
@@ -265,35 +263,16 @@ TEST(LevMar, SolvesLinearFitExactly) {
 
 TEST(LevMar, RosenbrockValleyConverges) {
   // Rosenbrock as least squares: r = (1-x, 10*(y-x^2)).
-  const ResidualFn fn = [](std::span<const double> p) {
-    return RVector{1.0 - p[0], 10.0 * (p[1] - p[0] * p[0])};
+  const ResidualFn fn = [](std::span<const double> p, std::span<double> r) {
+    r[0] = 1.0 - p[0];
+    r[1] = 10.0 * (p[1] - p[0] * p[0]);
   };
   const RVector x0{-1.2, 1.0};
   LevMarOptions opts;
   opts.max_iterations = 300;
-  const LevMarResult res = levenberg_marquardt(fn, x0, opts);
+  const LevMarResult res = levenberg_marquardt(fn, 2, x0, opts);
   EXPECT_NEAR(res.x[0], 1.0, 1e-5);
   EXPECT_NEAR(res.x[1], 1.0, 1e-5);
-}
-
-TEST(LevMar, AnalyticJacobianPathAgrees) {
-  const ResidualFn fn = [](std::span<const double> p) {
-    return RVector{p[0] - 3.0, 2.0 * (p[1] + 1.0), p[0] * p[1]};
-  };
-  const JacobianFn jac = [](std::span<const double> p) {
-    RMatrix j(3, 2);
-    j(0, 0) = 1.0;
-    j(1, 1) = 2.0;
-    j(2, 0) = p[1];
-    j(2, 1) = p[0];
-    return j;
-  };
-  const RVector x0{1.0, 1.0};
-  const LevMarResult a = levenberg_marquardt(fn, x0);
-  const LevMarResult b = levenberg_marquardt(fn, x0, {}, jac);
-  EXPECT_NEAR(a.cost, b.cost, 1e-8);
-  EXPECT_NEAR(a.x[0], b.x[0], 1e-4);
-  EXPECT_NEAR(a.x[1], b.x[1], 1e-4);
 }
 
 TEST(SolveComplex, RecoversKnownSolution) {
@@ -477,11 +456,11 @@ TEST(Matrix, MaxAbsAndEquality) {
 }
 
 TEST(LevMar, UnderdeterminedThrows) {
-  const ResidualFn fn = [](std::span<const double> p) {
-    return RVector{p[0]};
+  const ResidualFn fn = [](std::span<const double> p, std::span<double> r) {
+    r[0] = p[0];
   };
   const RVector x0{1.0, 1.0};  // 2 params, 1 residual
-  EXPECT_THROW(levenberg_marquardt(fn, x0), ContractViolation);
+  EXPECT_THROW(levenberg_marquardt(fn, 1, x0), ContractViolation);
 }
 
 }  // namespace

@@ -88,6 +88,36 @@ TEST(SpotFiLocalizer, FitsPathLossParametersJointly) {
   EXPECT_NEAR(est.path_loss.p0_dbm, -45.0, 2.0);
 }
 
+TEST(SpotFiLocalizer, ReferenceDistanceIsHonoured) {
+  // Exact observations from a model with d0 = 2 m. The path-loss fit must
+  // regress on log10(d / d0), the form rssi_dbm predicts with; regressing
+  // on log10(d) biases every RSSI residual and moves the fix.
+  const Vec2 truth{10.0, 6.0};
+  PathLossModel model;
+  model.p0_dbm = -45.0;
+  model.exponent = 3.2;
+  model.d0_m = 2.0;
+  auto obs = consistent_observations(truth, model);
+  LocalizerConfig cfg;
+  cfg.area_max = {16.0, 10.0};
+  cfg.initial_path_loss.d0_m = 2.0;
+  const SpotFiLocalizer localizer(cfg);
+  const LocationEstimate est = localizer.locate(obs);
+  EXPECT_NEAR(est.position.x, truth.x, 1e-6);
+  EXPECT_NEAR(est.position.y, truth.y, 1e-6);
+  EXPECT_LT(est.cost, 1e-12);
+  EXPECT_NEAR(est.path_loss.p0_dbm, -45.0, 1e-6);
+  EXPECT_NEAR(est.path_loss.exponent, 3.2, 1e-6);
+  EXPECT_EQ(est.path_loss.d0_m, 2.0);
+
+  // The range constraints alone must land on the truth too.
+  for (auto& o : obs) o.has_aoa = false;
+  const LocationEstimate rssi_only = localizer.locate(obs);
+  EXPECT_NEAR(rssi_only.position.x, truth.x, 1e-3);
+  EXPECT_NEAR(rssi_only.position.y, truth.y, 1e-3);
+  EXPECT_NEAR(rssi_only.path_loss.exponent, 3.2, 1e-3);
+}
+
 TEST(SpotFiLocalizer, LikelihoodDownWeightsBadAp) {
   const Vec2 truth{6.0, 3.5};
   PathLossModel model;
@@ -159,6 +189,9 @@ TEST(SpotFiLocalizer, InvalidConfigThrows) {
   bad_exp.min_exponent = 3.0;
   bad_exp.max_exponent = 2.0;
   EXPECT_THROW(SpotFiLocalizer{bad_exp}, ContractViolation);
+  LocalizerConfig bad_d0;
+  bad_d0.initial_path_loss.d0_m = 0.0;
+  EXPECT_THROW(SpotFiLocalizer{bad_d0}, ContractViolation);
 }
 
 // --- baselines ---

@@ -472,11 +472,12 @@ TEST(EigGeneralDiagnostics, NanInputIsPoisonedNotLooped) {
 // --- Levenberg-Marquardt containment ---
 
 TEST(LevMarContainment, NonFiniteStartIsDivergedNotChurned) {
-  const ResidualFn f = [](std::span<const double> x) {
-    return RVector{x[0] - 1.0, kNan};
+  const ResidualFn f = [](std::span<const double> x, std::span<double> r) {
+    r[0] = x[0] - 1.0;
+    r[1] = kNan;
   };
   NumericsScope scope;
-  const LevMarResult res = levenberg_marquardt(f, RVector{0.0});
+  const LevMarResult res = levenberg_marquardt(f, 2, RVector{0.0});
   EXPECT_TRUE(res.diverged);
   EXPECT_FALSE(res.converged);
   EXPECT_FALSE(res.reason.empty());
@@ -487,12 +488,16 @@ TEST(LevMarContainment, NanWallIsContainedAndResultStaysFinite) {
   // Residual valid only for x < 1; the optimum pull is toward larger x.
   // Trials crossing the wall must be rejected like uphill steps and the
   // returned iterate must stay finite.
-  const ResidualFn f = [](std::span<const double> x) {
-    if (x[0] >= 1.0) return RVector{kNan, kNan};
-    return RVector{10.0 * (x[0] - 5.0), 0.1 * x[0]};
+  const ResidualFn f = [](std::span<const double> x, std::span<double> r) {
+    if (x[0] >= 1.0) {
+      r[0] = r[1] = kNan;
+      return;
+    }
+    r[0] = 10.0 * (x[0] - 5.0);
+    r[1] = 0.1 * x[0];
   };
   NumericsScope scope;
-  const LevMarResult res = levenberg_marquardt(f, RVector{0.5});
+  const LevMarResult res = levenberg_marquardt(f, 2, RVector{0.5});
   EXPECT_TRUE(std::isfinite(res.cost));
   EXPECT_TRUE(std::isfinite(res.x[0]));
   EXPECT_LT(res.x[0], 1.0);
@@ -505,16 +510,16 @@ TEST(LevMarContainment, FdScalesResolveTinyParameters) {
   // FD step (1e-6 * max(1, |p|) = 1e-6) spans 100 radians of the
   // argument — pure aliasing. A per-parameter scale of 1e-8 shrinks the
   // step to ~1e-14, giving an accurate derivative.
-  const ResidualFn f = [](std::span<const double> p) {
-    return RVector{std::sin(1e8 * p[0] - 3.0)};
+  const ResidualFn f = [](std::span<const double> p, std::span<double> r) {
+    r[0] = std::sin(1e8 * p[0] - 3.0);
   };
   LevMarOptions scaled;
   scaled.fd_scales = RVector{1e-8};
-  const LevMarResult good = levenberg_marquardt(f, RVector{2e-8}, scaled);
+  const LevMarResult good = levenberg_marquardt(f, 1, RVector{2e-8}, scaled);
   EXPECT_TRUE(good.converged);
   EXPECT_NEAR(good.x[0], 3e-8, 1e-10);
 
-  const LevMarResult bad = levenberg_marquardt(f, RVector{2e-8});
+  const LevMarResult bad = levenberg_marquardt(f, 1, RVector{2e-8});
   // Whatever the aliased run does, it cannot have tracked the true root
   // with a 1e-6 step; it must not be trusted at the 1e-10 level.
   EXPECT_TRUE(std::isfinite(bad.cost));
@@ -522,13 +527,14 @@ TEST(LevMarContainment, FdScalesResolveTinyParameters) {
 }
 
 TEST(LevMarContainment, FdScalesShapeIsValidated) {
-  const ResidualFn f = [](std::span<const double> x) {
-    return RVector{x[0], x[1]};
+  const ResidualFn f = [](std::span<const double> x, std::span<double> r) {
+    r[0] = x[0];
+    r[1] = x[1];
   };
   LevMarOptions opts;
   opts.fd_scales = RVector{1.0};  // two parameters, one scale
   EXPECT_THROW(
-      (void)levenberg_marquardt(f, RVector{1.0, 2.0}, opts),
+      (void)levenberg_marquardt(f, 2, RVector{1.0, 2.0}, opts),
       ContractViolation);
 }
 
