@@ -1,4 +1,4 @@
-#include "pipeline/direct_path.hpp"
+#include "cluster/direct_path.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -6,13 +6,6 @@
 #include "music/steering.hpp"
 
 namespace spotfi {
-
-std::vector<ClusterSummary> cluster_path_estimates(
-    std::span<const PathEstimate> estimates, const LinkConfig& link,
-    std::size_t n_packets, Rng& rng, const DirectPathConfig& config) {
-  return cluster_path_estimates(estimates, link, n_packets, rng, config,
-                                thread_workspace());
-}
 
 std::vector<ClusterSummary> cluster_path_estimates(
     std::span<const PathEstimate> estimates, const LinkConfig& link,

@@ -62,15 +62,10 @@ struct DirectPathConfig {
 /// Returns clusters sorted by likelihood, descending (the first entry is
 /// SpotFi's direct-path choice). Requires at least one estimate.
 /// `n_packets` is the size of the packet group the estimates were pooled
-/// from; it normalizes the count term (pass 1 to use raw counts).
-[[nodiscard]] std::vector<ClusterSummary> cluster_path_estimates(
-    std::span<const PathEstimate> estimates, const LinkConfig& link,
-    std::size_t n_packets, Rng& rng, const DirectPathConfig& config = {});
-
-/// Workspace overload: the normalized point matrix, the clustering
-/// scratch, and the per-cluster accumulators live on `ws`; only the
-/// returned summaries (and the clusterers' own result structs) allocate.
-/// The default overload wraps this one; results are bit-identical.
+/// from; it normalizes the count term (pass 1 to use raw counts). The
+/// normalized point matrix, the clustering scratch and the per-cluster
+/// accumulators live on `ws`; only the returned summaries (and the
+/// clusterers' own result structs) allocate.
 [[nodiscard]] std::vector<ClusterSummary> cluster_path_estimates(
     std::span<const PathEstimate> estimates, const LinkConfig& link,
     std::size_t n_packets, Rng& rng, const DirectPathConfig& config,

@@ -31,12 +31,6 @@ double log_sum_exp(std::span<const double> v) {
 
 }  // namespace
 
-GmmResult fit_gmm(const RMatrix& points, std::size_t k, Rng& rng,
-                  const GmmConfig& config) {
-  return fit_gmm(ConstRMatrixView(points), k, rng, config,
-                 thread_workspace());
-}
-
 GmmResult fit_gmm(ConstRMatrixView points, std::size_t k, Rng& rng,
                   const GmmConfig& config, Workspace& ws) {
   SPOTFI_EXPECTS(points.rows() >= 1, "fit_gmm needs at least one point");

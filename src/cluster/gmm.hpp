@@ -45,14 +45,10 @@ struct GmmResult {
 
 /// Fits a `k`-component diagonal GMM to the rows of `points` (n x D),
 /// initialized from k-means++. The effective component count can be
-/// smaller than `k` when there are fewer distinct points.
-[[nodiscard]] GmmResult fit_gmm(const RMatrix& points, std::size_t k,
-                                Rng& rng, const GmmConfig& config = {});
-
-/// Workspace overload: EM scratch (responsibilities, per-point log
-/// probabilities, variance floors) and the k-means initialization's
-/// iteration buffers live on `ws`; only the returned result allocates.
-/// The default overload wraps this one; results are bit-identical.
+/// smaller than `k` when there are fewer distinct points. EM scratch
+/// (responsibilities, per-point log probabilities, variance floors) and
+/// the k-means initialization's iteration buffers live on `ws`; only the
+/// returned result allocates.
 [[nodiscard]] GmmResult fit_gmm(ConstRMatrixView points, std::size_t k,
                                 Rng& rng, const GmmConfig& config,
                                 Workspace& ws);

@@ -50,11 +50,6 @@ std::size_t seed_kmeanspp(ConstRMatrixView points, Rng& rng,
 
 }  // namespace
 
-KMeansResult kmeans(const RMatrix& points, std::size_t k, Rng& rng,
-                    const KMeansConfig& config) {
-  return kmeans(ConstRMatrixView(points), k, rng, config, thread_workspace());
-}
-
 KMeansResult kmeans(ConstRMatrixView points, std::size_t k, Rng& rng,
                     const KMeansConfig& config, Workspace& ws) {
   SPOTFI_EXPECTS(points.rows() >= 1, "kmeans needs at least one point");

@@ -31,14 +31,10 @@ struct KMeansResult {
 };
 
 /// Clusters the rows of `points` (n x D) into at most `k` clusters.
-/// Requires n >= 1, k >= 1. Deterministic given the RNG state.
-[[nodiscard]] KMeansResult kmeans(const RMatrix& points, std::size_t k,
-                                  Rng& rng, const KMeansConfig& config = {});
-
-/// Workspace overload: all iteration scratch (seeding distances, counts,
-/// the per-iteration centroid accumulator) lives on `ws`, so the loop
-/// allocates nothing — only the returned result touches the heap. The
-/// default overload wraps this one; results are bit-identical.
+/// Requires n >= 1, k >= 1. Deterministic given the RNG state. All
+/// iteration scratch (seeding distances, counts, the per-iteration
+/// centroid accumulator) lives on `ws`, so the loop allocates nothing —
+/// only the returned result touches the heap.
 [[nodiscard]] KMeansResult kmeans(ConstRMatrixView points, std::size_t k,
                                   Rng& rng, const KMeansConfig& config,
                                   Workspace& ws);

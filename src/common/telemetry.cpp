@@ -1,4 +1,4 @@
-#include "pipeline/stage.hpp"
+#include "common/telemetry.hpp"
 
 #include "common/clock.hpp"
 

@@ -1,20 +1,16 @@
 // Stage telemetry for SpotFi's per-AP estimation (DESIGN.md §15).
 //
 // ApProcessor runs one packet group as a fixed sequence of kernels:
-// sanitize, the per-packet estimate stage (MUSIC or ESPRIT,
-// pipeline/stages.hpp), then cluster and direct-path selection; the
-// server then fuses the APs (localize). Each step runs under a
-// StageMeter, which attributes wall time and arena growth to one
-// StagePhase. MUSIC's two phases are the estimator's stage_subspace and
-// stage_spectrum, so the eigensolver (Householder + implicit QL) and the
-// Kronecker-Gram sweep each land in, and are metered in, one place.
+// sanitize, the per-packet estimator (MUSIC or ESPRIT), then cluster
+// and direct-path selection; the server then fuses the APs (localize).
+// Each step runs under a StageMeter, which attributes wall time and
+// arena growth to one StagePhase. MUSIC's two phases are the
+// estimator's stage_subspace and stage_spectrum, so the eigensolver
+// (Householder + implicit QL) and the Kronecker-Gram sweep each land
+// in, and are metered in, one place.
 //
-// Contract (DESIGN.md §15):
-//  - A step allocates its OUTPUT into the caller's open arena frame
-//    (ctx.ws) and never opens a frame around it — outputs must outlive
-//    the call. Internal scratch may use nested frames freely.
-//  - Telemetry is opt-in: when ctx.breakdown is null a meter performs
-//    no clock reads and no accounting — the hot path stays untouched.
+// Telemetry is opt-in: a meter with a null sink performs no clock reads
+// and no accounting, so the hot path stays untouched.
 #pragma once
 
 #include <array>
@@ -74,55 +70,45 @@ struct StageBreakdown {
   }
 };
 
-/// Everything a metered step may touch beyond its typed input. The
-/// caller owns every pointee; a step never stores the context.
-struct StageContext {
-  /// Arena the step's output is allocated from.
-  Workspace* ws = nullptr;
-  /// Telemetry sink; null disables all metering (and its clock reads).
-  StageBreakdown* breakdown = nullptr;
-  /// The innermost frame enclosing the step's outputs, used to meter
-  /// per-phase arena peaks. Only consulted when breakdown is set.
-  const Workspace::Frame* frame = nullptr;
-};
-
 /// Monotonic time for stage metering. Deliberately NOT the session
 /// Clock: sessions run on FakeClock in tests, where every now_s() read
 /// advances time — telemetry reads would perturb deadline logic.
 [[nodiscard]] double stage_now_s();
 
-/// RAII meter around one step: accumulates wall time and the enclosing
-/// frame's peak growth into breakdown[phase]. A no-op (no clock reads)
-/// when ctx carries no breakdown sink.
+/// RAII meter around one step: adds its wall time to sink[phase] and
+/// folds the growth of `frame`'s peak into the phase's peak by max, the
+/// rule merge() uses, since steps metered one after another reuse the
+/// same arena. A no-op (no clock reads) when `sink` is null.
 ///
-/// The peak delta is valid at stage boundaries: any nested frame a
+/// The peak delta is valid at step boundaries: any nested frame a
 /// kernel opened has closed by then, folding its peak into the
 /// enclosing frame (common/workspace.hpp), so the delta captures the
-/// stage's full footprint including scratch.
+/// step's full footprint including scratch.
 class StageMeter {
  public:
-  StageMeter(const StageContext& ctx, StagePhase phase)
-      : breakdown_(ctx.breakdown), frame_(ctx.frame), phase_(phase) {
-    if (breakdown_ == nullptr) return;
+  StageMeter(StageBreakdown* sink, const Workspace::Frame& frame,
+             StagePhase phase)
+      : sink_(sink), frame_(&frame), phase_(phase) {
+    if (sink_ == nullptr) return;
     t0_ = stage_now_s();
-    peak0_ = frame_ != nullptr ? frame_->peak_bytes() : 0;
+    peak0_ = frame_->peak_bytes();
   }
 
   StageMeter(const StageMeter&) = delete;
   StageMeter& operator=(const StageMeter&) = delete;
 
   ~StageMeter() {
-    if (breakdown_ == nullptr) return;
+    if (sink_ == nullptr) return;
     const auto i = static_cast<std::size_t>(phase_);
-    breakdown_->seconds[i] += stage_now_s() - t0_;
-    if (frame_ != nullptr) {
-      const std::size_t peak = frame_->peak_bytes();
-      breakdown_->workspace_peak_bytes[i] += peak > peak0_ ? peak - peak0_ : 0;
-    }
+    sink_->seconds[i] += stage_now_s() - t0_;
+    const std::size_t peak = frame_->peak_bytes();
+    const std::size_t delta = peak > peak0_ ? peak - peak0_ : 0;
+    std::size_t& phase_peak = sink_->workspace_peak_bytes[i];
+    if (delta > phase_peak) phase_peak = delta;
   }
 
  private:
-  StageBreakdown* breakdown_;
+  StageBreakdown* sink_;
   const Workspace::Frame* frame_;
   StagePhase phase_;
   double t0_ = 0.0;

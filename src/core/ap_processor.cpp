@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "common/parallel.hpp"
 #include "csi/sanitize.hpp"
@@ -46,28 +45,36 @@ ApProcessor::ApProcessor(LinkConfig link, ArrayPose pose,
       pose_(pose),
       config_(std::move(config)),
       music_(link_, config_.music),
-      esprit_(link_, config_.esprit),
-      music_stage_(music_),
-      esprit_stage_(esprit_) {}
+      esprit_(link_, config_.esprit) {}
 
-const PacketEstimateStage& ApProcessor::primary_stage() const {
-  if (config_.front_end == FrontEnd::kMusic) return music_stage_;
-  return esprit_stage_;
-}
-
-std::size_t ApProcessor::estimate_in_frame(const PacketEstimateStage& estimate,
+std::size_t ApProcessor::estimate_in_frame(const JointMusicEstimator* music,
                                            const CsiPacket& packet,
-                                           const StageContext& ctx,
+                                           Workspace& ws,
+                                           const Workspace::Frame& frame,
+                                           StageBreakdown* sink,
                                            std::span<PathEstimate> out) const {
   ConstCMatrixView csi(packet.csi);
   {
-    StageMeter meter(ctx, StagePhase::kSanitize);
-    if (config_.sanitize) csi = sanitize_tof(csi, link_, *ctx.ws);
+    StageMeter meter(sink, frame, StagePhase::kSanitize);
+    if (config_.sanitize) csi = sanitize_tof(csi, link_, ws);
   }
-  return estimate.run_into(ctx, csi, out);
+  if (music == nullptr) {
+    // ESPRIT is eigendecomposition-dominated and has no grid sweep.
+    StageMeter meter(sink, frame, StagePhase::kSubspace);
+    return esprit_.estimate_into(csi, ws, out);
+  }
+  // The subspace views live in the caller's frame and feed the sweep
+  // directly, exactly as JointMusicEstimator::estimate composes them.
+  SubspacesRef sub;
+  {
+    StageMeter meter(sink, frame, StagePhase::kSubspace);
+    sub = music->stage_subspace(csi, ws);
+  }
+  StageMeter meter(sink, frame, StagePhase::kSpectrum);
+  return music->stage_spectrum(sub, ws, out);
 }
 
-ApResult ApProcessor::run_group(const PacketEstimateStage& estimate,
+ApResult ApProcessor::run_group(const JointMusicEstimator* music,
                                 std::span<const CsiPacket> packets, Rng& rng,
                                 StageBreakdown& breakdown,
                                 std::size_t& ws_peak_out) const {
@@ -79,7 +86,9 @@ ApResult ApProcessor::run_group(const PacketEstimateStage& estimate,
   };
 
   ThreadPool* const pool = config_.pool;
-  const std::size_t max_paths = estimate.max_paths();
+  const std::size_t max_paths = music != nullptr
+                                    ? music->config().max_paths
+                                    : esprit_.config().max_paths;
   std::vector<PacketOutput> outputs(packets.size());
   std::vector<PathEstimate> slots(packets.size() * max_paths);
   const auto run_packet = [&](std::size_t i) {
@@ -90,10 +99,8 @@ ApResult ApProcessor::run_group(const PacketEstimateStage& estimate,
     Workspace& ws = pool != nullptr ? pool->workspace() : thread_workspace();
     Workspace::Frame frame(ws);
     PacketOutput& output = outputs[i];
-    const StageContext ctx{
-        .ws = &ws, .breakdown = &output.breakdown, .frame = &frame};
     output.count = estimate_in_frame(
-        estimate, packets[i], ctx,
+        music, packets[i], ws, frame, &output.breakdown,
         std::span<PathEstimate>(slots).subspan(i * max_paths, max_paths));
     output.numerics = scope.counters();
     output.ws_peak_bytes = frame.peak_bytes();
@@ -125,8 +132,7 @@ ApResult ApProcessor::run_group(const PacketEstimateStage& estimate,
 
   Workspace& ws = pool != nullptr ? pool->workspace() : thread_workspace();
   Workspace::Frame frame(ws);
-  StageMeter meter({.breakdown = &breakdown, .frame = &frame},
-                   StagePhase::kCluster);
+  StageMeter meter(&breakdown, frame, StagePhase::kCluster);
   result.clusters = cluster_path_estimates(result.pooled_estimates, link_,
                                            packets.size(), rng,
                                            config_.direct_path, ws);
@@ -151,7 +157,9 @@ std::size_t ApProcessor::estimate_packet(const CsiPacket& packet,
   SPOTFI_EXPECTS(out.size() >= max_paths(),
                  "estimate_packet output span below max_paths()");
   Workspace::Frame frame(ws);
-  return estimate_in_frame(primary_stage(), packet, {.ws = &ws}, out);
+  const JointMusicEstimator* music =
+      config_.front_end == FrontEnd::kMusic ? &music_ : nullptr;
+  return estimate_in_frame(music, packet, ws, frame, nullptr, out);
 }
 
 ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
@@ -180,10 +188,12 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
   // fallback chain is enabled. The overload rung is a floor on the
   // configured entry, so a backlog never makes a round costlier.
   const bool primary_is_music = config_.front_end == FrontEnd::kMusic;
-  if (!primary_is_music && rung == ApStage::kRelaxedMusic) {
-    rung = ApStage::kEsprit;
-  }
-  const ApStage entry = std::max(config_.fallback.entry_stage, rung);
+  // Relaxed MUSIC is a cheaper MUSIC, not a cheaper ESPRIT: an ESPRIT
+  // front end entering there, by config or by rung, enters at ESPRIT.
+  const ApStage later = std::max(config_.fallback.entry_stage, rung);
+  const ApStage entry = !primary_is_music && later == ApStage::kRelaxedMusic
+                            ? ApStage::kEsprit
+                            : later;
   SPOTFI_EXPECTS(entry != ApStage::kFailed,
                  "entry_stage must name a runnable stage");
   const auto stage_allowed = [&](ApStage stage) {
@@ -207,13 +217,13 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
     }
   }
 
-  // One fallback rung = one group run with a substituted estimate
-  // stage; the orchestration below only decides WHICH stage runs, never
+  // One fallback rung = one group run with MUSIC on `music`, or ESPRIT
+  // when null; the ladder below only decides WHICH estimator runs, never
   // HOW a group is processed.
-  auto attempt = [&](ApStage stage, const PacketEstimateStage& estimate) {
+  auto attempt = [&](ApStage stage, const JointMusicEstimator* music) {
     try {
       out.stage_breakdown = StageBreakdown{};
-      ApResult candidate = run_group(estimate, screened, rng,
+      ApResult candidate = run_group(music, screened, rng,
                                      out.stage_breakdown,
                                      out.workspace_peak_bytes);
       // An estimator can "succeed" on corrupt input by propagating NaNs
@@ -236,38 +246,23 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
   };
 
   if (!screened.empty()) {
-    // Lazily built on first use: the relaxed rung needs its own
-    // (coarser-grid) estimator, which most groups never reach.
-    std::optional<JointMusicEstimator> relaxed;
-    std::optional<MusicEstimateStage> relaxed_stage;
-    const auto rung_stage =
-        [&](ApStage stage) -> const PacketEstimateStage* {
-      switch (stage) {
-        case ApStage::kPrimary:
-          return &primary_stage();
-        case ApStage::kRelaxedMusic:
-          if (!relaxed) {
-            relaxed.emplace(link_, relaxed_music(config_.music));
-            relaxed_stage.emplace(*relaxed);
-          }
-          return &*relaxed_stage;
-        case ApStage::kEsprit:
-          // Retrying ESPRIT after an ESPRIT-primary failure is
-          // redundant — unless the ladder *enters* at ESPRIT, in which
-          // case it is the requested estimator, not a retry.
-          if (!primary_is_music && entry != ApStage::kEsprit) return nullptr;
-          return &esprit_stage_;
-        default:
-          return nullptr;
-      }
-    };
-    constexpr ApStage kLadder[] = {ApStage::kPrimary, ApStage::kRelaxedMusic,
-                                   ApStage::kEsprit};
-    for (const ApStage stage : kLadder) {
-      if (!stage_allowed(stage)) continue;
-      const PacketEstimateStage* estimate = rung_stage(stage);
-      if (estimate == nullptr) continue;
-      if (attempt(stage, *estimate)) return finish();
+    if (stage_allowed(ApStage::kPrimary) &&
+        attempt(ApStage::kPrimary, primary_is_music ? &music_ : nullptr)) {
+      return finish();
+    }
+    // Built only when reached: the relaxed rung needs its own
+    // (coarser-grid) estimator, which most groups never get to.
+    if (stage_allowed(ApStage::kRelaxedMusic)) {
+      const JointMusicEstimator relaxed(link_, relaxed_music(config_.music));
+      if (attempt(ApStage::kRelaxedMusic, &relaxed)) return finish();
+    }
+    // Retrying ESPRIT after an ESPRIT-primary failure is redundant —
+    // unless the ladder *enters* at ESPRIT, in which case it is the
+    // requested estimator, not a retry.
+    if (stage_allowed(ApStage::kEsprit) &&
+        (primary_is_music || entry == ApStage::kEsprit) &&
+        attempt(ApStage::kEsprit, nullptr)) {
+      return finish();
     }
   }
 

@@ -12,11 +12,12 @@
 #include <vector>
 
 #include "channel/csi_synthesis.hpp"
+#include "cluster/direct_path.hpp"
+#include "common/telemetry.hpp"
 #include "csi/quality.hpp"
 #include "linalg/numerics.hpp"
 #include "localize/observation.hpp"
-#include "pipeline/direct_path.hpp"
-#include "pipeline/stages.hpp"
+#include "music/esprit.hpp"
 
 namespace spotfi {
 
@@ -135,13 +136,13 @@ class ApProcessor {
   /// The chain is entered at the later of fallback.entry_stage and
   /// `rung` (the round's overload rung, a floor). Relaxed MUSIC is a
   /// cheaper MUSIC, not a cheaper ESPRIT, so with an ESPRIT front end a
-  /// kRelaxedMusic rung counts as kEsprit.
+  /// kRelaxedMusic entry, configured or planned, counts as kEsprit.
   [[nodiscard]] ApOutcome process_robust(
       std::span<const CsiPacket> packets, Rng& rng,
       ApStage rung = ApStage::kPrimary) const;
 
-  /// One packet through the sanitize -> super-resolution stage of the
-  /// configured front end, every scratch buffer drawn from `ws`
+  /// One packet through sanitization and the configured front end's
+  /// super-resolution, every scratch buffer drawn from `ws`
   /// (frame-scoped internally, so the arena is returned unchanged).
   /// Writes at most max_paths() estimates into `out` and returns the
   /// count. This is the per-packet inner loop of process_robust's
@@ -160,27 +161,29 @@ class ApProcessor {
   [[nodiscard]] const LinkConfig& link() const { return link_; }
 
  private:
-  /// The configured front end's estimate stage (the kPrimary rung).
-  [[nodiscard]] const PacketEstimateStage& primary_stage() const;
-
-  /// One packet: Algorithm 1 sanitization (metered as kSanitize; a
-  /// pass-through when config().sanitize is off), then `estimate`. Runs
-  /// in the caller's open frame on ctx.ws and writes at most
-  /// estimate.max_paths() estimates into `out`; returns the count.
+  /// One packet through one rung's estimator: Algorithm 1 sanitization
+  /// (metered as kSanitize; a pass-through when config().sanitize is
+  /// off), then MUSIC with `music` (kSubspace, then kSpectrum) or, when
+  /// `music` is null, ESPRIT (metered whole as kSubspace). Runs in the
+  /// caller's open `frame` on `ws`, metered into `sink` (null: no
+  /// metering), and writes at most the estimator's max_paths estimates
+  /// into `out`; returns the count.
   [[nodiscard]] std::size_t estimate_in_frame(
-      const PacketEstimateStage& estimate, const CsiPacket& packet,
-      const StageContext& ctx, std::span<PathEstimate> out) const;
+      const JointMusicEstimator* music, const CsiPacket& packet,
+      Workspace& ws, const Workspace::Frame& frame, StageBreakdown* sink,
+      std::span<PathEstimate> out) const;
 
-  /// Algorithm 2 lines 2-10 for one packet group with `estimate` as the
-  /// super-resolution step: every packet through estimate_in_frame
-  /// (fanned out over config().pool, each on its lane's arena, folded
-  /// in packet order so the result is identical at any thread count),
-  /// then pool, cluster and select the direct path (metered together
-  /// as kCluster). `rng` is consumed only by the clustering, exactly
-  /// once. `breakdown` receives the per-phase telemetry, `ws_peak_out`
-  /// the largest single-frame arena footprint. Requires a non-empty
-  /// group; throws when estimation produces no path estimates.
-  [[nodiscard]] ApResult run_group(const PacketEstimateStage& estimate,
+  /// Algorithm 2 lines 2-10 for one packet group, with MUSIC on `music`
+  /// (or ESPRIT when null) as the super-resolution step: every packet
+  /// through estimate_in_frame (fanned out over config().pool, each on
+  /// its lane's arena, folded in packet order so the result is
+  /// identical at any thread count), then pool, cluster and select the
+  /// direct path (metered together as kCluster). `rng` is consumed only
+  /// by the clustering, exactly once. `breakdown` receives the per-phase
+  /// telemetry, `ws_peak_out` the largest single-frame arena footprint.
+  /// Requires a non-empty group; throws when estimation produces no
+  /// path estimates.
+  [[nodiscard]] ApResult run_group(const JointMusicEstimator* music,
                                    std::span<const CsiPacket> packets,
                                    Rng& rng, StageBreakdown& breakdown,
                                    std::size_t& ws_peak_out) const;
@@ -190,10 +193,6 @@ class ApProcessor {
   ApProcessorConfig config_;
   JointMusicEstimator music_;
   JointEspritEstimator esprit_;
-  // Immutable estimate stages; the fallback ladder substitutes which
-  // one run_group runs.
-  MusicEstimateStage music_stage_;
-  EspritEstimateStage esprit_stage_;
 };
 
 }  // namespace spotfi

@@ -140,12 +140,12 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
   }
 
   // The primary solve and every LOO re-solve share one telemetry
-  // bucket: each runs under a kLocalize meter on the frame it fills.
+  // bucket: each runs under a kLocalize meter on the frame it fills, so
+  // the bucket's time is their sum and its peak the largest one solve's.
   const SpotFiLocalizer localizer(config_.localizer);
   const auto locate = [&](std::span<const ApObservation> observations,
                           const Workspace::Frame& frame) {
-    StageMeter meter({.breakdown = &round.stage_breakdown, .frame = &frame},
-                     StagePhase::kLocalize);
+    StageMeter meter(&round.stage_breakdown, frame, StagePhase::kLocalize);
     return localizer.locate(observations, ws);
   };
   try {

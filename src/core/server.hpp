@@ -105,7 +105,7 @@ struct LocalizationRound {
   /// ApOutcome::stage_breakdown folded in capture order (times sum;
   /// arena peaks take the max, since APs share the lane arenas), plus
   /// the fusion stage's own kLocalize bucket (primary solve + LOO
-  /// re-solves).
+  /// re-solves; times sum, the peak is the largest single solve's).
   StageBreakdown stage_breakdown;
 };
 

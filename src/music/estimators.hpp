@@ -90,9 +90,10 @@ class JointMusicEstimator {
   /// The pseudospectrum (for inspection / the spectrum_explorer example).
   [[nodiscard]] AoaTofSpectrum spectrum(const CMatrix& csi) const;
 
-  // -- the two stage entry points: estimate() and the pipeline's
-  // MusicEstimateStage compose exactly these, metered as the kSubspace
-  // and kSpectrum phases. All scratch comes out of the caller's arena.
+  // -- the two stage entry points: estimate() and ApProcessor's
+  // per-packet step compose exactly these, the latter metered as the
+  // kSubspace and kSpectrum phases. All scratch comes out of the
+  // caller's arena.
 
   /// Shape check, smoothed-CSI construction (Fig. 4) and noise-subspace
   /// split (Algorithm 2, line 5) of one packet's CSI. The returned views

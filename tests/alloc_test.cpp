@@ -18,11 +18,11 @@
 
 #include "channel/csi_synthesis.hpp"
 #include "channel/multipath.hpp"
+#include "common/telemetry.hpp"
 #include "common/workspace.hpp"
 #include "core/ap_processor.hpp"
 #include "csi/sanitize.hpp"
 #include "geom/floorplan.hpp"
-#include "pipeline/stages.hpp"
 #include "testbed/experiment.hpp"
 
 // --- counting allocator -----------------------------------------------
@@ -189,14 +189,13 @@ TEST(ZeroAlloc, ArenaHighWaterMarkIsPinned) {
 }
 
 TEST(ZeroAlloc, StagedPacketPathAllocatesNothing) {
-  // The same contract through the metered steps directly (DESIGN.md
-  // §15): sanitize_tof under a kSanitize meter, then the MUSIC estimate
-  // stage (its metered subspace and spectrum phases), WITH the telemetry
-  // sink armed — neither the virtual-dispatch boundary nor the
+  // The same contract through the metered kernels directly (DESIGN.md
+  // §15), as a group run meters each packet: sanitize_tof under a
+  // kSanitize meter, then MUSIC's stage_subspace and stage_spectrum
+  // under kSubspace and kSpectrum, WITH the telemetry sink armed — no
   // StageMeter may touch the heap after warm-up.
   const auto packets = synthesize_group(4);
   const JointMusicEstimator est(kLink, JointMusicConfig{});
-  const MusicEstimateStage music(est);
 
   Workspace ws;
   std::vector<PathEstimate> out(est.config().max_paths);
@@ -204,14 +203,18 @@ TEST(ZeroAlloc, StagedPacketPathAllocatesNothing) {
 
   auto run_packet = [&](const CsiPacket& packet) {
     Workspace::Frame frame(ws);
-    const StageContext ctx{
-        .ws = &ws, .breakdown = &breakdown, .frame = &frame};
     ConstCMatrixView csi;
     {
-      StageMeter meter(ctx, StagePhase::kSanitize);
+      StageMeter meter(&breakdown, frame, StagePhase::kSanitize);
       csi = sanitize_tof(ConstCMatrixView(packet.csi), kLink, ws);
     }
-    return music.run_into(ctx, csi, out);
+    SubspacesRef sub;
+    {
+      StageMeter meter(&breakdown, frame, StagePhase::kSubspace);
+      sub = est.stage_subspace(csi, ws);
+    }
+    StageMeter meter(&breakdown, frame, StagePhase::kSpectrum);
+    return est.stage_spectrum(sub, ws, out);
   };
 
   (void)run_packet(packets[0]);

@@ -26,9 +26,10 @@ RMatrix three_blobs(Rng& rng, std::size_t per_blob = 40) {
 }
 
 TEST(KMeans, RecoversWellSeparatedBlobs) {
+  Workspace ws;
   Rng rng(1);
   const RMatrix points = three_blobs(rng);
-  const KMeansResult result = kmeans(points, 3, rng);
+  const KMeansResult result = kmeans(points, 3, rng, {}, ws);
   ASSERT_EQ(result.centroids.rows(), 3u);
   // Each true center should be close to some centroid.
   for (const auto& truth : {Vec2{0.0, 0.0}, Vec2{10.0, 0.0}, Vec2{0.0, 10.0}}) {
@@ -49,62 +50,69 @@ TEST(KMeans, RecoversWellSeparatedBlobs) {
 }
 
 TEST(KMeans, InertiaDecreasesWithMoreClusters) {
+  Workspace ws;
   Rng rng(2);
   const RMatrix points = three_blobs(rng);
   Rng r1(3), r2(3);
-  const double inertia1 = kmeans(points, 1, r1).inertia;
-  const double inertia3 = kmeans(points, 3, r2).inertia;
+  const double inertia1 = kmeans(points, 1, r1, {}, ws).inertia;
+  const double inertia3 = kmeans(points, 3, r2, {}, ws).inertia;
   EXPECT_GT(inertia1, 5.0 * inertia3);
 }
 
 TEST(KMeans, MoreClustersThanPointsShrinks) {
+  Workspace ws;
   RMatrix points(2, 2);
   points(0, 0) = 1.0;
   points(1, 0) = 5.0;
   Rng rng(4);
-  const KMeansResult result = kmeans(points, 10, rng);
+  const KMeansResult result = kmeans(points, 10, rng, {}, ws);
   EXPECT_LE(result.centroids.rows(), 2u);
   EXPECT_NEAR(result.inertia, 0.0, 1e-12);
 }
 
 TEST(KMeans, DuplicatePointsCollapse) {
+  Workspace ws;
   RMatrix points(5, 1, 3.0);  // five identical points
   Rng rng(5);
-  const KMeansResult result = kmeans(points, 3, rng);
+  const KMeansResult result = kmeans(points, 3, rng, {}, ws);
   EXPECT_EQ(result.centroids.rows(), 1u);
   EXPECT_NEAR(result.centroids(0, 0), 3.0, 1e-12);
 }
 
 TEST(KMeans, SinglePoint) {
+  Workspace ws;
   RMatrix points(1, 2);
   points(0, 0) = 7.0;
   points(0, 1) = -2.0;
   Rng rng(6);
-  const KMeansResult result = kmeans(points, 5, rng);
+  const KMeansResult result = kmeans(points, 5, rng, {}, ws);
   ASSERT_EQ(result.centroids.rows(), 1u);
   EXPECT_DOUBLE_EQ(result.centroids(0, 0), 7.0);
 }
 
 TEST(KMeans, EmptyInputThrows) {
+  Workspace ws;
   Rng rng(7);
-  EXPECT_THROW(kmeans(RMatrix(0, 2), 3, rng), ContractViolation);
-  EXPECT_THROW(kmeans(RMatrix(3, 2), 0, rng), ContractViolation);
+  EXPECT_THROW(kmeans(RMatrix(0, 2), 3, rng, {}, ws), ContractViolation);
+  EXPECT_THROW(kmeans(RMatrix(3, 2), 0, rng, {}, ws), ContractViolation);
 }
 
 TEST(KMeans, DeterministicGivenRngState) {
+  Workspace ws;
   Rng rng(8);
   const RMatrix points = three_blobs(rng);
   Rng r1(9), r2(9);
-  const KMeansResult a = kmeans(points, 3, r1);
-  const KMeansResult b = kmeans(points, 3, r2);
+  const KMeansResult a = kmeans(points, 3, r1, {}, ws);
+  const KMeansResult b = kmeans(points, 3, r2, {}, ws);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_DOUBLE_EQ(a.inertia, b.inertia);
 }
 
 TEST(Gmm, RecoversBlobMeansAndVariances) {
+  Workspace ws;
   Rng rng(10);
   const RMatrix points = three_blobs(rng, 80);
-  const GmmResult result = fit_gmm(points, 3, rng);
+  const GmmResult result = fit_gmm(points, 3, rng, {}, ws);
   ASSERT_EQ(result.components.size(), 3u);
   for (const auto& truth : {Vec2{0.0, 0.0}, Vec2{10.0, 0.0}, Vec2{0.0, 10.0}}) {
     double best = 1e9;
@@ -126,6 +134,7 @@ TEST(Gmm, RecoversBlobMeansAndVariances) {
 }
 
 TEST(Gmm, SoftClusteringSeparatesOverlappingBlobsByWeight) {
+  Workspace ws;
   // Two blobs with very different populations.
   Rng rng(11);
   RMatrix points(120, 1);
@@ -135,7 +144,7 @@ TEST(Gmm, SoftClusteringSeparatesOverlappingBlobsByWeight) {
   for (std::size_t i = 100; i < 120; ++i) {
     points(i, 0) = rng.normal(8.0, 1.0);
   }
-  const GmmResult result = fit_gmm(points, 2, rng);
+  const GmmResult result = fit_gmm(points, 2, rng, {}, ws);
   ASSERT_EQ(result.components.size(), 2u);
   const auto& big = result.components[0].weight > result.components[1].weight
                         ? result.components[0]
@@ -145,6 +154,7 @@ TEST(Gmm, SoftClusteringSeparatesOverlappingBlobsByWeight) {
 }
 
 TEST(Gmm, LogLikelihoodIsMonotone) {
+  Workspace ws;
   // EM must not decrease the data log-likelihood; we check the final value
   // beats the k-means initialization by running with 1 vs many iterations.
   Rng rng(12);
@@ -152,36 +162,39 @@ TEST(Gmm, LogLikelihoodIsMonotone) {
   Rng r1(13), r2(13);
   GmmConfig one_iter;
   one_iter.max_iterations = 1;
-  const GmmResult early = fit_gmm(points, 3, r1, one_iter);
-  const GmmResult late = fit_gmm(points, 3, r2);
+  const GmmResult early = fit_gmm(points, 3, r1, one_iter, ws);
+  const GmmResult late = fit_gmm(points, 3, r2, {}, ws);
   EXPECT_GE(late.log_likelihood, early.log_likelihood - 1e-9);
 }
 
 TEST(Gmm, VarianceFloorPreventsCollapse) {
+  Workspace ws;
   // Many identical points + one outlier: components must keep a positive
   // variance.
   RMatrix points(20, 1, 2.0);
   points(19, 0) = 9.0;
   Rng rng(14);
-  const GmmResult result = fit_gmm(points, 2, rng);
+  const GmmResult result = fit_gmm(points, 2, rng, {}, ws);
   for (const auto& c : result.components) {
     EXPECT_GT(c.variance[0], 0.0);
   }
 }
 
 TEST(Gmm, AssignmentCoversAllComponentsOfSeparatedData) {
+  Workspace ws;
   Rng rng(15);
   const RMatrix points = three_blobs(rng);
-  const GmmResult result = fit_gmm(points, 3, rng);
+  const GmmResult result = fit_gmm(points, 3, rng, {}, ws);
   std::set<std::size_t> used(result.assignment.begin(),
                              result.assignment.end());
   EXPECT_EQ(used.size(), 3u);
 }
 
 TEST(Gmm, InvalidArgumentsThrow) {
+  Workspace ws;
   Rng rng(16);
-  EXPECT_THROW(fit_gmm(RMatrix(0, 2), 2, rng), ContractViolation);
-  EXPECT_THROW(fit_gmm(RMatrix(4, 2), 0, rng), ContractViolation);
+  EXPECT_THROW(fit_gmm(RMatrix(0, 2), 2, rng, {}, ws), ContractViolation);
+  EXPECT_THROW(fit_gmm(RMatrix(4, 2), 0, rng, {}, ws), ContractViolation);
 }
 
 }  // namespace

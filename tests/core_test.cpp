@@ -41,7 +41,8 @@ TEST(DirectPath, TightEarlyClusterWins) {
   const auto pool = two_cluster_pool(rng);
   DirectPathConfig cfg;
   cfg.n_clusters = 2;
-  const auto clusters = cluster_path_estimates(pool, kLink, 30, rng, cfg);
+  const auto clusters = cluster_path_estimates(pool, kLink, 30, rng, cfg,
+                                               thread_workspace());
   ASSERT_GE(clusters.size(), 2u);
   // Sorted by likelihood: the direct cluster (tight, early) first.
   EXPECT_NEAR(rad_to_deg(clusters[0].mean_aoa_rad), 20.0, 2.0);
@@ -55,7 +56,8 @@ TEST(DirectPath, ClusterStatisticsAreCorrect) {
   Rng rng(2);
   DirectPathConfig cfg;
   cfg.n_clusters = 1;
-  const auto clusters = cluster_path_estimates(pool, kLink, 30, rng, cfg);
+  const auto clusters = cluster_path_estimates(pool, kLink, 30, rng, cfg,
+                                               thread_workspace());
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_EQ(clusters[0].count, 2u);
   EXPECT_NEAR(rad_to_deg(clusters[0].mean_aoa_rad), 12.0, 1e-6);
@@ -68,7 +70,7 @@ TEST(DirectPath, ClusterStatisticsAreCorrect) {
 TEST(DirectPath, EmptyPoolThrows) {
   Rng rng(3);
   EXPECT_THROW(
-      cluster_path_estimates({}, kLink, 1, rng, {}),
+      cluster_path_estimates({}, kLink, 1, rng, {}, thread_workspace()),
       ContractViolation);
 }
 
@@ -78,7 +80,8 @@ TEST(DirectPath, KMeansVariantAlsoWorks) {
   DirectPathConfig cfg;
   cfg.n_clusters = 2;
   cfg.use_gmm = false;
-  const auto clusters = cluster_path_estimates(pool, kLink, 30, rng, cfg);
+  const auto clusters = cluster_path_estimates(pool, kLink, 30, rng, cfg,
+                                               thread_workspace());
   ASSERT_GE(clusters.size(), 2u);
   EXPECT_NEAR(rad_to_deg(clusters[0].mean_aoa_rad), 20.0, 2.0);
 }
@@ -91,9 +94,11 @@ TEST(DirectPath, LikelihoodInvariantToCommonTofShift) {
   DirectPathConfig cfg;
   cfg.n_clusters = 2;
   Rng r1(6), r2(6);
-  const auto base = cluster_path_estimates(pool, kLink, 30, r1, cfg);
+  const auto base =
+      cluster_path_estimates(pool, kLink, 30, r1, cfg, thread_workspace());
   for (auto& e : pool) e.tof_s -= 200e-9;  // shift all ToFs
-  const auto shifted = cluster_path_estimates(pool, kLink, 30, r2, cfg);
+  const auto shifted =
+      cluster_path_estimates(pool, kLink, 30, r2, cfg, thread_workspace());
   ASSERT_EQ(base.size(), shifted.size());
   for (std::size_t i = 0; i < base.size(); ++i) {
     EXPECT_NEAR(base[i].likelihood, shifted[i].likelihood,

@@ -26,13 +26,13 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/direct_path.hpp"
 #include "csi/sanitize.hpp"
 #include "csi/smoothing.hpp"
 #include "jacobi_oracle.hpp"
 #include "music/estimators.hpp"
 #include "music/peaks.hpp"
 #include "music/steering.hpp"
-#include "pipeline/direct_path.hpp"
 #include "testbed/deployment.hpp"
 #include "testbed/experiment.hpp"
 
@@ -292,10 +292,10 @@ TEST_P(DirectPathOracleCorpus, SelectsTheSameClusterPerGroup) {
 
     Rng served_rng(GetParam().seed + g);
     Rng reference_rng(GetParam().seed + g);
-    const std::vector<ClusterSummary> got =
-        cluster_path_estimates(served, kLink, kGroupPackets, served_rng);
+    const std::vector<ClusterSummary> got = cluster_path_estimates(
+        served, kLink, kGroupPackets, served_rng, {}, ws);
     const std::vector<ClusterSummary> want = cluster_path_estimates(
-        reference, kLink, kGroupPackets, reference_rng);
+        reference, kLink, kGroupPackets, reference_rng, {}, ws);
     const ClusterSummary& got_direct = got[select_spotfi(got)];
     const ClusterSummary& want_direct = want[select_spotfi(want)];
     EXPECT_EQ(got_direct.count, want_direct.count);

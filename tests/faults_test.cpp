@@ -262,6 +262,92 @@ TEST(FallbackChain, DisabledFallbackStillDoesNotThrow) {
   EXPECT_EQ(outcome.stage, ApStage::kFailed);
 }
 
+/// The estimator rungs a note names, in order ("primary,esprit"): the
+/// ladder prefixes each failed attempt with its rung's name.
+std::string rungs_in_note(const std::string& note) {
+  std::string rungs;
+  std::size_t begin = 0;
+  while (begin < note.size()) {
+    const std::size_t end = std::min(note.find("; ", begin), note.size());
+    const std::string name = note.substr(begin, note.find(": ", begin) - begin);
+    for (const ApStage rung :
+         {ApStage::kPrimary, ApStage::kRelaxedMusic, ApStage::kEsprit}) {
+      if (name != to_string(rung)) continue;
+      if (!rungs.empty()) rungs += ",";
+      rungs += name;
+    }
+    begin = end + 2;
+  }
+  return rungs;
+}
+
+TEST(FallbackChain, RungOrderFollowsFrontEndEntryAndRung) {
+  // NaN CSI past a relaxed screen makes every estimator fail, so the
+  // note lists every rung the ladder ran. An ESPRIT front end runs no
+  // relaxed MUSIC when it enters there, whether the entry is configured
+  // or planned, and never retries ESPRIT after an ESPRIT primary.
+  constexpr ApStage P = ApStage::kPrimary;
+  constexpr ApStage R = ApStage::kRelaxedMusic;
+  constexpr ApStage E = ApStage::kEsprit;
+  constexpr FrontEnd kMusic = FrontEnd::kMusic;
+  constexpr FrontEnd kEsprit = FrontEnd::kEsprit;
+  struct Row {
+    FrontEnd front_end;
+    ApStage entry_stage;
+    bool enabled;
+    ApStage rung;
+    const char* rungs;
+  };
+  const Row rows[] = {
+      {kMusic, P, false, P, "primary"},
+      {kMusic, P, false, R, "relaxed-music"},
+      {kMusic, P, true, P, "primary,relaxed-music,esprit"},
+      {kMusic, P, true, R, "relaxed-music,esprit"},
+      {kMusic, R, false, P, "relaxed-music"},
+      {kMusic, R, false, R, "relaxed-music"},
+      {kMusic, R, true, P, "relaxed-music,esprit"},
+      {kMusic, R, true, R, "relaxed-music,esprit"},
+      {kMusic, E, false, P, "esprit"},
+      {kMusic, E, false, R, "esprit"},
+      {kMusic, E, true, P, "esprit"},
+      {kMusic, E, true, R, "esprit"},
+      {kEsprit, P, false, P, "primary"},
+      {kEsprit, P, false, R, "esprit"},
+      {kEsprit, P, true, P, "primary,relaxed-music"},
+      {kEsprit, P, true, R, "esprit"},
+      {kEsprit, R, false, P, "esprit"},
+      {kEsprit, R, false, R, "esprit"},
+      {kEsprit, R, true, P, "esprit"},
+      {kEsprit, R, true, R, "esprit"},
+      {kEsprit, E, false, P, "esprit"},
+      {kEsprit, E, false, R, "esprit"},
+      {kEsprit, E, true, P, "esprit"},
+      {kEsprit, E, true, R, "esprit"},
+  };
+  Rng rng(25);
+  std::vector<CsiPacket> group;
+  for (int i = 0; i < 4; ++i) group.push_back(nan_packet(rng, 0.1 * i));
+  for (const Row& row : rows) {
+    ApProcessorConfig cfg;
+    cfg.front_end = row.front_end;
+    cfg.fallback.entry_stage = row.entry_stage;
+    cfg.fallback.enabled = row.enabled;
+    cfg.quality.check_finite = false;
+    cfg.quality.check_dead_antenna = false;
+    cfg.quality.max_antenna_imbalance_db = 1e12;
+    cfg.quality.max_power_jump_db = 1e12;
+    const ApProcessor processor(kLink, ArrayPose{{0.0, 0.0}, 0.0}, cfg);
+    const ApOutcome outcome = processor.process_robust(group, rng, row.rung);
+    SCOPED_TRACE(::testing::Message()
+                 << (row.front_end == kMusic ? "MUSIC" : "ESPRIT") << "/"
+                 << to_string(row.entry_stage) << "/" << row.enabled << "/"
+                 << to_string(row.rung) << ": " << outcome.note);
+    EXPECT_EQ(rungs_in_note(outcome.note), row.rungs);
+    EXPECT_EQ(outcome.stage,
+              row.enabled ? ApStage::kRssiOnly : ApStage::kFailed);
+  }
+}
+
 // --- streaming feed through the injector ---
 
 /// Office-deployment packet streams, one burst per AP, shared timestamps.

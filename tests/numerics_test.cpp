@@ -548,7 +548,7 @@ TEST(GmmDegenerate, CoincidentPointsFloorVarianceAndCount) {
   }
   Rng rng(11);
   NumericsScope scope;
-  const GmmResult gmm = fit_gmm(points, 3, rng);
+  const GmmResult gmm = fit_gmm(points, 3, rng, {}, thread_workspace());
   EXPECT_GE(scope.counters().gmm_variance_floored, 1u);
   for (const auto& comp : gmm.components) {
     for (const double v : comp.variance) {
@@ -565,7 +565,7 @@ TEST(GmmDegenerate, SpreadDataDoesNotCount) {
   RMatrix points(40, 2);
   for (auto& v : points.flat()) v = rng.normal();
   NumericsScope scope;
-  (void)fit_gmm(points, 3, rng);
+  (void)fit_gmm(points, 3, rng, {}, thread_workspace());
   EXPECT_EQ(scope.counters().gmm_variance_floored, 0u);
   EXPECT_EQ(scope.counters().gmm_nonfinite, 0u);
 }

@@ -1,5 +1,5 @@
-// The per-AP stage suite (DESIGN.md §15): the metered MUSIC estimate
-// stage must write exactly what the estimator's value API returns; a
+// The per-AP step suite (DESIGN.md §15): ApProcessor's metered MUSIC
+// step must write exactly what the estimator's value API returns; a
 // round must be byte-identical at every thread count for every
 // fallback/shed entry stage; the stage breakdown must fill the phases
 // each rung runs — and the deferred (prepare/execute/complete) round
@@ -19,7 +19,6 @@
 #include "core/session_manager.hpp"
 #include "core/streaming.hpp"
 #include "music/steering_cache.hpp"
-#include "pipeline/stages.hpp"
 #include "testbed/deployment.hpp"
 #include "testbed/experiment.hpp"
 
@@ -49,36 +48,33 @@ ServerConfig office_server_config(std::size_t threads) {
 // --- metered stage path == value API, bit for bit ----------------------
 
 TEST(StageEquivalence, ComposedMusicStagesMatchEstimateInto) {
-  // MusicEstimateStage::run_into composes stage_subspace and
-  // stage_spectrum into the caller's span under two meters; with the
-  // telemetry sink armed it must write exactly what estimate() returns.
+  // ApProcessor's per-packet step composes stage_subspace and
+  // stage_spectrum into its slot span under two meters; a group run
+  // always arms the sink, and with sanitization off the pooled estimates
+  // must be exactly what estimate() returns, packet after packet.
   const auto captures = office_captures(3);
   const JointMusicEstimator est(kLink, JointMusicConfig{});
-  const MusicEstimateStage stage(est);
-  ASSERT_EQ(stage.max_paths(), est.config().max_paths);
-  Workspace ws;
-  StageBreakdown bd;
+  ApProcessorConfig cfg;
+  cfg.sanitize = false;
+  const ApProcessor processor(kLink, captures[0].pose, cfg);
+  Rng rng(5);
+  const ApOutcome outcome =
+      processor.process_robust(captures[0].packets, rng);
+  ASSERT_EQ(outcome.stage, ApStage::kPrimary) << outcome.note;
+  const std::vector<PathEstimate>& staged = outcome.result.pooled_estimates;
+  const StageBreakdown& bd = outcome.stage_breakdown;
 
+  std::size_t n_staged = 0;
   for (const auto& packet : captures[0].packets) {
     const std::vector<PathEstimate> value = est.estimate(packet.csi);
-    std::vector<PathEstimate> staged(stage.max_paths());
-    std::size_t n_staged = 0;
-    {
-      Workspace::Frame frame(ws);
-      StageContext ctx;
-      ctx.ws = &ws;
-      ctx.breakdown = &bd;
-      ctx.frame = &frame;
-      n_staged = stage.run_into(ctx, ConstCMatrixView(packet.csi), staged);
-    }
-
-    ASSERT_EQ(value.size(), n_staged);
-    for (std::size_t i = 0; i < n_staged; ++i) {
-      EXPECT_EQ(value[i].aoa_rad, staged[i].aoa_rad) << i;
-      EXPECT_EQ(value[i].tof_s, staged[i].tof_s) << i;
-      EXPECT_EQ(value[i].power, staged[i].power) << i;
+    ASSERT_LE(n_staged + value.size(), staged.size());
+    for (std::size_t i = 0; i < value.size(); ++i, ++n_staged) {
+      EXPECT_EQ(value[i].aoa_rad, staged[n_staged].aoa_rad) << n_staged;
+      EXPECT_EQ(value[i].tof_s, staged[n_staged].tof_s) << n_staged;
+      EXPECT_EQ(value[i].power, staged[n_staged].power) << n_staged;
     }
   }
+  ASSERT_EQ(n_staged, staged.size());
   EXPECT_GT(bd.seconds[static_cast<std::size_t>(StagePhase::kSubspace)], 0.0);
   EXPECT_GT(bd.seconds[static_cast<std::size_t>(StagePhase::kSpectrum)], 0.0);
 }
@@ -169,9 +165,9 @@ TEST(StageTelemetry, RobustRoundCarriesAStageBreakdown) {
 }
 
 TEST(StageTelemetry, EspritRoundIsMeteredWholeAsSubspace) {
-  // ESPRIT has no grid sweep: its estimate stage is metered whole under
-  // kSubspace and leaves kSpectrum empty (perfbench's tenants_esprit
-  // reads music.spectrum_ms = 0 from this).
+  // ESPRIT has no grid sweep: it is metered whole under kSubspace and
+  // leaves kSpectrum empty (perfbench's tenants_esprit reads
+  // music.spectrum_ms = 0 from this).
   const auto captures = office_captures(4);
   ServerConfig cfg = office_server_config(1);
   cfg.ap.fallback.entry_stage = ApStage::kEsprit;
@@ -191,9 +187,32 @@ TEST(StageTelemetry, EspritRoundIsMeteredWholeAsSubspace) {
       0u);
 }
 
+TEST(StageTelemetry, LocalizePeakIsOneSolveNotTheSum) {
+  // The primary solve and every leave-one-out re-solve run one after
+  // another on the same arena, so the kLocalize peak is the largest
+  // single solve's footprint: the re-solves (one AP fewer each) must not
+  // raise it above what the primary solve alone reports.
+  const auto captures = office_captures(4);
+  constexpr auto kLocalize = static_cast<std::size_t>(StagePhase::kLocalize);
+  std::size_t peak[2] = {0, 0};
+  for (const bool loo : {false, true}) {
+    ServerConfig cfg = office_server_config(1);
+    cfg.fusion.loo_rejection = loo;
+    const SpotFiServer server(kLink, cfg);
+    Rng rng(7);
+    auto result = server.try_localize(captures, rng);
+    ASSERT_TRUE(result.has_value()) << result.error().reason;
+    ASSERT_TRUE(result.value().rejected_aps.empty());
+    peak[loo ? 1 : 0] =
+        result.value().stage_breakdown.workspace_peak_bytes[kLocalize];
+  }
+  EXPECT_GT(peak[0], 0u);
+  EXPECT_EQ(peak[1], peak[0]);
+}
+
 TEST(StageTelemetry, MeteringIsOptInAndOffByDefaultOnTheStrictPath) {
   // A group run always meters into ApOutcome::stage_breakdown; only
-  // estimate_packet and bare stage calls pass no breakdown sink, and
+  // estimate_packet and bare kernel calls pass no breakdown sink, and
   // their zero-clock-read contract is pinned by the alloc/perf suites.
   const auto captures = office_captures(2);
   ApProcessorConfig cfg;
