@@ -110,12 +110,13 @@ for name, path in (("perf_music", music_path),
         if b.get("run_type") == "aggregate":
             entry["repetitions"] = b["repetitions"]
         # Memory benches attach custom counters (allocs/bytes per packet,
-        # arena high-water); session benches attach p99 round latency.
-        # Keep them so the zero-allocation contract and the tail-latency
-        # trajectory are visible in the snapshot.
+        # arena high-water); session benches attach p99 round latency;
+        # the spectrum stage bench, the ToF columns it sweeps. Keep them
+        # so the zero-allocation contract, the tail-latency trajectory
+        # and the sweep's pruning are visible in the snapshot.
         for key in ("allocs_per_packet", "bytes_per_packet",
                     "arena_high_water_bytes", "p99_round_ms", "sessions",
-                    "items_per_second"):
+                    "items_per_second", "swept_cols"):
             if key in b:
                 entry[key] = b[key]
         suite.append(entry)

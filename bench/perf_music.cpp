@@ -1,9 +1,9 @@
 // Performance microbenchmarks for the signal-processing primitives:
 // Hermitian eigendecomposition, smoothed-CSI construction, ToF
-// sanitization, the joint 2-D MUSIC spectrum sweep, its peak search,
-// and full per-packet estimation. These quantify why the
-// Kronecker-factorized spectrum makes whole-testbed experiments feasible
-// on one core.
+// sanitization, the joint 2-D MUSIC spectrum sweep over the full grid,
+// the full-grid peak search, and full per-packet estimation. These
+// quantify why the Kronecker-factorized spectrum makes whole-testbed
+// experiments feasible on one core.
 #include <benchmark/benchmark.h>
 
 #include "channel/csi_synthesis.hpp"
@@ -102,6 +102,8 @@ void BM_SanitizeTof(benchmark::State& state) {
 BENCHMARK(BM_SanitizeTof);
 
 void BM_JointSpectrum(benchmark::State& state) {
+  // The value API: subspace split plus every cell of the 181 x 320 grid,
+  // the full sweep the per-packet stage avoids.
   const LinkConfig link = LinkConfig::intel5300_40mhz();
   const JointMusicEstimator estimator(link);
   const CMatrix csi = test_csi();
@@ -112,9 +114,10 @@ void BM_JointSpectrum(benchmark::State& state) {
 BENCHMARK(BM_JointSpectrum);
 
 void BM_FindPeaks2d(benchmark::State& state) {
-  // The peak half of the spectrum stage: find_peaks_2d on the 181 x 320
-  // pseudospectrum of the office packet BM_Stage_Spectrum (perf_pipeline)
-  // sweeps, so the two split that stage into sweep and peaks.
+  // The full-grid peak finder on the 181 x 320 pseudospectrum of the
+  // office packet BM_Stage_Spectrum (perf_pipeline) sweeps. Only tests
+  // and benches call this form: the spectrum stage runs the same search
+  // over the few ToF columns its pruned sweep computes.
   const LinkConfig link = LinkConfig::intel5300_40mhz();
   ExperimentConfig cfg;
   cfg.packets_per_group = 10;

@@ -146,6 +146,8 @@ BENCHMARK(BM_Stage_Subspace);
 void BM_Stage_Spectrum(benchmark::State& state) {
   // The grid sweep alone: subspaces are computed once into an enclosing
   // frame, each iteration sweeps the pseudospectrum and extracts peaks.
+  // swept_cols counts the ToF columns the sweep computes (of 320): the
+  // rest are proved below the peak floor by their bound.
   auto& f = fixture();
   const JointMusicEstimator est(f.link, JointMusicConfig{});
   const CsiPacket& packet = f.captures[0].packets[0];
@@ -158,6 +160,9 @@ void BM_Stage_Spectrum(benchmark::State& state) {
     Workspace::Frame frame(ws);
     benchmark::DoNotOptimize(est.stage_spectrum(sub, ws, out));
   }
+  Workspace::Frame frame(ws);
+  state.counters["swept_cols"] = benchmark::Counter(
+      static_cast<double>(est.sweep_spectrum(sub, ws).grid.swept.size()));
 }
 BENCHMARK(BM_Stage_Spectrum);
 

@@ -1,6 +1,8 @@
 #include "music/estimators.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "music/steering.hpp"
 #include "music/steering_cache.hpp"
@@ -44,11 +46,11 @@ ConstCMatrixView steering_view(const SteeringAxisTable& axis) {
   return {axis.steering.data(), axis.grid.size(), axis.len};
 }
 
-/// The MUSIC pseudospectrum 1 / max(||E_n^H a||^2, 1e-12) over every
-/// steering vector a = ant_i (x) sub_j, antenna-major (the row order of
-/// smoothed_csi()); `ant` holds one antenna steering vector per row,
-/// `sub` one subcarrier steering vector per row. values(i, j) is the
-/// spectrum at (ant_i, sub_j).
+/// The per-packet tables of the MUSIC pseudospectrum
+/// 1 / max(||E_n^H a||^2, 1e-12) over every steering vector
+/// a = ant_i (x) sub_j, antenna-major (the row order of smoothed_csi()):
+/// `ant` holds one antenna steering vector per row (AoA row i), `sub`
+/// one subcarrier steering vector per row (ToF column j).
 ///
 /// The denominator at (i, j) is the quadratic form
 ///   ||E_n^H a||^2 = ant_i^T M(j) conj(ant_i)
@@ -63,26 +65,54 @@ ConstCMatrixView steering_view(const SteeringAxisTable& axis) {
 /// projector's (a, b) block. They are built once per packet for a <= b;
 /// c_aa[-k] = conj(c_aa[k]), so a diagonal block needs only s' <= s.
 /// Each ToF column evaluates them on its steering row, where sub_j[k] is
-/// Omega_j^k and its conjugate stands in for Omega_j^-k, and stores
-/// M(j)'s ant_len^2 real degrees of freedom (the diagonal, Re/Im above
-/// it). Each grid point is then one real dot product with the matching
-/// weights of ant_i (|ant_a|^2, and 2 Re / -2 Im of ant_a conj(ant_b)),
-/// whatever the noise dimension.
+/// Omega_j^k and its conjugate stands in for Omega_j^-k, and `gram`
+/// stores M(j)'s ant_len^2 real degrees of freedom (the diagonal, Re/Im
+/// above it). A cell is then one real dot product of that row with AoA
+/// row i's matching `weights` (|ant_a|^2, and 2 Re / -2 Im of
+/// ant_a conj(ant_b)), whatever the noise dimension.
 /// Cost: O(ant_len^2 * S^2 * D) for the coefficients,
-/// O(N_tof * ant_len^2 * S) for the per-column Grams, O(G * ant_len^2)
-/// for the sweep.
-void spectrum_values(ConstCMatrixView noise, ConstCMatrixView ant,
-                     ConstCMatrixView sub, Workspace& ws, RMatrixView values) {
+/// O(N_tof * ant_len^2 * S) for the per-column Grams, O(ant_len^2) per
+/// cell swept.
+struct SweepTables {
+  std::size_t ant_len = 0;
+  std::size_t dof = 0;                 ///< ant_len^2
+  std::span<const double> weights;     ///< n_aoa x dof
+  std::span<const double> gram;        ///< n_tof x dof
+
+  [[nodiscard]] std::size_t n_aoa() const { return weights.size() / dof; }
+  [[nodiscard]] std::size_t n_tof() const { return gram.size() / dof; }
+};
+
+/// Builds the tables on `ws` (they live until the caller's enclosing
+/// frame closes; the polynomial coefficients are released on return).
+SweepTables sweep_tables(ConstCMatrixView noise, ConstCMatrixView ant,
+                         ConstCMatrixView sub, Workspace& ws) {
   const std::size_t n_aoa = ant.rows();
   const std::size_t n_tof = sub.rows();
   const std::size_t ant_len = ant.cols();
   const std::size_t sub_len = sub.cols();
   const std::size_t n_noise = noise.cols();
   const std::size_t dof = ant_len * ant_len;
-  SPOTFI_EXPECTS(values.rows() == n_aoa && values.cols() == n_tof,
-                 "spectrum grid shape disagrees with the estimator grids");
   SPOTFI_EXPECTS(noise.rows() == ant_len * sub_len,
                  "noise basis length disagrees with the steering tables");
+
+  const std::span<double> weights = ws.take<double>(n_aoa * dof);
+  for (std::size_t ai = 0; ai < n_aoa; ++ai) {
+    const cplx* ant_vec = ant.row_ptr(ai);
+    double* w = &weights[ai * dof];
+    for (std::size_t a = 0; a < ant_len; ++a) {
+      for (std::size_t b = a; b < ant_len; ++b) {
+        if (b == a) {
+          *w++ = std::norm(ant_vec[a]);
+        } else {
+          const cplx p = ant_vec[a] * std::conj(ant_vec[b]);
+          *w++ = 2.0 * p.real();
+          *w++ = -2.0 * p.imag();
+        }
+      }
+    }
+  }
+  const std::span<double> gram = ws.take<double>(n_tof * dof);
 
   Workspace::Frame frame(ws);
   // c_ab[k] for each pair a <= b, pair-major: a pair's 2S - 1 terms run
@@ -110,7 +140,6 @@ void spectrum_values(ConstCMatrixView noise, ConstCMatrixView ant,
     }
   }
 
-  const std::span<double> gram = ws.take<double>(n_tof * dof);
   for (std::size_t ti = 0; ti < n_tof; ++ti) {
     const cplx* omega_pow = sub.row_ptr(ti);
     double* m = &gram[ti * dof];
@@ -137,30 +166,152 @@ void spectrum_values(ConstCMatrixView noise, ConstCMatrixView ant,
       }
     }
   }
+  return {ant_len, dof, weights, gram};
+}
 
-  const std::span<double> weights = ws.take<double>(dof);
-  for (std::size_t ai = 0; ai < n_aoa; ++ai) {
-    const cplx* ant_vec = ant.row_ptr(ai);
-    double* w = weights.data();
-    for (std::size_t a = 0; a < ant_len; ++a) {
-      for (std::size_t b = a; b < ant_len; ++b) {
-        if (b == a) {
-          *w++ = std::norm(ant_vec[a]);
-        } else {
-          const cplx p = ant_vec[a] * std::conj(ant_vec[b]);
-          *w++ = 2.0 * p.real();
-          *w++ = -2.0 * p.imag();
-        }
-      }
-    }
-    double* row = values.row_ptr(ai);
-    for (std::size_t ti = 0; ti < n_tof; ++ti) {
-      const double* m = &gram[ti * dof];
-      double denom = 0.0;
-      for (std::size_t k = 0; k < dof; ++k) denom += weights[k] * m[k];
-      row[ti] = 1.0 / std::max(denom, 1e-12);
+/// The one sweep kernel: the cells of ToF column j for AoA rows
+/// [i0, i1), 1 / max(w_i . m_j, 1e-12), written to out[(i - i0) * stride].
+/// The full grid, the pruned sweep and refinement's on-demand cells all
+/// run it, so a cell has the same bits whichever of them computed it.
+void sweep_column(const SweepTables& t, std::size_t j, std::size_t i0,
+                  std::size_t i1, double* out, std::size_t stride) {
+  const double* m = &t.gram[j * t.dof];
+  for (std::size_t i = i0; i < i1; ++i, out += stride) {
+    const double* w = &t.weights[i * t.dof];
+    double denom = 0.0;
+    for (std::size_t k = 0; k < t.dof; ++k) denom += w[k] * m[k];
+    *out = 1.0 / std::max(denom, 1e-12);
+  }
+}
+
+/// Every cell of the grid (the value APIs), in bands of 16 AoA rows so
+/// the strided writes stay within a few pages.
+void sweep_all(const SweepTables& t, RMatrixView values) {
+  const std::size_t n_aoa = t.n_aoa();
+  SPOTFI_EXPECTS(values.rows() == n_aoa && values.cols() == t.n_tof(),
+                 "spectrum grid shape disagrees with the estimator grids");
+  constexpr std::size_t kBand = 16;
+  for (std::size_t i0 = 0; i0 < n_aoa; i0 += kBand) {
+    const std::size_t i1 = std::min(i0 + kBand, n_aoa);
+    double* band = values.row_ptr(i0);
+    for (std::size_t j = 0; j < t.n_tof(); ++j) {
+      sweep_column(t, j, i0, i1, band + j, values.stride());
     }
   }
+}
+
+/// U_j for every ToF column: an upper bound on every cell of column j,
+/// with no division per cell.
+///
+/// A cell's denominator is sum_k w_ik m_jk. Over the AoA table each
+/// diagonal weight |ant_a|^2 lies in [lo_a, hi_a], and each off-diagonal
+/// pair of weights (2 Re p, -2 Im p) has norm at most R_ab, so by
+/// Cauchy-Schwarz on the pair the denominator is at least
+///   B_j = sum_a (m_aa >= 0 ? lo_a : hi_a) m_aa - sum_{a<b} R_ab ||m_ab||.
+/// The computed dot product may fall below its exact value by its
+/// rounding, at most gamma_dof * S with S = sum_k |w_ik m_jk|; the
+/// computed B_j may exceed its exact value by the same order. Both are
+/// far below 1e-12 * S_j, where S_j >= S bounds every row of the column,
+/// so B_j - 1e-12 S_j is below every computed denominator of column j.
+/// U_j = 1 / max(B_j - 1e-12 S_j, 1e-12) is the cells' own expression,
+/// and fl(1/x) does not increase with x, so U_j >= every cell. A NaN
+/// in M(j) makes U_j NaN; an overflowing one makes S_j infinite and U_j
+/// 1e12 or NaN. The sweep skips no such column.
+std::span<const double> column_bounds(const SweepTables& t, Workspace& ws) {
+  const std::size_t dof = t.dof;
+  const std::size_t n_aoa = t.n_aoa();
+  // Per weight slot: a diagonal slot's least and largest weight; an
+  // off-diagonal pair's R_ab in its first slot's `hi`.
+  const std::span<double> lo = ws.take<double>(dof);
+  const std::span<double> hi = ws.take<double>(dof);
+  for (std::size_t k = 0; k < dof; ++k) {
+    lo[k] = std::numeric_limits<double>::infinity();
+  }
+  for (std::size_t ai = 0; ai < n_aoa; ++ai) {
+    const double* w = &t.weights[ai * dof];
+    std::size_t k = 0;
+    for (std::size_t a = 0; a < t.ant_len; ++a) {
+      lo[k] = std::min(lo[k], w[k]);
+      hi[k] = std::max(hi[k], w[k]);
+      ++k;
+      for (std::size_t b = a + 1; b < t.ant_len; ++b, k += 2) {
+        hi[k] = std::max(hi[k], w[k] * w[k] + w[k + 1] * w[k + 1]);
+      }
+    }
+  }
+  for (std::size_t a = 0, k = 0; a < t.ant_len; ++a) {
+    ++k;
+    for (std::size_t b = a + 1; b < t.ant_len; ++b, k += 2) {
+      hi[k] = std::sqrt(hi[k]);
+    }
+  }
+
+  const std::size_t n_tof = t.n_tof();
+  const std::span<double> bound = ws.take<double>(n_tof);
+  for (std::size_t ti = 0; ti < n_tof; ++ti) {
+    const double* m = &t.gram[ti * dof];
+    double b_lo = 0.0;
+    double s_abs = 0.0;
+    std::size_t k = 0;
+    for (std::size_t a = 0; a < t.ant_len; ++a) {
+      b_lo += (m[k] >= 0.0 ? lo[k] : hi[k]) * m[k];
+      s_abs += hi[k] * std::abs(m[k]);
+      ++k;
+      for (std::size_t b = a + 1; b < t.ant_len; ++b, k += 2) {
+        b_lo -= hi[k] * std::sqrt(m[k] * m[k] + m[k + 1] * m[k + 1]);
+        s_abs += hi[k] * (std::abs(m[k]) + std::abs(m[k + 1]));
+      }
+    }
+    bound[ti] = 1.0 / std::max(b_lo - 1e-12 * s_abs, 1e-12);
+  }
+  return bound;
+}
+
+/// stage_spectrum's sweep: the tables, the column bounds, then only the
+/// columns whose bound reaches thr = max(0, min(min_relative, 1)) * M,
+/// M the largest cell swept so far. The column with the largest bound
+/// goes first so M starts high. Cells are >= 0, so a skipped column's
+/// cells c have |c| <= U_j < thr <= min(min_relative, 1) * max|grid|:
+/// ColumnGrid's condition. NaN bounds, a NaN min_relative and
+/// min_relative <= 0 skip nothing.
+struct PrunedSweep {
+  SweepTables tables;
+  SweptSpectrum spectrum;
+};
+
+PrunedSweep pruned_sweep(ConstCMatrixView noise, ConstCMatrixView ant,
+                         ConstCMatrixView sub, double min_relative,
+                         Workspace& ws) {
+  const SweepTables t = sweep_tables(noise, ant, sub, ws);
+  const std::size_t n_aoa = t.n_aoa();
+  const std::size_t n_tof = t.n_tof();
+  const std::span<const double> bound = column_bounds(t, ws);
+  // Zero-filled: every column starts out null.
+  const std::span<const double*> col = ws.take<const double*>(n_tof);
+  const std::span<std::size_t> swept = ws.take<std::size_t>(n_tof);
+
+  const double scale = std::max(0.0, std::min(min_relative, 1.0));
+  double cell_max = 0.0;
+  const auto sweep = [&](std::size_t j) {
+    double* c = ws.take<double>(n_aoa).data();
+    sweep_column(t, j, 0, n_aoa, c, 1);
+    for (std::size_t i = 0; i < n_aoa; ++i) cell_max = std::max(cell_max, c[i]);
+    col[j] = c;
+  };
+  std::size_t first = 0;
+  for (std::size_t j = 1; j < n_tof; ++j) {
+    if (bound[j] > bound[first]) first = j;
+  }
+  sweep(first);
+  std::size_t n_swept = 0;
+  for (std::size_t j = 0; j < n_tof; ++j) {
+    if (j != first) {
+      if (bound[j] < scale * cell_max) continue;
+      sweep(j);
+    }
+    swept[n_swept++] = j;
+  }
+  return {t, {ColumnGrid{n_aoa, col, swept.first(n_swept)}, bound}};
 }
 
 }  // namespace
@@ -173,8 +324,9 @@ AoaTofSpectrum JointMusicEstimator::spectrum(const CMatrix& csi) const {
   sp.aoa_grid_rad = aoa_axis_->grid;
   sp.tof_grid_s = tof_axis_->grid;
   sp.values = RMatrix(sp.aoa_grid_rad.size(), sp.tof_grid_s.size());
-  spectrum_values(sub.noise, steering_view(*aoa_axis_),
-                  steering_view(*tof_axis_), ws, sp.values.view());
+  sweep_all(sweep_tables(sub.noise, steering_view(*aoa_axis_),
+                         steering_view(*tof_axis_), ws),
+            sp.values.view());
   return sp;
 }
 
@@ -187,21 +339,38 @@ SubspacesRef JointMusicEstimator::stage_subspace(ConstCMatrixView csi,
   return noise_subspace(ConstCMatrixView(x), config_.subspace, ws);
 }
 
+SweptSpectrum JointMusicEstimator::sweep_spectrum(const SubspacesRef& sub,
+                                                  Workspace& ws) const {
+  return pruned_sweep(sub.noise, steering_view(*aoa_axis_),
+                      steering_view(*tof_axis_), config_.min_relative_peak,
+                      ws)
+      .spectrum;
+}
+
 std::size_t JointMusicEstimator::stage_spectrum(
     const SubspacesRef& sub, Workspace& ws,
     std::span<PathEstimate> out) const {
   SPOTFI_EXPECTS(out.size() >= config_.max_paths,
                  "stage_spectrum output span smaller than max_paths");
-  const RMatrixView values = workspace_matrix<double>(
-      ws, aoa_axis_->grid.size(), tof_axis_->grid.size());
-  spectrum_values(sub.noise, steering_view(*aoa_axis_),
-                  steering_view(*tof_axis_), ws, values);
+  const PrunedSweep sweep =
+      pruned_sweep(sub.noise, steering_view(*aoa_axis_),
+                   steering_view(*tof_axis_), config_.min_relative_peak, ws);
+  const ColumnGrid& grid = sweep.spectrum.grid;
 
   std::span<const GridPeak> peaks = find_peaks_2d(
-      ConstRMatrixView(values), tof_wraps_,
+      grid, tof_wraps_,
       config_.max_paths + (config_.exclude_aoa_edges ? config_.max_paths : 0),
       config_.min_relative_peak, ws);
 
+  // Refinement reads the AoA neighbours in the peak's own (swept) column;
+  // a ToF neighbour's column may not have been swept, and then its one
+  // cell is computed here by the same kernel.
+  const auto value = [&](std::size_t i, std::size_t j) {
+    if (grid.col[j] != nullptr) return grid.col[j][i];
+    double cell = 0.0;
+    sweep_column(sweep.tables, j, i, i + 1, &cell, 1);
+    return cell;
+  };
   const RVector& aoa_grid = aoa_axis_->grid;
   const RVector& tof_grid = tof_axis_->grid;
   const std::size_t n_tof = tof_grid.size();
@@ -218,16 +387,15 @@ std::size_t JointMusicEstimator::stage_spectrum(
     double dj = 0.0;
     if (config_.refine_peaks) {
       if (pk.i > 0 && pk.i + 1 < aoa_grid.size()) {
-        di = parabolic_offset(values(pk.i - 1, pk.j), values(pk.i, pk.j),
-                              values(pk.i + 1, pk.j));
+        di = parabolic_offset(value(pk.i - 1, pk.j), pk.value,
+                              value(pk.i + 1, pk.j));
       }
       const std::size_t jm =
           pk.j > 0 ? pk.j - 1 : (tof_wraps_ ? n_tof - 1 : pk.j);
       const std::size_t jp =
           pk.j + 1 < n_tof ? pk.j + 1 : (tof_wraps_ ? 0 : pk.j);
       if (jm != pk.j && jp != pk.j) {
-        dj = parabolic_offset(values(pk.i, jm), values(pk.i, pk.j),
-                              values(pk.i, jp));
+        dj = parabolic_offset(value(pk.i, jm), pk.value, value(pk.i, jp));
       }
     }
     est.aoa_rad = aoa_grid[pk.i] + di * config_.aoa_step_rad;
@@ -281,9 +449,9 @@ AoaSpectrum MusicAoaEstimator::spectrum(const CMatrix& csi) const {
   // The antenna-only array is the joint sweep's one-column case: one
   // length-1 subcarrier steering vector.
   const cplx one{1.0, 0.0};
-  spectrum_values(sub.noise, steering_view(*aoa_axis_),
-                  ConstCMatrixView(&one, 1, 1), ws,
-                  RMatrixView(sp.values.data(), sp.values.size(), 1));
+  sweep_all(sweep_tables(sub.noise, steering_view(*aoa_axis_),
+                         ConstCMatrixView(&one, 1, 1), ws),
+            RMatrixView(sp.values.data(), sp.values.size(), 1));
   return sp;
 }
 

@@ -10,8 +10,10 @@
 // polynomial in Omega(tau) with 2 sub_len - 1 terms (29 here); the sweep
 // builds the coefficients once per packet and evaluates them once per
 // ToF column. A grid point then costs ant_len^2 real multiply-adds
-// whatever the noise dimension, and a full 181 x 320 grid about a
-// quarter of a millisecond.
+// whatever the noise dimension. The per-packet stage sweeps only the
+// ToF columns whose Gram bound lets a cell of them reach the peak floor
+// (about a dozen of the 320 on the deployments' packets); the value API
+// sweeps them all.
 //
 // MusicAoaEstimator — the classic antenna-only MUSIC (Sec. 3.1.1) used by
 // the paper's practical ArrayTrack/Phaser baseline: the 3-antenna array
@@ -46,6 +48,16 @@ struct AoaTofSpectrum {
   RVector aoa_grid_rad;
   RVector tof_grid_s;
   RMatrix values;
+};
+
+/// One packet's pseudospectrum as stage_spectrum sweeps it: arena views
+/// that live until the enclosing frame closes.
+struct SweptSpectrum {
+  /// The AoA x ToF grid by ToF column. A column is null when its bound
+  /// proved that no cell of it reaches the peak floor.
+  ColumnGrid grid;
+  /// Per ToF column, an upper bound on every cell of it.
+  std::span<const double> bound;
 };
 
 /// 1-D pseudospectrum on an AoA grid.
@@ -102,11 +114,17 @@ class JointMusicEstimator {
                                             Workspace& ws) const;
   /// Pseudospectrum sweep + peak extraction: writes at most
   /// config().max_paths estimates into `out`, which must hold at least
-  /// that many, and returns the count. The spectrum grid and peak list
-  /// are arena scratch.
+  /// that many, and returns the count. They equal what the full grid of
+  /// spectrum() yields under the same peak search and refinement, bit
+  /// for bit. The swept columns and peak list are arena scratch.
   [[nodiscard]] std::size_t stage_spectrum(const SubspacesRef& sub,
                                            Workspace& ws,
                                            std::span<PathEstimate> out) const;
+  /// stage_spectrum's sweep alone (tests and benches): every ToF column
+  /// whose bound reaches max(0, min(min_relative_peak, 1)) times the
+  /// largest cell swept, the others null. Swept cells equal spectrum()'s.
+  [[nodiscard]] SweptSpectrum sweep_spectrum(const SubspacesRef& sub,
+                                             Workspace& ws) const;
 
   [[nodiscard]] const JointMusicConfig& config() const { return config_; }
   [[nodiscard]] const LinkConfig& link() const { return link_; }

@@ -3,74 +3,136 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 namespace spotfi {
 namespace {
 
-void sort_and_trim(std::vector<GridPeak>& peaks, std::size_t max_peaks,
-                   double min_relative, double global_max) {
-  std::sort(peaks.begin(), peaks.end(),
-            [](const GridPeak& a, const GridPeak& b) {
-              return a.value > b.value;
-            });
+/// The 8-neighbour test at the cell `mid[i]`. `left` and `right` are its
+/// neighbour columns, read at the same offsets as `mid`; `up` and `down`
+/// are the offsets of rows i - 1 and i + 1. A neighbour that does not
+/// exist is passed as the cell's own column or row: the cell itself and
+/// repeats of real neighbours neither block a peak nor support one, so
+/// the substitution leaves the test unchanged. A null column was not
+/// computed: every cell of it lies below the floor, which the tested
+/// cell does not (find_peaks_2d tests no cell below it), so it is lower.
+/// A NaN neighbour compares false both ways: it neither blocks nor
+/// supports.
+bool is_peak(const double* left, const double* mid, const double* right,
+             std::size_t up, std::size_t i, std::size_t down) {
+  const double v = mid[i];
+  // Same-column prefilter: on a smooth spectrum most tested cells stop
+  // here.
+  if (mid[up] > v || mid[down] > v) return false;
+  bool lower = mid[up] < v || mid[down] < v;
+  for (const double* c : {left, right}) {
+    if (c == nullptr) {
+      lower = true;
+      continue;
+    }
+    if (c[up] > v || c[i] > v || c[down] > v) return false;
+    lower = lower || c[up] < v || c[i] < v || c[down] < v;
+  }
+  return lower;
+}
+
+/// A row-major matrix read as columns: every column is swept.
+struct DenseColumns {
+  ConstRMatrixView grid;
+
+  [[nodiscard]] std::size_t rows() const { return grid.rows(); }
+  [[nodiscard]] std::size_t cols() const { return grid.cols(); }
+  [[nodiscard]] std::size_t stride() const { return grid.stride(); }
+  [[nodiscard]] std::size_t n_swept() const { return grid.cols(); }
+  [[nodiscard]] std::size_t swept(std::size_t s) const { return s; }
+  [[nodiscard]] const double* col(std::size_t j) const {
+    return grid.data() + j;
+  }
+};
+
+/// A ColumnGrid: contiguous columns, null where not computed.
+struct SparseColumns {
+  const ColumnGrid& grid;
+
+  [[nodiscard]] std::size_t rows() const { return grid.rows; }
+  [[nodiscard]] std::size_t cols() const { return grid.col.size(); }
+  [[nodiscard]] std::size_t stride() const { return 1; }
+  [[nodiscard]] std::size_t n_swept() const { return grid.swept.size(); }
+  [[nodiscard]] std::size_t swept(std::size_t s) const {
+    return grid.swept[s];
+  }
+  [[nodiscard]] const double* col(std::size_t j) const { return grid.col[j]; }
+};
+
+/// find_peaks_2d over either column source (see the header).
+template <class Columns>
+std::span<const GridPeak> find_peaks_columns(const Columns& g, bool wrap_cols,
+                                             std::size_t max_peaks,
+                                             double min_relative,
+                                             Workspace& ws) {
+  SPOTFI_EXPECTS(max_peaks > 0, "max_peaks must be positive");
+  SPOTFI_EXPECTS(g.rows() >= 1 && g.cols() >= 1, "empty grid");
+  const std::size_t rows = g.rows();
+  const std::size_t cols = g.cols();
+  const std::size_t stride = g.stride();
+  const std::size_t n_swept = g.n_swept();
+
+  // max|grid| in four independent lanes, merged after the pass. Exact: a
+  // max over non-NaN values does not depend on order, and
+  // std::max(acc, NaN) keeps acc, so no lane ever holds a NaN.
+  double lane_max[4] = {0.0, 0.0, 0.0, 0.0};
+  const std::size_t blocked = n_swept - n_swept % 4;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::size_t at = i * stride;
+    for (std::size_t s = 0; s < blocked; s += 4) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        lane_max[l] =
+            std::max(lane_max[l], std::abs(g.col(g.swept(s + l))[at]));
+      }
+    }
+    for (std::size_t s = blocked; s < n_swept; ++s) {
+      lane_max[0] = std::max(lane_max[0], std::abs(g.col(g.swept(s))[at]));
+    }
+  }
+  const double global_max = std::max(std::max(lane_max[0], lane_max[1]),
+                                     std::max(lane_max[2], lane_max[3]));
+  // Only cells at or above the floor are tested: the rest would be
+  // dropped, and NaN cells, never peaks, fail the comparison too. A NaN
+  // floor (NaN min_relative) drops nothing.
   const double floor_value = min_relative * global_max;
-  std::erase_if(peaks,
-                [&](const GridPeak& p) { return p.value < floor_value; });
-  if (peaks.size() > max_peaks) peaks.resize(max_peaks);
-}
+  const double lowest = std::isnan(floor_value)
+                            ? -std::numeric_limits<double>::infinity()
+                            : floor_value;
 
-/// The 8-neighbourhood local-maximum test at the grid's border rows and
-/// columns. Out-of-range neighbours simply do not exist (they neither
-/// block a peak nor count as dominated); the column axis optionally
-/// wraps. Flat regions are not peaks: dominance over at least one
-/// neighbour is required so constant grids yield nothing.
-bool is_peak_2d(ConstRMatrixView grid, bool wrap_cols, std::size_t i,
-                std::size_t j) {
-  const std::size_t rows = grid.rows();
-  const std::size_t cols = grid.cols();
-  const double v = grid(i, j);
-  auto value_at = [&](std::ptrdiff_t ii,
-                      std::ptrdiff_t jj) -> std::optional<double> {
-    if (ii < 0 || ii >= static_cast<std::ptrdiff_t>(rows)) return std::nullopt;
-    if (wrap_cols) {
-      const auto c = static_cast<std::ptrdiff_t>(cols);
-      jj = ((jj % c) + c) % c;
-    } else if (jj < 0 || jj >= static_cast<std::ptrdiff_t>(cols)) {
-      return std::nullopt;
+  // The strongest peaks so far, by value descending. Cells are offered in
+  // row-major order and a peak never displaces an equal one offered
+  // before it, so equal values keep row-major order.
+  const std::span<GridPeak> top =
+      ws.take<GridPeak>(std::min(max_peaks, rows * cols));
+  std::size_t n = 0;
+  const auto offer = [&](std::size_t i, std::size_t j, double v) {
+    if (n == top.size()) {
+      if (!(v > top[n - 1].value)) return;
+      --n;
     }
-    return grid(static_cast<std::size_t>(ii), static_cast<std::size_t>(jj));
+    std::size_t k = n++;
+    for (; k > 0 && top[k - 1].value < v; --k) top[k] = top[k - 1];
+    top[k] = {i, j, v};
   };
-  bool strictly_above_one = false;
-  for (int di = -1; di <= 1; ++di) {
-    for (int dj = -1; dj <= 1; ++dj) {
-      if (di == 0 && dj == 0) continue;
-      const auto nb = value_at(static_cast<std::ptrdiff_t>(i) + di,
-                               static_cast<std::ptrdiff_t>(j) + dj);
-      if (!nb) continue;
-      if (*nb > v) return false;
-      if (*nb < v) strictly_above_one = true;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::size_t at = i * stride;
+    const std::size_t up = i > 0 ? at - stride : at;
+    const std::size_t down = i + 1 < rows ? at + stride : at;
+    for (std::size_t s = 0; s < n_swept; ++s) {
+      const std::size_t j = g.swept(s);
+      const double* mid = g.col(j);
+      const double v = mid[at];
+      if (!(v >= lowest)) continue;
+      const std::size_t jl = j > 0 ? j - 1 : (wrap_cols ? cols - 1 : j);
+      const std::size_t jr = j + 1 < cols ? j + 1 : (wrap_cols ? 0 : j);
+      if (is_peak(g.col(jl), mid, g.col(jr), up, at, down)) offer(i, j, v);
     }
   }
-  return strictly_above_one;
-}
-
-/// The same test at an interior cell, where all eight neighbours exist:
-/// `up`, `mid` and `down` point at column j of rows i-1, i and i+1. Like
-/// is_peak_2d it is NaN-neutral: a NaN neighbour compares false both
-/// ways, so it neither blocks the peak nor counts toward it, and a NaN
-/// cell is never a peak.
-bool is_interior_peak(const double* up, const double* mid,
-                      const double* down) {
-  const double v = mid[0];
-  // Same-row prefilter: most cells of a smooth spectrum stop here.
-  if (mid[-1] > v || mid[1] > v) return false;
-  if (up[-1] > v || up[0] > v || up[1] > v || down[-1] > v || down[0] > v ||
-      down[1] > v) {
-    return false;
-  }
-  return mid[-1] < v || mid[1] < v || up[-1] < v || up[0] < v || up[1] < v ||
-         down[-1] < v || down[0] < v || down[1] < v;
+  return top.first(n);
 }
 
 }  // namespace
@@ -88,75 +150,42 @@ std::vector<GridPeak> find_peaks_1d(std::span<const double> f,
   if (n == 1) {
     peaks.push_back({0, 0, f[0]});
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool left_ok = i == 0 ? f[i] > f[i + 1] : f[i] > f[i - 1];
-      const bool right_ok = i == n - 1 ? f[i] > f[i - 1] : f[i] >= f[i + 1];
-      // Interior plateaus: count only the left edge (strict > on the left).
-      if (left_ok && right_ok) peaks.push_back({i, 0, f[i]});
+    // Each flat run [a, b] once: a peak when each neighbour that exists
+    // is lower. A lone run (a constant series) has neither.
+    for (std::size_t a = 0, b = 0; a < n; a = b + 1) {
+      for (b = a; b + 1 < n && f[b + 1] == f[a];) ++b;
+      const bool left_ok = a == 0 || f[a - 1] < f[a];
+      const bool right_ok = b == n - 1 || f[b + 1] < f[b];
+      if (left_ok && right_ok && (a > 0 || b < n - 1)) {
+        peaks.push_back({a, 0, f[a]});
+      }
     }
   }
-  sort_and_trim(peaks, max_peaks, min_relative, global_max);
+  std::stable_sort(peaks.begin(), peaks.end(),
+                   [](const GridPeak& a, const GridPeak& b) {
+                     return a.value > b.value;
+                   });
+  const double floor_value = min_relative * global_max;
+  std::erase_if(peaks,
+                [&](const GridPeak& p) { return p.value < floor_value; });
+  if (peaks.size() > max_peaks) peaks.resize(max_peaks);
   return peaks;
 }
 
 std::span<const GridPeak> find_peaks_2d(ConstRMatrixView grid, bool wrap_cols,
                                         std::size_t max_peaks,
                                         double min_relative, Workspace& ws) {
-  SPOTFI_EXPECTS(max_peaks > 0, "max_peaks must be positive");
-  SPOTFI_EXPECTS(grid.rows() >= 1 && grid.cols() >= 1, "empty grid");
-  const std::size_t rows = grid.rows();
-  const std::size_t cols = grid.cols();
-  // The strongest candidates so far, by value descending. A candidate
-  // never displaces an equal one offered before it, so equal values keep
-  // row-major order.
-  const std::span<GridPeak> top =
-      ws.take<GridPeak>(std::min(max_peaks, rows * cols));
-  std::size_t n = 0;
-  const auto offer = [&](std::size_t i, std::size_t j, double v) {
-    if (n == top.size()) {
-      if (!(v > top[n - 1].value)) return;
-      --n;
-    }
-    std::size_t k = n++;
-    for (; k > 0 && top[k - 1].value < v; --k) top[k] = top[k - 1];
-    top[k] = {i, j, v};
-  };
-  // max|grid| in four independent lanes, merged after the pass. Exact: a
-  // max over non-NaN values does not depend on order, and
-  // std::max(acc, NaN) keeps acc, so no lane ever holds a NaN.
-  double lane_max[4] = {0.0, 0.0, 0.0, 0.0};
-  const std::size_t blocked = cols - cols % 4;
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double* mid = grid.row_ptr(i);
-    for (std::size_t j = 0; j < blocked; j += 4) {
-      for (std::size_t l = 0; l < 4; ++l) {
-        lane_max[l] = std::max(lane_max[l], std::abs(mid[j + l]));
-      }
-    }
-    for (std::size_t j = blocked; j < cols; ++j) {
-      lane_max[0] = std::max(lane_max[0], std::abs(mid[j]));
-    }
-    if (i == 0 || i + 1 == rows) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        if (is_peak_2d(grid, wrap_cols, i, j)) offer(i, j, mid[j]);
-      }
-      continue;
-    }
-    const double* up = grid.row_ptr(i - 1);
-    const double* down = grid.row_ptr(i + 1);
-    if (is_peak_2d(grid, wrap_cols, i, 0)) offer(i, 0, mid[0]);
-    for (std::size_t j = 1; j + 1 < cols; ++j) {
-      if (is_interior_peak(up + j, mid + j, down + j)) offer(i, j, mid[j]);
-    }
-    if (cols > 1 && is_peak_2d(grid, wrap_cols, i, cols - 1)) {
-      offer(i, cols - 1, mid[cols - 1]);
-    }
-  }
-  const double global_max = std::max(std::max(lane_max[0], lane_max[1]),
-                                     std::max(lane_max[2], lane_max[3]));
-  const double floor_value = min_relative * global_max;
-  while (n > 0 && top[n - 1].value < floor_value) --n;
-  return top.first(n);
+  return find_peaks_columns(DenseColumns{grid}, wrap_cols, max_peaks,
+                            min_relative, ws);
+}
+
+std::span<const GridPeak> find_peaks_2d(const ColumnGrid& grid,
+                                        bool wrap_cols, std::size_t max_peaks,
+                                        double min_relative, Workspace& ws) {
+  SPOTFI_EXPECTS(grid.swept.size() <= grid.col.size(),
+                 "more swept columns than the grid has");
+  return find_peaks_columns(SparseColumns{grid}, wrap_cols, max_peaks,
+                            min_relative, ws);
 }
 
 double parabolic_offset(double f_m1, double f_0, double f_p1) {

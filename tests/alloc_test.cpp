@@ -64,9 +64,15 @@ namespace spotfi {
 namespace {
 
 const LinkConfig kLink = LinkConfig::intel5300_40mhz();
-/// The default 181 x 320 MUSIC pseudospectrum, the largest arena checkout
-/// of a packet: a lower bound on any MUSIC packet's high-water mark.
-constexpr std::size_t kSpectrumBytes = 181 * 320 * sizeof(double);
+/// The spectrum sweep's per-column noise Grams on the default grid (320
+/// ToF columns, 2 x 2 real degrees of freedom each), which stay checked
+/// out through the peak search: a lower bound on any joint MUSIC
+/// packet's high-water mark.
+constexpr std::size_t kGramTableBytes = 320 * 4 * sizeof(double);
+/// The per-packet footprint ceiling on these packets: the sweep keeps
+/// only the ToF columns that can reach the peak floor (1.4 KB each), not
+/// the 181 x 320 grid (~463 KB).
+constexpr std::size_t kPacketArenaCeiling = 128 * 1024;
 
 std::size_t allocations() {
   return g_allocations.load(std::memory_order_relaxed);
@@ -171,9 +177,9 @@ TEST(ZeroAlloc, ArenaHighWaterMarkIsPinned) {
   // The per-packet footprint of the default MUSIC configuration. A
   // regression here means a buffer moved onto the arena (fine, update the
   // bound) or a config change exploded the grid (worth noticing either
-  // way). Default grid: 181 x 320 spectrum (~463 KB) + the sweep's
-  // polynomial coefficients and per-column Grams + smoothing/eigen
-  // scratch.
+  // way). Default grid: the sweep's AoA weights and per-column Grams, the
+  // swept ToF columns (181 cells each, about a dozen on these packets)
+  // and the smoothing/eigen scratch; 84,480 B when last measured.
   const auto packets = synthesize_group(2);
   const ApProcessor processor(kLink, ArrayPose{{0.0, 0.0}, 0.0}, {});
   Workspace ws;
@@ -182,9 +188,9 @@ TEST(ZeroAlloc, ArenaHighWaterMarkIsPinned) {
   (void)processor.estimate_packet(packets[1], ws, out);
 
   const WorkspaceStats stats = ws.stats();
-  EXPECT_GT(stats.high_water_bytes, kSpectrumBytes);
-  EXPECT_LT(stats.high_water_bytes, 4u * 1024u * 1024u)
-      << "per-packet arena footprint exploded: " << stats.high_water_bytes;
+  EXPECT_GT(stats.high_water_bytes, kGramTableBytes);
+  EXPECT_LT(stats.high_water_bytes, kPacketArenaCeiling)
+      << "per-packet arena footprint grew: " << stats.high_water_bytes;
   EXPECT_EQ(stats.used_bytes, 0u);  // frames rewound cleanly
 }
 
@@ -237,8 +243,9 @@ TEST(ZeroAlloc, WorkspacePeakTelemetryRidesApOutcome) {
   const ApOutcome outcome = processor.process_robust(packets, rng);
   ASSERT_TRUE(outcome.usable);
   EXPECT_EQ(outcome.stage, ApStage::kPrimary);
-  EXPECT_GT(outcome.workspace_peak_bytes, kSpectrumBytes);
-  EXPECT_LT(outcome.workspace_peak_bytes, 4u * 1024u * 1024u);
+  EXPECT_GT(outcome.workspace_peak_bytes, kGramTableBytes);
+  EXPECT_LT(outcome.workspace_peak_bytes, kPacketArenaCeiling)
+      << outcome.workspace_peak_bytes;
 }
 
 TEST(ZeroAlloc, WarmLocateAllocatesOncePerSeedPlusOne) {

@@ -19,6 +19,7 @@
 #include "music/esprit.hpp"
 #include "music/estimators.hpp"
 #include "music/steering.hpp"
+#include "spectrum_reference.hpp"
 #include "testbed/deployment.hpp"
 #include "testbed/experiment.hpp"
 
@@ -232,6 +233,56 @@ TEST(Peaks, EdgesCanPeak) {
   EXPECT_EQ(peaks[1].i, 3u);
 }
 
+TEST(Peaks1d, RisingPlateauIsNotAPeak) {
+  // The run {5, 5} rises to 7 on its right: only 7 is a local maximum.
+  const std::vector<double> rising{0.0, 5.0, 5.0, 7.0, 1.0};
+  const auto peaks = find_peaks_1d(rising, 5);
+  ASSERT_EQ(peaks.size(), 1u);
+  EXPECT_EQ(peaks[0].i, 3u);
+  // Mirrored: the run falls on its right but rises on its left.
+  const std::vector<double> mirrored{1.0, 7.0, 5.0, 5.0, 0.0};
+  const auto mirror_peaks = find_peaks_1d(mirrored, 5);
+  ASSERT_EQ(mirror_peaks.size(), 1u);
+  EXPECT_EQ(mirror_peaks[0].i, 1u);
+
+  // A run that falls on both sides counts once, at its first index; one
+  // that meets a grid end counts when it falls on its other side.
+  const std::vector<double> runs{0.0, 5.0, 5.0, 5.0, 1.0, 3.0, 3.0};
+  const auto run_peaks = find_peaks_1d(runs, 5);
+  ASSERT_EQ(run_peaks.size(), 2u);
+  EXPECT_EQ(run_peaks[0].i, 1u);
+  EXPECT_EQ(run_peaks[1].i, 5u);
+  const std::vector<double> left_run{4.0, 4.0, 1.0};
+  const auto left_peaks = find_peaks_1d(left_run, 5);
+  ASSERT_EQ(left_peaks.size(), 1u);
+  EXPECT_EQ(left_peaks[0].i, 0u);
+
+  EXPECT_TRUE(find_peaks_1d(std::vector<double>{2.0, 2.0, 2.0}, 5).empty());
+  EXPECT_EQ(find_peaks_1d(std::vector<double>{2.0}, 5).size(), 1u);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(find_peaks_1d(std::vector<double>{0.0, 3.0, nan}, 5).empty());
+}
+
+TEST(Peaks1d, EqualPeaksKeepIndexOrder) {
+  // 40 equal peaks (more than an insertion-sort run) in between two
+  // higher ones: equal values come back in index order, and the cap keeps
+  // the lowest indices.
+  std::vector<double> f(85, 0.0);
+  for (std::size_t k = 0; k < 40; ++k) f[2 * k + 3] = 1.0;
+  f[1] = 2.0;
+  f[83] = 3.0;
+  const auto peaks = find_peaks_1d(f, 100);
+  ASSERT_EQ(peaks.size(), 42u);
+  EXPECT_EQ(peaks[0].i, 83u);
+  EXPECT_EQ(peaks[1].i, 1u);
+  for (std::size_t k = 0; k < 40; ++k) {
+    EXPECT_EQ(peaks[k + 2].i, 2 * k + 3) << "peak " << k + 2;
+  }
+  const auto capped = find_peaks_1d(f, 5);
+  ASSERT_EQ(capped.size(), 5u);
+  EXPECT_EQ(capped[4].i, 7u);
+}
+
 TEST(Peaks, TwoDimensionalWithWrap) {
   RMatrix g(3, 6);
   g(1, 0) = 5.0;   // peak on the wrap column boundary
@@ -363,6 +414,86 @@ TEST(Peaks, OnePassMatchesBruteForceOracle) {
       }
     }
   }
+}
+
+TEST(Peaks, ColumnGridMatchesFullGrid) {
+  // The ColumnGrid finder, with every column skipped that its contract
+  // allows (all cells non-NaN with |c| < min(min_relative, 1) * max|grid|),
+  // returns what the full-grid finder returns on the whole grid. Random
+  // and quantized grids (ties, plateaus), with NaN holes, in both signs.
+  Rng rng(41);
+  Workspace ws;
+  std::size_t skipped_total = 0;
+  for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{1, 1},
+                                   {1, 9},
+                                   {9, 1},
+                                   {2, 2},
+                                   {5, 7},
+                                   {37, 64}}) {
+    for (std::size_t variant = 0; variant < 4; ++variant) {
+      RMatrix g(rows, cols);
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          // A sparse field of bumps so that whole columns sit low.
+          double v = rng.uniform(-0.1, 0.1);
+          if (rng.uniform() < 0.05) v = rng.uniform(-1.0, 1.0) * 10.0;
+          if (variant % 2 == 1) v = std::floor(v);
+          if (variant >= 2 && rng.uniform() < 0.05) {
+            v = std::numeric_limits<double>::quiet_NaN();
+          }
+          g(i, j) = v;
+        }
+      }
+      double max_abs = 0.0;
+      for (std::size_t i = 0; i < rows; ++i) {
+        for (const double v : g.row(i)) max_abs = std::max(max_abs, std::abs(v));
+      }
+      // Column-major copies, one per column.
+      std::vector<std::vector<double>> columns(cols);
+      for (std::size_t j = 0; j < cols; ++j) {
+        for (std::size_t i = 0; i < rows; ++i) columns[j].push_back(g(i, j));
+      }
+      for (const double min_relative : {-1.0, 0.0, 0.05, 0.5, 1.0, 2.0}) {
+        const double thr =
+            std::max(0.0, std::min(min_relative, 1.0)) * max_abs;
+        std::vector<const double*> col(cols, nullptr);
+        std::vector<std::size_t> swept;
+        for (std::size_t j = 0; j < cols; ++j) {
+          const bool skippable = std::all_of(
+              columns[j].begin(), columns[j].end(),
+              [&](double v) { return std::abs(v) < thr; });
+          if (skippable) {
+            ++skipped_total;
+            continue;
+          }
+          col[j] = columns[j].data();
+          swept.push_back(j);
+        }
+        const ColumnGrid grid{rows, col, swept};
+        for (const bool wrap : {false, true}) {
+          for (const std::size_t max_peaks : {std::size_t{1}, std::size_t{8},
+                                              std::size_t{100000}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << rows << "x" << cols << " variant " << variant
+                         << " floor " << min_relative << " wrap " << wrap
+                         << " max_peaks " << max_peaks);
+            Workspace::Frame frame(ws);
+            const std::span<const GridPeak> want =
+                find_peaks_2d(g, wrap, max_peaks, min_relative, ws);
+            const std::span<const GridPeak> got =
+                find_peaks_2d(grid, wrap, max_peaks, min_relative, ws);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t p = 0; p < want.size(); ++p) {
+              ASSERT_EQ(got[p].i, want[p].i) << "peak " << p;
+              ASSERT_EQ(got[p].j, want[p].j) << "peak " << p;
+              ASSERT_EQ(got[p].value, want[p].value) << "peak " << p;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(skipped_total, 100u) << "the grids must exercise skipped columns";
 }
 
 TEST(Peaks, ArenaUseIndependentOfCandidateCount) {
@@ -670,6 +801,149 @@ TEST(JointMusic, KroneckerGramSweepMatchesDirectProjection) {
                                        std::max(denom, 1e-12)));
     }
     EXPECT_LE(worst, 1e-12);
+  }
+}
+
+// --- the pruned spectrum sweep (constructed cases; the corpora are in
+// eigh_oracle_test.cpp) ---
+
+/// The full grid of `est`'s sweep for `sub`: at min_relative_peak = 0
+/// the sweep skips no column, and its cells are spectrum()'s
+/// (PrunedSweepCorpus), so a constructed noise basis gets the same
+/// reference grid a packet's would.
+RMatrix full_sweep(const JointMusicEstimator& est, const SubspacesRef& sub,
+                   Workspace& ws) {
+  JointMusicConfig cfg = est.config();
+  cfg.min_relative_peak = 0.0;
+  const JointMusicEstimator all_columns(est.link(), cfg);
+  Workspace::Frame frame(ws);
+  const SweptSpectrum sweep = all_columns.sweep_spectrum(sub, ws);
+  RMatrix grid(sweep.grid.rows, sweep.grid.col.size());
+  for (std::size_t j = 0; j < grid.cols(); ++j) {
+    EXPECT_NE(sweep.grid.col[j], nullptr) << "column " << j;
+    if (sweep.grid.col[j] == nullptr) continue;
+    for (std::size_t i = 0; i < grid.rows(); ++i) {
+      grid(i, j) = sweep.grid.col[j][i];
+    }
+  }
+  return grid;
+}
+
+/// stage_spectrum on `sub`, checked bit for bit against the full grid.
+std::vector<PathEstimate> checked_stage_spectrum(
+    const JointMusicEstimator& est, const SubspacesRef& sub, Workspace& ws) {
+  std::vector<PathEstimate> got(est.config().max_paths);
+  got.resize(est.stage_spectrum(sub, ws, got));
+  const std::vector<PathEstimate> want =
+      full_grid_estimates(est, full_sweep(est, sub, ws), ws);
+  EXPECT_TRUE(same_bits(got, want))
+      << got.size() << " vs " << want.size() << " estimates";
+  return got;
+}
+
+/// The grid column of an on-grid estimate's ToF.
+std::size_t tof_column(const JointMusicEstimator& est, double tof_s) {
+  const RVector& grid = est.tof_grid();
+  return static_cast<std::size_t>(
+      std::min_element(grid.begin(), grid.end(),
+                       [&](double a, double b) {
+                         return std::abs(a - tof_s) < std::abs(b - tof_s);
+                       }) -
+      grid.begin());
+}
+
+TEST(PrunedSweep, NoiseBasisSpanningEverythingSkipsNothing) {
+  // E_n = I: every denominator is ||a||^2 = 30 up to rounding, so every
+  // column's bound reaches the floor.
+  const JointMusicEstimator est(kLink);
+  const std::size_t dim = 30;
+  CMatrix eye(dim, dim);
+  for (std::size_t k = 0; k < dim; ++k) eye(k, k) = 1.0;
+  SubspacesRef sub;
+  sub.noise = ConstCMatrixView(eye);
+  Workspace ws;
+  Workspace::Frame frame(ws);
+  EXPECT_EQ(est.sweep_spectrum(sub, ws).grid.swept.size(),
+            est.tof_grid().size());
+  (void)checked_stage_spectrum(est, sub, ws);
+}
+
+TEST(PrunedSweep, NanNoiseBasisSweepsEverythingAndFindsNothing) {
+  const JointMusicEstimator est(kLink);
+  const CMatrix nan_basis(30, 29,
+                          cplx(std::numeric_limits<double>::quiet_NaN(), 0.0));
+  SubspacesRef sub;
+  sub.noise = ConstCMatrixView(nan_basis);
+  Workspace ws;
+  Workspace::Frame frame(ws);
+  const SweptSpectrum sweep = est.sweep_spectrum(sub, ws);
+  EXPECT_EQ(sweep.grid.swept.size(), est.tof_grid().size());
+  EXPECT_TRUE(std::isnan(sweep.bound[0]));
+  EXPECT_TRUE(checked_stage_spectrum(est, sub, ws).empty());
+}
+
+TEST(PrunedSweep, PeakOnTheWrapSeamRefinesAcrossIt) {
+  // A clean path at the first ToF column (-T/2): its ToF neighbours are
+  // column 1 and, across the seam, the last column. Both lie below the
+  // floor, so neither is swept and refinement computes their cells.
+  const JointMusicEstimator est(kLink);
+  ASSERT_TRUE(est.tof_axis_wraps());
+  const double tof_ns = est.tof_grid()[0] * 1e9;
+  const CMatrix csi = ideal_synth().ideal_csi(
+      std::vector<PathComponent>{make_path(20.0, tof_ns, 0.0)});
+  Workspace ws;
+  Workspace::Frame frame(ws);
+  const SubspacesRef sub = est.stage_subspace(ConstCMatrixView(csi), ws);
+  const SweptSpectrum sweep = est.sweep_spectrum(sub, ws);
+  const std::size_t last = est.tof_grid().size() - 1;
+  const std::vector<PathEstimate> got = checked_stage_spectrum(est, sub, ws);
+  ASSERT_FALSE(got.empty());
+  const std::size_t j = tof_column(est, got[0].tof_s);
+  ASSERT_TRUE(j == 0 || j == last) << j;
+  EXPECT_NE(sweep.grid.col[j], nullptr);
+  EXPECT_EQ(sweep.grid.col[j == 0 ? last : j - 1], nullptr);
+  EXPECT_EQ(sweep.grid.col[j == last ? 0 : j + 1], nullptr);
+}
+
+TEST(PrunedSweep, RefinementComputesSkippedNeighbourCells) {
+  // A clean path on a ToF column but between AoA rows: its peak is sharp
+  // in ToF, so neither neighbour column reaches the floor and refinement
+  // computes both cells, while the AoA rows interpolate.
+  const JointMusicEstimator est(kLink);
+  const std::size_t j_true = 200;
+  const CMatrix csi = ideal_synth().ideal_csi(std::vector<PathComponent>{
+      make_path(20.37, est.tof_grid()[j_true] * 1e9, 0.0)});
+  Workspace ws;
+  Workspace::Frame frame(ws);
+  const SubspacesRef sub = est.stage_subspace(ConstCMatrixView(csi), ws);
+  const SweptSpectrum sweep = est.sweep_spectrum(sub, ws);
+  const std::vector<PathEstimate> got = checked_stage_spectrum(est, sub, ws);
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(tof_column(est, got[0].tof_s), j_true);
+  EXPECT_NEAR(rad_to_deg(got[0].aoa_rad), 20.37, 0.5);
+  EXPECT_NE(sweep.grid.col[j_true], nullptr);
+  EXPECT_EQ(sweep.grid.col[j_true - 1], nullptr);
+  EXPECT_EQ(sweep.grid.col[j_true + 1], nullptr);
+}
+
+TEST(PrunedSweep, ExactTiesKeepRowMajorOrder) {
+  // Clean on-grid paths drive their denominators below the 1e-12 clamp,
+  // so their peaks tie exactly at 1e12.
+  const JointMusicEstimator est(kLink);
+  const CMatrix csi = ideal_synth().ideal_csi(std::vector<PathComponent>{
+      make_path(40.0, 50.0, 0.0), make_path(-35.0, 150.0, 0.0, 1.1),
+      make_path(5.0, -100.0, 0.0, 2.3)});
+  Workspace ws;
+  Workspace::Frame frame(ws);
+  const SubspacesRef sub = est.stage_subspace(ConstCMatrixView(csi), ws);
+  const std::vector<PathEstimate> got = checked_stage_spectrum(est, sub, ws);
+  ASSERT_GE(got.size(), 2u);
+  EXPECT_EQ(got[0].power, got[1].power);
+  EXPECT_EQ(got[0].power, 1e12);
+  // Row-major among equals: ascending AoA.
+  for (std::size_t k = 1; k < got.size() && got[k].power == got[0].power;
+       ++k) {
+    EXPECT_LT(got[k - 1].aoa_rad, got[k].aoa_rad);
   }
 }
 

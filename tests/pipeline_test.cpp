@@ -7,6 +7,7 @@
 // serial per-session outputs bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <barrier>
 #include <cstdlib>
 #include <memory>
@@ -158,10 +159,56 @@ TEST(StageTelemetry, RobustRoundCarriesAStageBreakdown) {
     EXPECT_LE(peak, round.workspace_peak_bytes);
   }
 
-  // Per-AP breakdowns rode home on the outcomes and folded into the
-  // round: every AP ran MUSIC, so the subspace bucket saw n_aps packets'
-  // worth of time — at least as much as any single AP contributed.
+  // One result per AP. ApResult carries no per-AP breakdown, so how the
+  // APs' breakdowns fold into the round's is checked on the fold itself
+  // (StageBreakdown.MergeAddsTimesAndMaxesPeaks).
   EXPECT_EQ(round.ap_results.size(), captures.size());
+}
+
+TEST(StageBreakdown, MergeAddsTimesAndMaxesPeaks) {
+  StageBreakdown b;
+  b.seconds = {0.1, 1.3, 2.7, 0.0, 0.3};
+  b.workspace_peak_bytes = {10, 300, 40, 0, 7};
+  StageBreakdown c;
+  c.seconds = {0.2, 0.0, 1.1, 0.9, 0.7};
+  c.workspace_peak_bytes = {20, 100, 40, 5, 0};
+
+  // Merging an empty breakdown is the identity, on either side.
+  StageBreakdown b_then_empty = b;
+  b_then_empty.merge(StageBreakdown{});
+  StageBreakdown empty_then_b;
+  empty_then_b.merge(b);
+  for (const StageBreakdown* x : {&b_then_empty, &empty_then_b}) {
+    EXPECT_EQ(x->seconds, b.seconds);
+    EXPECT_EQ(x->workspace_peak_bytes, b.workspace_peak_bytes);
+  }
+
+  // Seconds add in fold order; each phase's peak is the larger one.
+  StageBreakdown folded;
+  EXPECT_FALSE(folded.any());
+  EXPECT_EQ(folded.total_seconds(), 0.0);
+  folded.merge(b);
+  folded.merge(c);
+  double total = 0.0;
+  for (std::size_t i = 0; i < kStagePhaseCount; ++i) {
+    EXPECT_EQ(folded.seconds[i], (0.0 + b.seconds[i]) + c.seconds[i]) << i;
+    EXPECT_EQ(folded.workspace_peak_bytes[i],
+              std::max(b.workspace_peak_bytes[i], c.workspace_peak_bytes[i]))
+        << i;
+    total += folded.seconds[i];
+  }
+  EXPECT_TRUE(folded.any());
+  EXPECT_EQ(folded.total_seconds(), total);
+
+  // any() sees a time or a peak alone.
+  StageBreakdown time_only;
+  time_only.seconds[static_cast<std::size_t>(StagePhase::kCluster)] = 1e-9;
+  EXPECT_TRUE(time_only.any());
+  StageBreakdown peak_only;
+  peak_only.workspace_peak_bytes[static_cast<std::size_t>(
+      StagePhase::kLocalize)] = 1;
+  EXPECT_TRUE(peak_only.any());
+  EXPECT_EQ(peak_only.total_seconds(), 0.0);
 }
 
 TEST(StageTelemetry, EspritRoundIsMeteredWholeAsSubspace) {
