@@ -3,7 +3,8 @@
 // Precomputes the per-AP cluster summaries once across all deployments,
 // then re-scores the direct-path selection under a grid of Eq. 8 weights
 // (w_C, w_theta, w_tau, w_s), reporting the median/p80 selection error
-// for each setting — the calibration behind DirectPathConfig's defaults.
+// for each setting — the calibration behind the Eq. 8 weight constants
+// of src/cluster/direct_path.cpp.
 //
 //   ./ablation_weights [seed]
 #include <cmath>

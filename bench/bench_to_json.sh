@@ -10,9 +10,10 @@
 #            path in seconds (CI uses this; numbers are NOT stable).
 #
 # Benches registered with Repetitions() + ReportAggregatesOnly() (the ones
-# whose single iteration fills the time budget) are stored under their
-# plain name with the median's times, plus `repetitions` and
-# `real_time_cv` (standard deviation over mean of the repetitions).
+# whose single iteration fills the time budget, and the reference loop
+# bench_regression.py normalizes by) are stored under their plain name
+# with the median's times, plus `repetitions` and `real_time_cv`
+# (standard deviation over mean of the repetitions).
 #
 # Do not export SPOTFI_THREADS when running this: the pipeline benches
 # parameterize thread counts explicitly (threads:1 vs threads:4) and the

@@ -88,7 +88,7 @@ void BM_LocalizeSolveRssiOnly3Aps(benchmark::State& state) {
                                           f.observations.begin() + 3);
   for (ApObservation& obs : observations) {
     obs.has_aoa = false;
-    obs.likelihood = ApFallbackConfig{}.rssi_only_likelihood;
+    obs.likelihood = kRssiOnlyLikelihood;
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(localizer.locate(observations));

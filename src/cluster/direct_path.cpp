@@ -6,6 +6,21 @@
 #include "music/steering.hpp"
 
 namespace spotfi {
+namespace {
+
+// Eq. 8 weights, calibrated by bench/ablation_weights over all three
+// deployments, per unit of the normalized AoA/ToF axes: w_C per cluster
+// hit per packet, w_theta per AoA stddev, w_tau per ToF stddev and w_s
+// per mean ToF. The count term is normalized by the number of packets in
+// the group (so a cluster hit once per packet scores 1.0 regardless of
+// group size); the paper's raw count would otherwise swamp the other
+// terms for long traces.
+constexpr double kWeightCount = 1.5;
+constexpr double kWeightSigmaAoa = 5.0;
+constexpr double kWeightSigmaTof = 2.0;
+constexpr double kWeightMeanTof = 4.0;
+
+}  // namespace
 
 std::vector<ClusterSummary> cluster_path_estimates(
     std::span<const PathEstimate> estimates, const LinkConfig& link,
@@ -19,9 +34,7 @@ std::vector<ClusterSummary> cluster_path_estimates(
   // weights are scale-free (Fig. 5(c): "ToF and AoA values are normalized
   // so that their values lie in the same range").
   const double aoa_scale = kPi / 2.0;
-  const double tof_scale = std::isnan(config.tof_scale_s)
-                               ? tof_period(link) / 2.0
-                               : config.tof_scale_s;
+  const double tof_scale = tof_period(link) / 2.0;
   SPOTFI_EXPECTS(tof_scale > 0.0, "ToF scale must be positive");
 
   Workspace::Frame frame(ws);
@@ -31,19 +44,10 @@ std::vector<ClusterSummary> cluster_path_estimates(
     points(i, 1) = estimates[i].tof_s / tof_scale;
   }
 
-  std::vector<std::size_t> assignment;
-  std::size_t k_eff = 0;
-  if (config.use_gmm) {
-    GmmResult gmm =
-        fit_gmm(ConstRMatrixView(points), config.n_clusters, rng, {}, ws);
-    assignment = std::move(gmm.assignment);
-    k_eff = gmm.components.size();
-  } else {
-    KMeansResult km =
-        kmeans(ConstRMatrixView(points), config.n_clusters, rng, {}, ws);
-    assignment = std::move(km.assignment);
-    k_eff = km.centroids.rows();
-  }
+  const GmmResult gmm =
+      fit_gmm(ConstRMatrixView(points), config.n_clusters, rng, {}, ws);
+  const std::vector<std::size_t>& assignment = gmm.assignment;
+  const std::size_t k_eff = gmm.components.size();
 
   // Per-cluster statistics on the *hard* assignment: Eq. 8 uses the
   // population variance of the members.
@@ -96,10 +100,10 @@ std::vector<ClusterSummary> cluster_path_estimates(
     const double hits_per_packet =
         static_cast<double>(c.count) / static_cast<double>(n_packets);
     const double rel_tof_n = c.mean_tof_s / tof_scale - min_mean_tof_n;
-    c.likelihood = std::exp(config.w_count * hits_per_packet -
-                            config.w_sigma_aoa * c.sigma_aoa -
-                            config.w_sigma_tof * c.sigma_tof -
-                            config.w_mean_tof * rel_tof_n);
+    c.likelihood = std::exp(kWeightCount * hits_per_packet -
+                            kWeightSigmaAoa * c.sigma_aoa -
+                            kWeightSigmaTof * c.sigma_tof -
+                            kWeightMeanTof * rel_tof_n);
   }
   std::sort(clusters.begin(), clusters.end(),
             [](const ClusterSummary& a, const ClusterSummary& b) {

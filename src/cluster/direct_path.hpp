@@ -42,23 +42,11 @@ struct DirectPathConfig {
   /// Number of clusters; the paper uses five (at best five significant
   /// paths indoors).
   std::size_t n_clusters = 5;
-  /// Eq. 8 weights. Defaults calibrated by bench/ablation_weights over
-  /// all three deployments (normalized AoA/ToF axes). The count term is
-  /// normalized by the number of packets in the group (so a cluster hit
-  /// once per packet scores 1.0 regardless of group size); the paper's
-  /// raw count would otherwise swamp the other terms for long traces.
-  double w_count = 1.5;       ///< w_C, per cluster hit per packet
-  double w_sigma_aoa = 5.0;   ///< w_theta, per unit normalized AoA stddev
-  double w_sigma_tof = 2.0;   ///< w_tau, per unit normalized ToF stddev
-  double w_mean_tof = 4.0;    ///< w_s, per unit normalized mean ToF
-  /// Cluster with a Gaussian mixture (paper); false = plain k-means.
-  bool use_gmm = true;
-  /// Normalization scale for ToF: values are divided by this before
-  /// clustering. NaN = use half the unambiguous ToF period.
-  double tof_scale_s = std::numeric_limits<double>::quiet_NaN();
 };
 
-/// Clusters per-packet path estimates and scores each cluster with Eq. 8.
+/// Clusters per-packet path estimates with the Gaussian mixture
+/// (k-means++ initialized) and scores each cluster with Eq. 8. AoA is
+/// normalized by pi/2 and ToF by half the unambiguous ToF period.
 /// Returns clusters sorted by likelihood, descending (the first entry is
 /// SpotFi's direct-path choice). Requires at least one estimate.
 /// `n_packets` is the size of the packet group the estimates were pooled

@@ -10,6 +10,17 @@
 namespace spotfi {
 namespace {
 
+/// EM stops when the log-likelihood improves by less than this.
+constexpr double kLogLikelihoodTolerance = 1e-7;
+/// Absolute variance floor keeping components from collapsing onto one
+/// point.
+constexpr double kVarianceFloor = 1e-8;
+/// Relative variance floor: per dimension, the effective floor is
+/// max(kVarianceFloor, kRelativeVarianceFloor * data variance in that
+/// dimension). Keeps the floor meaningful when the data lives at a scale
+/// where 1e-8 is either enormous or invisible.
+constexpr double kRelativeVarianceFloor = 1e-10;
+
 /// log N(x | mean, diag(var)).
 double log_gaussian(std::span<const double> x, const GmmComponent& c) {
   double acc = 0.0;
@@ -41,7 +52,7 @@ GmmResult fit_gmm(ConstRMatrixView points, std::size_t k, Rng& rng,
   Workspace::Frame frame(ws);
   // Per-dimension data variance fixes the scale of the relative floor.
   const std::span<double> floor_d = ws.take<double>(dim);
-  std::fill(floor_d.begin(), floor_d.end(), config.variance_floor);
+  std::fill(floor_d.begin(), floor_d.end(), kVarianceFloor);
   bool degenerate_data = n >= 2;
   {
     const std::span<double> data_mean = ws.take<double>(dim);
@@ -56,10 +67,9 @@ GmmResult fit_gmm(ConstRMatrixView points, std::size_t k, Rng& rng,
       }
       var /= static_cast<double>(n);
       if (std::isfinite(var)) {
-        floor_d[d] = std::max(config.variance_floor,
-                              config.relative_variance_floor * var);
+        floor_d[d] = std::max(kVarianceFloor, kRelativeVarianceFloor * var);
       }
-      if (!(var < config.variance_floor)) degenerate_data = false;
+      if (!(var < kVarianceFloor)) degenerate_data = false;
     }
   }
   // Coincident input — the whole dataset has (sub-floor) zero spread in
@@ -154,7 +164,7 @@ GmmResult fit_gmm(ConstRMatrixView points, std::size_t k, Rng& rng,
         comp.variance[d] = std::max(var / nk, floor_d[d]);
       }
     }
-    if (ll - prev_ll < config.log_likelihood_tolerance && iter > 0) break;
+    if (ll - prev_ll < kLogLikelihoodTolerance && iter > 0) break;
     prev_ll = ll;
   }
 

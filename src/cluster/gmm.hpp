@@ -16,16 +16,6 @@ namespace spotfi {
 
 struct GmmConfig {
   std::size_t max_iterations = 200;
-  /// Stop when the log-likelihood improves by less than this.
-  double log_likelihood_tolerance = 1e-7;
-  /// Absolute variance floor keeping components from collapsing onto one
-  /// point.
-  double variance_floor = 1e-8;
-  /// Relative variance floor: per dimension, the effective floor is
-  /// max(variance_floor, relative_variance_floor * data variance in that
-  /// dimension). Keeps the floor meaningful when the data lives at a scale
-  /// where 1e-8 is either enormous or invisible.
-  double relative_variance_floor = 1e-10;
 };
 
 struct GmmComponent {
@@ -44,8 +34,11 @@ struct GmmResult {
 };
 
 /// Fits a `k`-component diagonal GMM to the rows of `points` (n x D),
-/// initialized from k-means++. The effective component count can be
-/// smaller than `k` when there are fewer distinct points. EM scratch
+/// initialized from k-means++. EM stops when the log-likelihood gain falls
+/// below a fixed tolerance, and per dimension the component variances keep
+/// an absolute and a data-relative floor (constants of gmm.cpp), so no
+/// component collapses onto one point. The effective component count can
+/// be smaller than `k` when there are fewer distinct points. EM scratch
 /// (responsibilities, per-point log probabilities, variance floors) and
 /// the k-means initialization's iteration buffers live on `ws`; only the
 /// returned result allocates.

@@ -7,6 +7,9 @@
 namespace spotfi {
 namespace {
 
+/// Converged once no centroid coordinate moves by this much.
+constexpr double kCentroidTolerance = 1e-9;
+
 double squared_distance(std::span<const double> a, std::span<const double> b) {
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -126,7 +129,7 @@ KMeansResult kmeans(ConstRMatrixView points, std::size_t k, Rng& rng,
       std::copy(next.row(c).begin(), next.row(c).end(),
                 centroids.row(c).begin());
     }
-    if (shift < config.centroid_tolerance) break;
+    if (shift < kCentroidTolerance) break;
   }
 
   result.inertia = 0.0;

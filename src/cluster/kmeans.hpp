@@ -1,9 +1,9 @@
 // k-means clustering with k-means++ seeding.
 //
-// Used directly for quick clustering and as the initializer for the
-// Gaussian-mixture EM that implements the paper's "Gaussian mean
-// clustering" of (AoA, ToF) estimates (Sec. 3.2.3). Points are D-dim rows
-// of a matrix; SpotFi uses D = 2 (normalized AoA, normalized ToF).
+// The initializer of the Gaussian-mixture EM that implements the paper's
+// "Gaussian mean clustering" of (AoA, ToF) estimates (Sec. 3.2.3). Points
+// are D-dim rows of a matrix; SpotFi uses D = 2 (normalized AoA,
+// normalized ToF).
 #pragma once
 
 #include <vector>
@@ -15,8 +15,6 @@ namespace spotfi {
 
 struct KMeansConfig {
   std::size_t max_iterations = 100;
-  /// Converged when no assignment changes between iterations.
-  double centroid_tolerance = 1e-9;
 };
 
 struct KMeansResult {
@@ -31,6 +29,8 @@ struct KMeansResult {
 };
 
 /// Clusters the rows of `points` (n x D) into at most `k` clusters.
+/// Converged when no assignment changes between iterations, or when no
+/// centroid coordinate moves by a fixed tolerance (kmeans.cpp) or more.
 /// Requires n >= 1, k >= 1. Deterministic given the RNG state. All
 /// iteration scratch (seeding distances, counts, the per-iteration
 /// centroid accumulator) lives on `ws`, so the loop allocates nothing —

@@ -18,7 +18,6 @@ JointMusicConfig relaxed_music(JointMusicConfig cfg) {
   cfg.tof_step_s *= 2.0;
   cfg.min_relative_peak = std::min(cfg.min_relative_peak, 0.05);
   cfg.max_paths = std::min<std::size_t>(cfg.max_paths, 5);
-  cfg.subspace.order_method = OrderMethod::kThreshold;
   cfg.subspace.relative_threshold =
       std::max(cfg.subspace.relative_threshold, 0.1);
   cfg.subspace.max_signal_dims =
@@ -184,9 +183,9 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
   };
 
   // The entry point: stages before `entry` are skipped outright; the
-  // entry stage itself always runs; stages after it run only when the
-  // fallback chain is enabled. The overload rung is a floor on the
-  // configured entry, so a backlog never makes a round costlier.
+  // entry stage and every later one run until one succeeds. The overload
+  // rung is a floor on the configured entry, so a backlog never makes a
+  // round costlier.
   const bool primary_is_music = config_.front_end == FrontEnd::kMusic;
   // Relaxed MUSIC is a cheaper MUSIC, not a cheaper ESPRIT: an ESPRIT
   // front end entering there, by config or by rung, enters at ESPRIT.
@@ -196,11 +195,7 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
                             : later;
   SPOTFI_EXPECTS(entry != ApStage::kFailed,
                  "entry_stage must name a runnable stage");
-  const auto stage_allowed = [&](ApStage stage) {
-    if (stage < entry) return false;
-    if (stage == entry) return true;
-    return config_.fallback.enabled;
-  };
+  const auto stage_allowed = [&](ApStage stage) { return stage >= entry; };
 
   // Screen whenever an estimator rung can run. A clean group (the common
   // case) is processed in place; only a dirty one is copied down to its
@@ -281,7 +276,7 @@ ApOutcome ApProcessor::process_robust(std::span<const CsiPacket> packets,
       out.result = ApResult{};
       out.result.observation.pose = pose_;
       out.result.observation.has_aoa = false;
-      out.result.observation.likelihood = config_.fallback.rssi_only_likelihood;
+      out.result.observation.likelihood = kRssiOnlyLikelihood;
       out.result.observation.rssi_dbm =
           rssi_sum / static_cast<double>(n_rssi);
       out.stage = ApStage::kRssiOnly;

@@ -54,21 +54,18 @@ enum class ApStage {
 
 [[nodiscard]] const char* to_string(ApStage stage);
 
+/// Likelihood assigned to an RSSI-only observation: small, so a healthy
+/// AP's AoA always dominates, but positive, so the range constraint
+/// still anchors the Eq. 9 solve when bearings are scarce.
+inline constexpr double kRssiOnlyLikelihood = 0.05;
+
 struct ApFallbackConfig {
-  /// Walk the fallback chain past a failed entry stage (off: kFailed).
-  bool enabled = true;
-  /// Likelihood assigned to an RSSI-only observation: small, so a healthy
-  /// AP's AoA always dominates, but positive, so the range constraint
-  /// still anchors the Eq. 9 solve when bearings are scarce.
-  double rssi_only_likelihood = 0.05;
   /// Where process_robust enters the chain. kPrimary is the normal full-
   /// fidelity path; a later stage skips the more expensive ones entirely
   /// (an RSSI-only deployment never runs an estimator). The overload
   /// ladder (core/overload.hpp) can only move the entry later: a round's
-  /// planned rung is a floor on this stage, never an override. The entry
-  /// stage is always attempted even when `enabled` is false (entering
-  /// the chain at a stage is a request to run that stage, not a request
-  /// for its fallbacks). Must not be kFailed.
+  /// planned rung is a floor on this stage, never an override. Must not
+  /// be kFailed.
   ApStage entry_stage = ApStage::kPrimary;
 };
 
@@ -130,9 +127,9 @@ class ApProcessor {
   /// Processes one packet group (the paper uses 10-40 packets). Never
   /// throws past the chain (beyond ContractViolation for an empty group):
   /// screens the group with config().quality, tries the configured front
-  /// end first, then — when config().fallback.enabled — retries MUSIC on
-  /// a relaxed grid, falls back to ESPRIT, and finally emits an RSSI-only
-  /// observation; `stage`/`note` record how far it had to degrade.
+  /// end first, then retries MUSIC on a relaxed grid, falls back to
+  /// ESPRIT, and finally emits an RSSI-only observation; `stage`/`note`
+  /// record how far it had to degrade.
   /// The chain is entered at the later of fallback.entry_stage and
   /// `rung` (the round's overload rung, a floor). Relaxed MUSIC is a
   /// cheaper MUSIC, not a cheaper ESPRIT, so with an ESPRIT front end a

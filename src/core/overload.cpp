@@ -4,11 +4,17 @@
 #include <cmath>
 
 namespace spotfi {
+namespace {
+
+/// EWMA weight of the newest round-duration sample in the cost model.
+constexpr double kCostEwmaAlpha = 0.3;
+static_assert(kCostEwmaAlpha > 0.0 && kCostEwmaAlpha <= 1.0,
+              "an EWMA weight lies in (0, 1]");
+
+}  // namespace
 
 RoundCostModel::RoundCostModel(const OverloadConfig& config)
-    : alpha_(config.cost_ewma_alpha), cost_s_(config.seed_cost_s) {
-  SPOTFI_EXPECTS(alpha_ > 0.0 && alpha_ <= 1.0,
-                 "cost_ewma_alpha must be in (0, 1]");
+    : cost_s_(config.seed_cost_s) {
   for (const double c : cost_s_) {
     SPOTFI_EXPECTS(c >= 0.0 && std::isfinite(c),
                    "seed_cost_s entries must be finite and >= 0");
@@ -19,7 +25,8 @@ void RoundCostModel::observe(ApStage level, double duration_s) {
   if (!(duration_s >= 0.0) || !std::isfinite(duration_s)) return;
   const std::size_t i = static_cast<std::size_t>(level);
   // First real sample replaces the seed outright; after that, EWMA.
-  cost_s_[i] = seen_[i] ? (1.0 - alpha_) * cost_s_[i] + alpha_ * duration_s
+  cost_s_[i] = seen_[i] ? (1.0 - kCostEwmaAlpha) * cost_s_[i] +
+                              kCostEwmaAlpha * duration_s
                         : duration_s;
   seen_[i] = true;
 }

@@ -68,8 +68,6 @@ struct OverloadConfig {
   /// Wall-clock compute budget for one localization round [s]; 0
   /// disables deadline planning (occupancy alone drives the ladder).
   double round_deadline_s = 0.0;
-  /// EWMA weight of the newest round-duration sample in the cost model.
-  double cost_ewma_alpha = 0.3;
   /// Initial per-round cost estimates [s], indexed by rung. Zero
   /// means "assume free until measured" — set these in tests (with a
   /// FakeClock) to make deadline decisions deterministic.
@@ -77,7 +75,7 @@ struct OverloadConfig {
 };
 
 /// EWMA state of a RoundCostModel, exportable for durability snapshots.
-/// The alpha weight comes from the config and is not part of the state.
+/// The EWMA weight is a constant of overload.cpp, not part of the state.
 struct RoundCostState {
   std::array<double, kRungCount> cost_s{};
   std::array<bool, kRungCount> seen{};
@@ -109,7 +107,6 @@ class RoundCostModel {
   }
 
  private:
-  double alpha_;
   std::array<double, kRungCount> cost_s_;
   std::array<bool, kRungCount> seen_{};
 };

@@ -7,6 +7,22 @@
 #include "common/stats.hpp"
 
 namespace spotfi {
+namespace {
+
+/// Leave-one-out never rejects below this many usable observations
+/// (subsets must stay well-posed, and rejection needs a meaningful
+/// consensus).
+constexpr std::size_t kLooMinAps = 4;
+/// Reject an AP only when its bearing misses the leave-one-out solution
+/// by more than this [rad] (~34 deg) ...
+constexpr double kLooMaxAoaMissRad = 0.6;
+/// ... and only when that miss is also an outlier relative to its peers:
+/// worst > factor * median of this round's misses. Uniformly noisy
+/// rounds (small groups) have large misses everywhere; peeling APs off
+/// there trades a decent consensus for a biased one.
+constexpr double kLooMedianFactor = 3.0;
+
+}  // namespace
 
 SpotFiServer::SpotFiServer(LinkConfig link, ServerConfig config)
     : link_(link), config_(std::move(config)) {
@@ -161,9 +177,8 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
   // that still contains it, so a single pass can finger the wrong AP —
   // iterating until nothing exceeds the threshold (or the floor is hit)
   // peels outliers off one at a time.
-  const FusionConfig& fusion = config_.fusion;
-  if (fusion.loo_rejection) {
-    while (usable.size() > fusion.loo_min_aps) {
+  if (config_.fusion.loo_rejection) {
+    while (usable.size() > kLooMinAps) {
       Workspace::Frame pass_frame(ws);
       const std::span<double> misses = ws.take<double>(usable.size());
       std::size_t n_misses = 0;
@@ -194,8 +209,8 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
           // A degenerate subset just doesn't participate.
         }
       }
-      if (worst >= usable.size() || worst_miss <= fusion.loo_max_aoa_miss_rad ||
-          worst_miss <= fusion.loo_median_factor *
+      if (worst >= usable.size() || worst_miss <= kLooMaxAoaMissRad ||
+          worst_miss <= kLooMedianFactor *
                             percentile_in_place(misses.first(n_misses), 50.0)) {
         break;
       }

@@ -35,18 +35,8 @@ struct FusionConfig {
   /// worst with the leave-it-out solution, and repeat on the survivors.
   /// Cost ratios don't work here: the Huber kernel bounds exactly the
   /// residual this check needs to see, so the raw angular miss is used.
+  /// The thresholds are constants of server.cpp (DESIGN.md §7).
   bool loo_rejection = true;
-  /// Never reject below this many usable observations (subsets must stay
-  /// well-posed, and rejection needs a meaningful consensus).
-  std::size_t loo_min_aps = 4;
-  /// Reject an AP only when its bearing misses the leave-one-out
-  /// solution by more than this [rad] (~34 deg).
-  double loo_max_aoa_miss_rad = 0.6;
-  /// ... and only when that miss is also an outlier relative to its
-  /// peers: worst > factor * median of this round's misses. Uniformly
-  /// noisy rounds (small groups) have large misses everywhere; peeling
-  /// APs off there trades a decent consensus for a biased one.
-  double loo_median_factor = 3.0;
 };
 
 struct ServerConfig {

@@ -5,6 +5,16 @@
 #include <utility>
 
 namespace spotfi {
+namespace {
+
+/// Fire a deadline round only with at least this many full groups.
+constexpr std::size_t kMinQuorum = 2;
+static_assert(kMinQuorum >= 2, "a fix needs at least two APs");
+/// An AP with fewer buffered packets than this contributes nothing to a
+/// deadline round (a too-small group only adds clustering noise).
+constexpr std::size_t kMinGroupPackets = 3;
+
+}  // namespace
 
 const char* to_string(ApHealth health) {
   switch (health) {
@@ -23,7 +33,6 @@ StreamingLocalizer::StreamingLocalizer(LinkConfig link,
       tracker_(config_.tracker) {
   SPOTFI_EXPECTS(config_.group_size >= 1, "group_size must be positive");
   const DegradationConfig& d = config_.degradation;
-  SPOTFI_EXPECTS(d.min_quorum >= 2, "min_quorum must be at least 2");
   SPOTFI_EXPECTS(d.round_deadline_s >= 0.0, "round_deadline_s must be >= 0");
   SPOTFI_EXPECTS(d.dead_after_s >= d.degraded_after_s,
                  "dead_after_s must be >= degraded_after_s");
@@ -189,12 +198,12 @@ std::optional<PendingRound> StreamingLocalizer::maybe_prepare(
   std::vector<std::size_t> ready;   // full group buffered
   std::vector<std::size_t> usable;  // enough packets for a partial group
   std::size_t live = 0, live_ready = 0;
+  const std::size_t partial_floor =
+      std::min(kMinGroupPackets, config_.group_size);
   for (std::size_t a = 0; a < buffers_.size(); ++a) {
     const auto& b = buffers_[a];
     const bool full = b.packets.size() >= config_.group_size;
     if (full) ready.push_back(a);
-    const std::size_t partial_floor =
-        std::max<std::size_t>(std::min(d.min_group_packets, config_.group_size), 1);
     if (b.packets.size() >= partial_floor) usable.push_back(a);
     if (b.state.health != ApHealth::kDead) {
       ++live;
@@ -213,13 +222,13 @@ std::optional<PendingRound> StreamingLocalizer::maybe_prepare(
   // Dead APs no longer gate the round: fire as soon as every live AP is
   // full (quorum permitting). Dead APs with a usable partial buffer still
   // contribute their packets.
-  if (live >= 2 && live_ready == live && ready.size() >= d.min_quorum) {
+  if (live >= 2 && live_ready == live && ready.size() >= kMinQuorum) {
     armed_since_s_.reset();
     return prepare_round(usable, /*deadline_round=*/true, now_s, rng, plan);
   }
 
   // Deadline path: a quorum of full groups is waiting on stragglers.
-  if (ready.size() >= d.min_quorum) {
+  if (ready.size() >= kMinQuorum) {
     if (!armed_since_s_) armed_since_s_ = now_s;
     if (now_s - *armed_since_s_ >= d.round_deadline_s) {
       armed_since_s_.reset();
@@ -307,13 +316,11 @@ std::optional<LocationFix> StreamingLocalizer::complete_round(
   }
   // The tracker requires monotone time; reordered/stale feeds can fire a
   // round whose newest packet is older than the previous fix.
-  if (config_.track && pending.latest_t > last_fix_time_s_) {
+  if (pending.latest_t > last_fix_time_s_) {
     fix.tracked = tracker_.update(fix.raw, pending.latest_t);
   } else {
     fix.tracked = fix.raw;
-    if (config_.track) {
-      fix.reasons.push_back("tracker skipped: non-monotone fix time");
-    }
+    fix.reasons.push_back("tracker skipped: non-monotone fix time");
   }
   last_fix_time_s_ = std::max(last_fix_time_s_, pending.latest_t);
   ++fix_count_;

@@ -49,10 +49,11 @@ struct ApHealthState {
 /// replays are deterministic.
 struct DegradationConfig {
   /// Master switch; false restores the strict all-APs gating (a round
-  /// fires only when every registered AP has a full group).
+  /// fires only when every registered AP has a full group). A deadline
+  /// round needs a quorum of 2 full groups, and an AP with fewer than 3
+  /// buffered packets contributes nothing to it (a too-small group only
+  /// adds clustering noise).
   bool enabled = true;
-  /// Fire a deadline round only with at least this many full groups.
-  std::size_t min_quorum = 2;
   /// How long past the first quorum of full groups to wait for the
   /// stragglers before firing anyway [s].
   double round_deadline_s = 2.0;
@@ -61,9 +62,6 @@ struct DegradationConfig {
   /// Packet silence after which an AP is dead — it no longer gates round
   /// firing [s]. Must be >= degraded_after_s.
   double dead_after_s = 3.0;
-  /// An AP with fewer buffered packets than this contributes nothing to a
-  /// deadline round (a too-small group only adds clustering noise).
-  std::size_t min_group_packets = 3;
 };
 
 struct StreamingConfig {
@@ -74,8 +72,7 @@ struct StreamingConfig {
   /// round's groups pass too; rejected packets are counted but never
   /// buffered.
   bool screen_packets = true;
-  /// Smooth fixes with the Kalman tracker.
-  bool track = true;
+  /// The Kalman tracker that smooths the fixes.
   TrackerConfig tracker{};
   /// Drop buffered packets older than this once a round fires [s].
   double max_packet_age_s = 10.0;
@@ -90,7 +87,7 @@ struct RoundFailure {
 
 struct LocationFix {
   Vec2 raw;       ///< the Eq. 9 solution for this group
-  Vec2 tracked;   ///< tracker output (== raw when tracking is off)
+  Vec2 tracked;   ///< tracker output (== raw when the tracker skipped it)
   double time_s = 0.0;
   LocalizationRound round;  ///< full per-AP diagnostics
   /// True when the round fired on a quorum deadline, an estimator fell

@@ -5,6 +5,12 @@
 #include "common/error.hpp"
 
 namespace spotfi {
+namespace {
+
+/// Initial velocity uncertainty [m/s].
+constexpr double kInitialVelocitySigma = 1.5;
+
+}  // namespace
 
 LocationTracker::LocationTracker(TrackerConfig config) : config_(config) {
   SPOTFI_EXPECTS(config_.acceleration_sigma > 0.0 &&
@@ -55,8 +61,7 @@ Vec2 LocationTracker::update(Vec2 fix, double t_s) {
     cov_ = RMatrix(4, 4);
     const double r = config_.measurement_sigma * config_.measurement_sigma;
     cov_(0, 0) = cov_(1, 1) = r;
-    cov_(2, 2) = cov_(3, 3) =
-        config_.initial_velocity_sigma * config_.initial_velocity_sigma;
+    cov_(2, 2) = cov_(3, 3) = kInitialVelocitySigma * kInitialVelocitySigma;
     return fix;
   }
   SPOTFI_EXPECTS(t_s >= last_t_, "fixes must arrive in time order");

@@ -21,8 +21,6 @@ struct TrackerConfig {
   double acceleration_sigma = 0.8;
   /// Measurement noise: per-axis fix standard deviation [m].
   double measurement_sigma = 0.8;
-  /// Initial velocity uncertainty [m/s].
-  double initial_velocity_sigma = 1.5;
   /// Reject fixes whose normalized innovation squared exceeds this
   /// (chi-square with 2 dof; 13.8 = 0.1% tail). 0 disables gating.
   double gate_nis = 13.8;

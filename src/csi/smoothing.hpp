@@ -40,8 +40,9 @@ struct SmoothingConfig {
 /// CSI. Column (da, ds) holds the subarray starting at antenna da,
 /// subcarrier ds; columns are ordered antenna-shift-major to match Fig. 4.
 /// With sub_len = 1 this is the antenna-only forward spatial smoothing of
-/// the classic MUSIC baseline (Sec. 3.1.1): every subcarrier of every
-/// antenna subarray is one snapshot.
+/// Sec. 3.1.1: every subcarrier of every antenna subarray is one
+/// snapshot. With the full array as well it is the CSI itself, the
+/// classic MUSIC baseline's measurement matrix.
 [[nodiscard]] CMatrix smoothed_csi(const CMatrix& csi,
                                    const SmoothingConfig& cfg = {});
 

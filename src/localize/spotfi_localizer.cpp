@@ -24,8 +24,8 @@ struct ApTerm {
   Vec2 position;
   Vec2 axis;                ///< array axis: sin(apparent AoA) = axis . unit
   double weight = 0.0;      ///< w
-  double aoa_scale = 0.0;   ///< sqrt(w) * aoa_weight
-  double rssi_scale = 0.0;  ///< sqrt(w) * rssi_weight
+  double aoa_scale = 0.0;   ///< sqrt(w) * kAoaWeight
+  double rssi_scale = 0.0;  ///< sqrt(w) * kRssiWeight
   double aoa_rad = 0.0;
   double rssi_dbm = 0.0;
   bool has_aoa = false;
@@ -65,8 +65,8 @@ class Eq9Kernel {
       t.axis = obs.pose.axis_dir();
       t.weight = std::pow(obs.likelihood, config.likelihood_exponent);
       const double root_w = std::sqrt(t.weight);
-      t.aoa_scale = root_w * config.aoa_weight;
-      t.rssi_scale = root_w * config.rssi_weight;
+      t.aoa_scale = root_w * kAoaWeight;
+      t.rssi_scale = root_w * kRssiWeight;
       t.aoa_rad = obs.direct_aoa_rad;
       t.rssi_dbm = obs.rssi_dbm;
       t.has_aoa = obs.has_aoa;
@@ -116,7 +116,7 @@ class Eq9Kernel {
   }
 
   /// Two residuals per AP at the measured point under `model`:
-  /// sqrt(w) * [aoa_weight * huber(dtheta), rssi_weight * dp].
+  /// sqrt(w) * [kAoaWeight * huber(dtheta), kRssiWeight * dp].
   void residuals(const PathLossModel& model, std::span<double> out) const {
     for (std::size_t i = 0; i < terms_.size(); ++i) {
       const ApTerm& t = terms_[i];
@@ -150,9 +150,9 @@ class Eq9Kernel {
       return v < lo ? lo - v : (v > hi ? v - hi : 0.0);
     };
     const std::size_t n = 2 * terms_.size();
-    r[n] = config_.area_penalty_per_m *
+    r[n] = kAreaPenaltyPerM *
            overflow(loc.x, config_.area_min.x, config_.area_max.x);
-    r[n + 1] = config_.area_penalty_per_m *
+    r[n + 1] = kAreaPenaltyPerM *
                overflow(loc.y, config_.area_min.y, config_.area_max.y);
   }
 
@@ -171,7 +171,6 @@ SpotFiLocalizer::SpotFiLocalizer(LocalizerConfig config) : config_(config) {
   SPOTFI_EXPECTS(config_.area_max.x > config_.area_min.x &&
                      config_.area_max.y > config_.area_min.y,
                  "search area must have positive extent");
-  SPOTFI_EXPECTS(config_.seed_grid >= 1, "seed grid must be non-empty");
   SPOTFI_EXPECTS(config_.min_exponent > 0.0 &&
                      config_.max_exponent > config_.min_exponent,
                  "invalid path-loss exponent bounds");
@@ -219,7 +218,8 @@ LocationEstimate SpotFiLocalizer::locate(
 
   // Multi-start seeds: a coarse grid over the search area, plus the
   // centroid of the AP positions.
-  const std::size_t g = config_.seed_grid;
+  constexpr std::size_t g = kSeedGrid;
+  static_assert(g >= 1, "seed grid must be non-empty");
   const std::span<Vec2> seeds = ws.take<Vec2>(g * g + 1);
   for (std::size_t ix = 0; ix < g; ++ix) {
     for (std::size_t iy = 0; iy < g; ++iy) {

@@ -22,32 +22,37 @@
 
 namespace spotfi {
 
+/// Multi-start seed grid resolution per axis (plus the AP centroid).
+inline constexpr std::size_t kSeedGrid = 5;
+/// Relative weight of the RSSI residual (w_p in the notation above).
+inline constexpr double kRssiWeight = 0.35;
+/// Relative weight of the AoA residual (w_th) [1/rad].
+inline constexpr double kAoaWeight = 12.0;
+/// Soft area constraint: residual weight per meter outside the search
+/// box. Keeps the (unconstrained) LM solve from running away to an
+/// out-of-building optimum that a pair of consistent wrong bearings can
+/// create — the constrained optimum is then found *on* the boundary
+/// instead of being clamped to it afterwards.
+inline constexpr double kAreaPenaltyPerM = 8.0;
+
 struct LocalizerConfig {
   /// Search-area bounds [m].
   Vec2 area_min{0.0, 0.0};
   Vec2 area_max{20.0, 20.0};
-  /// Multi-start seed grid resolution per axis.
-  std::size_t seed_grid = 5;
-  /// Relative weight of the RSSI residual (w_p in the notation above).
-  double rssi_weight = 0.35;
-  /// Relative weight of the AoA residual [1/rad].
-  double aoa_weight = 12.0;
   /// Exponent applied to the Eq. 8 likelihoods when used as fusion
   /// weights: w_i = l_i^gamma. Raising gamma sharpens the contrast
   /// between confident and doubtful APs (gamma = 1 is the paper's plain
-  /// l_i weighting).
+  /// l_i weighting). A setting, not a constant: a compile-time 2.0 lets
+  /// the compiler fold std::pow(l, 2.0) into l * l, which differs from
+  /// the library pow in the last bit on some likelihoods and would move
+  /// fixes.
   double likelihood_exponent = 2.0;
   /// Huber scale for the AoA residual [rad]: deviations beyond this
   /// contribute linearly instead of quadratically, bounding the influence
-  /// of an AP whose direct-path pick is plain wrong. 0 disables
-  /// (paper-faithful pure least squares).
+  /// of an AP whose direct-path pick is plain wrong. 0 disables. A
+  /// setting paired with likelihood_exponent: gamma = 1 with 0 here is
+  /// the paper's plain weighted least squares (DESIGN.md §6).
   double aoa_huber_rad = 0.1;
-  /// Soft area constraint: residual weight per meter outside the search
-  /// box. Keeps the (unconstrained) LM solve from running away to an
-  /// out-of-building optimum that a pair of consistent wrong bearings
-  /// can create — the constrained optimum is then found *on* the
-  /// boundary instead of being clamped to it afterwards.
-  double area_penalty_per_m = 8.0;
   /// Initial path-loss parameters (also optimized per Algorithm 2).
   PathLossModel initial_path_loss{};
   /// Bounds keeping the fitted path-loss exponent physical.

@@ -9,6 +9,11 @@
 namespace spotfi {
 namespace {
 
+/// Estimates whose |sin(theta)| exceeds 1 - this margin are dropped:
+/// shift eigenvalues slightly off the unit circle map outside the
+/// physical AoA range.
+constexpr double kEndfireMargin = 1e-3;
+
 /// Least-squares solution of A X = B for skinny complex A via the normal
 /// equations (columns of X solved independently). A rank-deficient normal
 /// matrix — coherent paths collapsing the signal subspace — goes through
@@ -166,7 +171,7 @@ std::size_t JointEspritEstimator::estimate_into(
     PathEstimate est;
     est.tof_s = -std::arg(omega) / two_pi_fd;
     const double sin_theta = -std::arg(phi) * sin_scale;
-    if (std::abs(sin_theta) > 1.0 - config_.endfire_margin) continue;
+    if (std::abs(sin_theta) > 1.0 - kEndfireMargin) continue;
     est.aoa_rad = std::asin(sin_theta);
     estimates[n_est++] = est;
   }

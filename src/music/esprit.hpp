@@ -22,10 +22,6 @@ struct EspritConfig {
   SubspaceConfig subspace{};
   /// Keep at most this many paths (signal dimensions).
   std::size_t max_paths = 8;
-  /// Drop estimates whose |sin(theta)| exceeds 1 - this margin (shift
-  /// eigenvalues slightly off the unit circle map outside the physical
-  /// AoA range).
-  double endfire_margin = 1e-3;
 };
 
 class JointEspritEstimator {

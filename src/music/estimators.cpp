@@ -357,10 +357,10 @@ std::size_t JointMusicEstimator::stage_spectrum(
                    steering_view(*tof_axis_), config_.min_relative_peak, ws);
   const ColumnGrid& grid = sweep.spectrum.grid;
 
+  // Twice max_paths, so that skipping the AoA edge rows below still
+  // leaves max_paths candidates.
   std::span<const GridPeak> peaks = find_peaks_2d(
-      grid, tof_wraps_,
-      config_.max_paths + (config_.exclude_aoa_edges ? config_.max_paths : 0),
-      config_.min_relative_peak, ws);
+      grid, tof_wraps_, 2 * config_.max_paths, config_.min_relative_peak, ws);
 
   // Refinement reads the AoA neighbours in the peak's own (swept) column;
   // a ToF neighbour's column may not have been swept, and then its one
@@ -377,9 +377,8 @@ std::size_t JointMusicEstimator::stage_spectrum(
   const std::size_t last = aoa_grid.size() - 1;
   std::size_t n_out = 0;
   for (const GridPeak& pk : peaks) {
-    // Same surviving set as the value path's erase_if + resize: skip edge
-    // rows in order, cap at max_paths.
-    if (config_.exclude_aoa_edges && (pk.i == 0 || pk.i == last)) continue;
+    // Skip edge rows in order, cap at max_paths.
+    if (pk.i == 0 || pk.i == last) continue;
     if (n_out == config_.max_paths) break;
     PathEstimate est;
     est.power = pk.value;
@@ -417,31 +416,23 @@ std::vector<PathEstimate> JointMusicEstimator::estimate(
 
 MusicAoaEstimator::MusicAoaEstimator(LinkConfig link, MusicAoaConfig config)
     : link_(link), config_(config) {
-  SPOTFI_EXPECTS(config_.smoothing_ant_len <= link_.n_antennas,
-                 "smoothing subarray exceeds the antenna count");
-  ant_len_ = config_.smoothing_ant_len == 0 ? link_.n_antennas
-                                            : config_.smoothing_ant_len;
   aoa_axis_ = SteeringTableCache::get(
       SteeringTableCache::Axis::kAoa, config_.aoa_min_rad, config_.aoa_max_rad,
-      config_.aoa_step_rad, ant_len_, link_);
+      config_.aoa_step_rad, link_.n_antennas, link_);
 }
 
 AoaSpectrum MusicAoaEstimator::spectrum(const CMatrix& csi) const {
   SPOTFI_EXPECTS(csi.rows() == link_.n_antennas &&
                      csi.cols() == link_.n_subcarriers,
                  "CSI shape disagrees with the link config");
-  const std::size_t ant_len = ant_len_;
-  // Forward spatial smoothing (Sec. 3.1.1) is the joint smoothing with a
-  // one-subcarrier subarray: every subcarrier of every antenna subarray
-  // is one snapshot. With the full array (ant_len = M) it is the CSI.
+  // The full array with every subcarrier as one snapshot (Sec. 3.1.1):
+  // the CSI itself is the measurement matrix.
   Workspace& ws = thread_workspace();
   Workspace::Frame frame(ws);
-  const CMatrixView x =
-      smoothed_csi(ConstCMatrixView(csi), ws,
-                   SmoothingConfig{.sub_len = 1, .ant_len = ant_len});
   SubspaceConfig sub_cfg = config_.subspace;
-  sub_cfg.max_signal_dims = std::min(sub_cfg.max_signal_dims, ant_len - 1);
-  const SubspacesRef sub = noise_subspace(ConstCMatrixView(x), sub_cfg, ws);
+  sub_cfg.max_signal_dims =
+      std::min(sub_cfg.max_signal_dims, link_.n_antennas - 1);
+  const SubspacesRef sub = noise_subspace(ConstCMatrixView(csi), sub_cfg, ws);
 
   AoaSpectrum sp;
   sp.aoa_grid_rad = aoa_axis_->grid;
@@ -458,18 +449,12 @@ AoaSpectrum MusicAoaEstimator::spectrum(const CMatrix& csi) const {
 std::vector<PathEstimate> MusicAoaEstimator::estimate(
     const CMatrix& csi) const {
   const AoaSpectrum sp = spectrum(csi);
-  auto peaks =
-      find_peaks_1d(sp.values,
-                    config_.max_paths +
-                        (config_.exclude_aoa_edges ? config_.max_paths : 0),
-                    config_.min_relative_peak);
-  if (config_.exclude_aoa_edges) {
-    const std::size_t last = sp.aoa_grid_rad.size() - 1;
-    std::erase_if(peaks, [&](const GridPeak& p) {
-      return p.i == 0 || p.i == last;
-    });
-    if (peaks.size() > config_.max_paths) peaks.resize(config_.max_paths);
-  }
+  auto peaks = find_peaks_1d(sp.values, 2 * config_.max_paths,
+                             config_.min_relative_peak);
+  const std::size_t last = sp.aoa_grid_rad.size() - 1;
+  std::erase_if(peaks,
+                [&](const GridPeak& p) { return p.i == 0 || p.i == last; });
+  if (peaks.size() > config_.max_paths) peaks.resize(config_.max_paths);
   std::vector<PathEstimate> estimates;
   estimates.reserve(peaks.size());
   for (const auto& pk : peaks) {

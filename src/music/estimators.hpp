@@ -77,7 +77,9 @@ struct JointMusicConfig {
   double tof_step_s = 2.5e-9;
   SmoothingConfig smoothing;
   SubspaceConfig subspace;
-  /// Keep at most this many spectrum peaks.
+  /// Keep at most this many spectrum peaks. Peaks on the first or last
+  /// AoA grid row never count: steering vectors compress near endfire
+  /// and MUSIC piles spurious energy onto the +-90 deg boundary.
   std::size_t max_paths = 8;
   /// Drop peaks below this fraction of the strongest peak. MUSIC ridges
   /// produce low sidelobe peaks along the ToF axis; an 8% floor keeps
@@ -85,10 +87,6 @@ struct JointMusicConfig {
   double min_relative_peak = 0.08;
   /// Refine peak locations by parabolic interpolation.
   bool refine_peaks = true;
-  /// Discard peaks sitting on the first/last AoA grid row: steering
-  /// vectors compress near endfire and MUSIC piles spurious energy onto
-  /// the +-90 deg boundary.
-  bool exclude_aoa_edges = true;
 };
 
 class JointMusicEstimator {
@@ -157,14 +155,10 @@ struct MusicAoaConfig {
   double aoa_max_rad = kPi / 2.0;
   double aoa_step_rad = kPi / 180.0;
   SubspaceConfig subspace;
-  /// Optional forward spatial smoothing: antenna subarray length; 0 keeps
-  /// the full array (the paper's 3-antenna baseline configuration).
-  std::size_t smoothing_ant_len = 0;
+  /// Spectrum peaks kept, AoA edge rows excluded as in JointMusicConfig.
   std::size_t max_paths = 3;
   double min_relative_peak = 0.01;
   bool refine_peaks = true;
-  /// See JointMusicConfig::exclude_aoa_edges.
-  bool exclude_aoa_edges = true;
 };
 
 class MusicAoaEstimator {
@@ -180,11 +174,9 @@ class MusicAoaEstimator {
  private:
   LinkConfig link_;
   MusicAoaConfig config_;
-  /// Cached grid and steering table (see JointMusicEstimator): the
-  /// subarray length is resolved at construction, so the steering matrix
-  /// is fixed for the estimator's lifetime. Interned in the process-wide
-  /// SteeringTableCache like the joint estimator's axes.
-  std::size_t ant_len_ = 0;
+  /// Cached grid and full-array steering table (see JointMusicEstimator),
+  /// interned in the process-wide SteeringTableCache like the joint
+  /// estimator's axes.
   std::shared_ptr<const SteeringAxisTable> aoa_axis_;
 };
 

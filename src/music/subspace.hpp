@@ -10,34 +10,20 @@
 
 namespace spotfi {
 
-/// How the number of propagation paths (signal dimensions) is chosen.
-enum class OrderMethod {
-  /// Eigenvalue threshold relative to the largest (Algorithm 2, line 5).
-  kThreshold,
-  /// Minimum description length criterion (Wax & Kailath).
-  kMdl,
-  /// Akaike information criterion; tends to overestimate slightly.
-  kAic,
-};
+/// Noise dimensions the split always keeps, so the MUSIC spectrum is
+/// defined.
+inline constexpr std::size_t kMinNoiseDims = 1;
 
+/// The model order is Algorithm 2, line 5's eigenvalue threshold, capped
+/// to the signal and noise dimension limits.
 struct SubspaceConfig {
-  OrderMethod order_method = OrderMethod::kThreshold;
   /// Eigenvalues below `relative_threshold * lambda_max` belong to the
-  /// noise subspace (kThreshold only).
+  /// noise subspace.
   double relative_threshold = 0.03;
   /// Never assign more than this many dimensions to the signal subspace
   /// (indoor environments show at most ~8 significant paths, Sec. 3.1).
   std::size_t max_signal_dims = 10;
-  /// Keep at least this many noise dimensions so the spectrum is defined.
-  std::size_t min_noise_dims = 1;
 };
-
-/// Information-theoretic model order estimate from the eigenvalues of a
-/// sample covariance (ascending) observed over `n_snapshots` snapshots.
-/// Returns the k in [0, M-1] minimizing the MDL (or AIC) criterion.
-[[nodiscard]] std::size_t estimate_model_order(
-    std::span<const double> eigenvalues_ascending, std::size_t n_snapshots,
-    OrderMethod method = OrderMethod::kMdl);
 
 /// The split eigenbasis of one covariance. Both bases are column
 /// windows of one dim x dim slab of orthonormal eigenvectors (row stride

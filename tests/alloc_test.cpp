@@ -275,8 +275,7 @@ TEST(ZeroAlloc, WarmLocateAllocatesOncePerSeedPlusOne) {
   const std::size_t before = allocations();
   const LocationEstimate est = localizer.locate(obs, ws);
   const std::size_t n_allocs = allocations() - before;
-  const std::size_t grid = localizer.config().seed_grid;
-  const std::size_t seeds = grid * grid + 1;
+  const std::size_t seeds = kSeedGrid * kSeedGrid + 1;
   EXPECT_EQ(est.starts_tried, seeds);
   EXPECT_LE(n_allocs, seeds + 1)
       << "a warm locate() allocated per residual evaluation, not per seed";

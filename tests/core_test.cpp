@@ -74,18 +74,6 @@ TEST(DirectPath, EmptyPoolThrows) {
       ContractViolation);
 }
 
-TEST(DirectPath, KMeansVariantAlsoWorks) {
-  Rng rng(4);
-  const auto pool = two_cluster_pool(rng);
-  DirectPathConfig cfg;
-  cfg.n_clusters = 2;
-  cfg.use_gmm = false;
-  const auto clusters = cluster_path_estimates(pool, kLink, 30, rng, cfg,
-                                               thread_workspace());
-  ASSERT_GE(clusters.size(), 2u);
-  EXPECT_NEAR(rad_to_deg(clusters[0].mean_aoa_rad), 20.0, 2.0);
-}
-
 TEST(DirectPath, LikelihoodInvariantToCommonTofShift) {
   // The relative mean-ToF term makes the likelihood ranking invariant to
   // the arbitrary sanitization origin.

@@ -94,7 +94,7 @@ std::size_t threshold_order(const RVector& ascending,
   const double cut = cfg.relative_threshold * std::max(ascending.back(), 0.0);
   std::size_t k = 0;
   while (k < dim && ascending[dim - 1 - k] > cut) ++k;
-  k = std::min({k, cfg.max_signal_dims, dim - cfg.min_noise_dims});
+  k = std::min({k, cfg.max_signal_dims, dim - kMinNoiseDims});
   return std::max<std::size_t>(k, 1);
 }
 
@@ -138,7 +138,6 @@ TEST_P(EighOracleCorpus, MatchesTextbookJacobi) {
 
   JointMusicConfig cfg;
   cfg.refine_peaks = false;
-  ASSERT_EQ(cfg.subspace.order_method, OrderMethod::kThreshold);
   const JointMusicEstimator est(kLink, cfg);
   const RVector& aoa_grid = est.aoa_grid();
   const RVector& tof_grid = est.tof_grid();
@@ -281,7 +280,6 @@ TEST_P(DirectPathOracleCorpus, SelectsTheSameClusterPerGroup) {
 
   const JointMusicEstimator est(kLink);
   ASSERT_TRUE(est.config().refine_peaks);
-  ASSERT_TRUE(est.config().exclude_aoa_edges);
   ASSERT_TRUE(est.tof_axis_wraps());
   Workspace ws;
   for (std::size_t g = 0; g < groups.size(); ++g) {

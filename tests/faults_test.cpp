@@ -250,18 +250,6 @@ TEST(FallbackChain, FailsOnlyWhenNothingUsable) {
   EXPECT_EQ(outcome.result.observation.likelihood, 0.0);
 }
 
-TEST(FallbackChain, DisabledFallbackStillDoesNotThrow) {
-  Rng rng(24);
-  std::vector<CsiPacket> group;
-  for (int i = 0; i < 4; ++i) group.push_back(nan_packet(rng, 0.1 * i));
-  ApProcessorConfig cfg;
-  cfg.fallback.enabled = false;
-  const ApProcessor processor(kLink, ArrayPose{{0.0, 0.0}, 0.0}, cfg);
-  const ApOutcome outcome = processor.process_robust(group, rng);
-  EXPECT_FALSE(outcome.usable);
-  EXPECT_EQ(outcome.stage, ApStage::kFailed);
-}
-
 /// The estimator rungs a note names, in order ("primary,esprit"): the
 /// ladder prefixes each failed attempt with its rung's name.
 std::string rungs_in_note(const std::string& note) {
@@ -294,35 +282,22 @@ TEST(FallbackChain, RungOrderFollowsFrontEndEntryAndRung) {
   struct Row {
     FrontEnd front_end;
     ApStage entry_stage;
-    bool enabled;
     ApStage rung;
     const char* rungs;
   };
   const Row rows[] = {
-      {kMusic, P, false, P, "primary"},
-      {kMusic, P, false, R, "relaxed-music"},
-      {kMusic, P, true, P, "primary,relaxed-music,esprit"},
-      {kMusic, P, true, R, "relaxed-music,esprit"},
-      {kMusic, R, false, P, "relaxed-music"},
-      {kMusic, R, false, R, "relaxed-music"},
-      {kMusic, R, true, P, "relaxed-music,esprit"},
-      {kMusic, R, true, R, "relaxed-music,esprit"},
-      {kMusic, E, false, P, "esprit"},
-      {kMusic, E, false, R, "esprit"},
-      {kMusic, E, true, P, "esprit"},
-      {kMusic, E, true, R, "esprit"},
-      {kEsprit, P, false, P, "primary"},
-      {kEsprit, P, false, R, "esprit"},
-      {kEsprit, P, true, P, "primary,relaxed-music"},
-      {kEsprit, P, true, R, "esprit"},
-      {kEsprit, R, false, P, "esprit"},
-      {kEsprit, R, false, R, "esprit"},
-      {kEsprit, R, true, P, "esprit"},
-      {kEsprit, R, true, R, "esprit"},
-      {kEsprit, E, false, P, "esprit"},
-      {kEsprit, E, false, R, "esprit"},
-      {kEsprit, E, true, P, "esprit"},
-      {kEsprit, E, true, R, "esprit"},
+      {kMusic, P, P, "primary,relaxed-music,esprit"},
+      {kMusic, P, R, "relaxed-music,esprit"},
+      {kMusic, R, P, "relaxed-music,esprit"},
+      {kMusic, R, R, "relaxed-music,esprit"},
+      {kMusic, E, P, "esprit"},
+      {kMusic, E, R, "esprit"},
+      {kEsprit, P, P, "primary,relaxed-music"},
+      {kEsprit, P, R, "esprit"},
+      {kEsprit, R, P, "esprit"},
+      {kEsprit, R, R, "esprit"},
+      {kEsprit, E, P, "esprit"},
+      {kEsprit, E, R, "esprit"},
   };
   Rng rng(25);
   std::vector<CsiPacket> group;
@@ -331,7 +306,6 @@ TEST(FallbackChain, RungOrderFollowsFrontEndEntryAndRung) {
     ApProcessorConfig cfg;
     cfg.front_end = row.front_end;
     cfg.fallback.entry_stage = row.entry_stage;
-    cfg.fallback.enabled = row.enabled;
     cfg.quality.check_finite = false;
     cfg.quality.check_dead_antenna = false;
     cfg.quality.max_antenna_imbalance_db = 1e12;
@@ -340,11 +314,10 @@ TEST(FallbackChain, RungOrderFollowsFrontEndEntryAndRung) {
     const ApOutcome outcome = processor.process_robust(group, rng, row.rung);
     SCOPED_TRACE(::testing::Message()
                  << (row.front_end == kMusic ? "MUSIC" : "ESPRIT") << "/"
-                 << to_string(row.entry_stage) << "/" << row.enabled << "/"
+                 << to_string(row.entry_stage) << "/"
                  << to_string(row.rung) << ": " << outcome.note);
     EXPECT_EQ(rungs_in_note(outcome.note), row.rungs);
-    EXPECT_EQ(outcome.stage,
-              row.enabled ? ApStage::kRssiOnly : ApStage::kFailed);
+    EXPECT_EQ(outcome.stage, ApStage::kRssiOnly);
   }
 }
 
@@ -516,6 +489,29 @@ TEST(Degradation, PollFiresDeadlineRoundWithoutPackets) {
   EXPECT_FALSE(fix->reasons.empty());
 }
 
+TEST(Degradation, DeadlineRoundSkipsApsBelowThreePackets) {
+  // A deadline round takes every AP holding at least three packets (or a
+  // full group, when groups are smaller); fewer only add clustering noise.
+  Feed feed(4);
+  StreamingConfig cfg = degradation_config(feed, 4);
+  StreamingLocalizer server(kLink, cfg);
+  for (std::size_t a = 0; a < 4; ++a) server.add_ap(feed.captures[a].pose);
+
+  Rng rng(39);
+  const std::size_t held[] = {4, 4, 2, 3};
+  for (std::size_t p = 0; p < 4; ++p) {
+    for (std::size_t a = 0; a < 4; ++a) {
+      if (p < held[a]) {
+        EXPECT_FALSE(server.push(a, feed.captures[a].packets[p], rng));
+      }
+    }
+  }
+  const auto fix = server.poll(10.0, rng);
+  ASSERT_TRUE(fix.has_value());
+  EXPECT_TRUE(fix->degraded);
+  EXPECT_EQ(fix->aps_used, (std::vector<std::size_t>{0, 1, 3}));
+}
+
 TEST(Degradation, HealthTransitionsOnSilence) {
   Feed feed(40);
   StreamingConfig cfg = degradation_config(feed, 100);  // never fire
@@ -567,6 +563,30 @@ TEST(Degradation, LeaveOneOutRejectsLyingAp) {
             outcome->rejected_aps.end());
   EXPECT_TRUE(outcome->degraded);
   EXPECT_LT(distance(outcome->location.position, {6.0, 3.5}), 3.0);
+}
+
+TEST(Degradation, LeaveOneOutNeverRejectsBelowFourAps) {
+  // The lying AP of LeaveOneOutRejectsLyingAp, in a round of only four:
+  // rejecting it would leave three, below the floor, so it stays.
+  Feed feed(15);
+  std::vector<ApCapture> captures(feed.captures.begin(),
+                                  feed.captures.begin() + 4);
+  captures[0].pose.position += Vec2{5.0, -4.0};
+
+  ServerConfig cfg;
+  cfg.localizer.area_min = feed.runner.deployment().area_min;
+  cfg.localizer.area_max = feed.runner.deployment().area_max;
+  const SpotFiServer server(kLink, cfg);
+  Rng rng(37);
+  const auto outcome = server.try_localize(captures, rng);
+  ASSERT_TRUE(outcome.has_value());
+  ASSERT_EQ(outcome->ap_stages.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_NE(outcome->ap_stages[i], ApStage::kFailed) << "ap " << i;
+    EXPECT_GT(outcome->ap_results[i].observation.likelihood, 0.0)
+        << "ap " << i;
+  }
+  EXPECT_TRUE(outcome->rejected_aps.empty());
 }
 
 TEST(Degradation, StrictModeStillBlocksOnAllAps) {

@@ -46,11 +46,11 @@ inline void ap_residuals(const ApObservation& obs, Vec2 loc,
     const double predicted_aoa = obs.pose.apparent_aoa_of(loc);
     const double dtheta = huberize(wrap_pi(predicted_aoa - obs.direct_aoa_rad),
                                    cfg.aoa_huber_rad);
-    out[0] = root_w * cfg.aoa_weight * dtheta;
+    out[0] = root_w * kAoaWeight * dtheta;
   } else {
     out[0] = 0.0;
   }
-  out[1] = root_w * cfg.rssi_weight * (predicted_rssi - obs.rssi_dbm);
+  out[1] = root_w * kRssiWeight * (predicted_rssi - obs.rssi_dbm);
 }
 
 /// Weighted least-squares (p0, exponent) at `loc`, exponent clamped to
@@ -101,13 +101,13 @@ inline LocationEstimate locate(std::span<const ApObservation> observations,
       return v < lo ? lo - v : (v > hi ? v - hi : 0.0);
     };
     r[2 * used.size()] =
-        cfg.area_penalty_per_m * overflow(loc.x, cfg.area_min.x, cfg.area_max.x);
+        kAreaPenaltyPerM * overflow(loc.x, cfg.area_min.x, cfg.area_max.x);
     r[2 * used.size() + 1] =
-        cfg.area_penalty_per_m * overflow(loc.y, cfg.area_min.y, cfg.area_max.y);
+        kAreaPenaltyPerM * overflow(loc.y, cfg.area_min.y, cfg.area_max.y);
   };
 
   std::vector<Vec2> seeds;
-  const std::size_t g = cfg.seed_grid;
+  const std::size_t g = kSeedGrid;
   for (std::size_t ix = 0; ix < g; ++ix) {
     for (std::size_t iy = 0; iy < g; ++iy) {
       const double fx = (static_cast<double>(ix) + 0.5) / static_cast<double>(g);

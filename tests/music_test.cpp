@@ -984,74 +984,6 @@ TEST(JointMusic, DefaultGridSizesArePinned) {
   EXPECT_EQ(coarse.tof_grid().size(), 160u);
 }
 
-// --- model order estimation ---
-
-TEST(ModelOrder, MdlCountsPathsOnCleanData) {
-  std::vector<PathComponent> paths;
-  const double aoas[] = {-50.0, -10.0, 15.0, 45.0};
-  const double tofs[] = {20e-9, 60e-9, 110e-9, 170e-9};
-  ImpairmentConfig imp;
-  imp.sto_jitter_s = 0.0;
-  imp.random_common_phase = false;
-  imp.quantize_8bit = false;
-  imp.max_snr_db = 35.0;
-  const CsiSynthesizer noisy(kLink, imp);
-  Rng rng(31);
-  for (int l = 0; l < 4; ++l) {
-    paths.push_back(make_path(aoas[l], tofs[l] * 1e9, -50.0 - 2.0 * l,
-                              0.3 * l));
-    paths.back().is_direct = (l == 0);
-    const auto packet = noisy.synthesize(paths, 0.0, rng);
-    const CMatrix x = smoothed_csi(packet.csi);
-    Workspace ws;
-    const auto eig = eigh(x.gram(), ws);
-    const std::size_t k =
-        estimate_model_order(eig.eigenvalues, x.cols(), OrderMethod::kMdl);
-    // Smoothing correlates the noise across columns, which is known to
-    // make information criteria overestimate slightly; accept +1.
-    EXPECT_GE(k, static_cast<std::size_t>(l + 1)) << "with " << l + 1;
-    EXPECT_LE(k, static_cast<std::size_t>(l + 2)) << "with " << l + 1;
-  }
-}
-
-TEST(ModelOrder, AicAtLeastMdl) {
-  // AIC penalizes less, so its order estimate is >= MDL's.
-  RVector eigenvalues{0.9, 1.0, 1.1, 1.0, 0.95, 40.0, 90.0, 300.0};
-  const auto mdl =
-      estimate_model_order(eigenvalues, 32, OrderMethod::kMdl);
-  const auto aic =
-      estimate_model_order(eigenvalues, 32, OrderMethod::kAic);
-  EXPECT_GE(aic, mdl);
-  EXPECT_GE(mdl, 2u);
-}
-
-TEST(ModelOrder, RejectsBadArguments) {
-  const RVector one{1.0};
-  EXPECT_THROW((void)estimate_model_order(one, 10, OrderMethod::kMdl),
-               ContractViolation);
-  const RVector ok{1.0, 2.0};
-  EXPECT_THROW((void)estimate_model_order(ok, 0, OrderMethod::kMdl),
-               ContractViolation);
-  EXPECT_THROW((void)estimate_model_order(ok, 10, OrderMethod::kThreshold),
-               ContractViolation);
-}
-
-TEST(Subspace, MdlMethodPluggedIntoNoiseSubspace) {
-  const std::vector<PathComponent> paths{make_path(-30.0, 30.0, 0.0),
-                                         make_path(10.0, 90.0, -2.0)};
-  ImpairmentConfig imp;
-  imp.sto_jitter_s = 0.0;
-  imp.max_snr_db = 30.0;
-  const CsiSynthesizer noisy(kLink, imp);
-  Rng rng(33);
-  const auto packet = noisy.synthesize(paths, 0.0, rng);
-  SubspaceConfig cfg;
-  cfg.order_method = OrderMethod::kMdl;
-  Workspace ws;
-  const SubspacesRef sub = noise_subspace(smoothed_csi(packet.csi), cfg, ws);
-  EXPECT_EQ(sub.n_signal, 2u);
-}
-
 // --- ESPRIT joint estimator ---
 
 class EspritSinglePath : public ::testing::TestWithParam<RecoveryCase> {};

@@ -11,7 +11,7 @@
 
 namespace spotfi {
 
-/// find_peaks_2d over the whole grid (max_paths twice over when AoA edge
+/// find_peaks_2d over the whole grid (max_paths twice over, as AoA edge
 /// rows are excluded), edge rows skipped in order, at most max_paths,
 /// then parabolic refinement on the grid neighbours: AoA rows i +- 1
 /// inside the grid, ToF columns j +- 1 wrapping when the estimator's
@@ -24,11 +24,9 @@ inline std::vector<PathEstimate> full_grid_estimates(
   const bool wraps = est.tof_axis_wraps();
   Workspace::Frame frame(ws);
   std::vector<PathEstimate> out;
-  const std::size_t max_peaks =
-      cfg.max_paths + (cfg.exclude_aoa_edges ? cfg.max_paths : 0);
-  for (const GridPeak& pk : find_peaks_2d(values, wraps, max_peaks,
+  for (const GridPeak& pk : find_peaks_2d(values, wraps, 2 * cfg.max_paths,
                                           cfg.min_relative_peak, ws)) {
-    if (cfg.exclude_aoa_edges && (pk.i == 0 || pk.i + 1 == n_aoa)) continue;
+    if (pk.i == 0 || pk.i + 1 == n_aoa) continue;
     if (out.size() == cfg.max_paths) break;
     double di = 0.0;
     double dj = 0.0;
