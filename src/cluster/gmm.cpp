@@ -83,7 +83,7 @@ GmmResult fit_gmm(ConstRMatrixView points, std::size_t k, Rng& rng,
 
   // Initialize from k-means: means = centroids, variances = per-cluster
   // scatter, weights = cluster fractions.
-  const KMeansResult km = kmeans(points, k, rng, KMeansConfig{}, ws);
+  const KMeansResult km = kmeans(points, k, rng, ws);
   const std::size_t k_eff = km.centroids.rows();
 
   GmmResult result;

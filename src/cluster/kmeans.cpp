@@ -10,6 +10,9 @@ namespace {
 /// Converged once no centroid coordinate moves by this much.
 constexpr double kCentroidTolerance = 1e-9;
 
+/// Lloyd iterations at most.
+constexpr std::size_t kMaxIterations = 100;
+
 double squared_distance(std::span<const double> a, std::span<const double> b) {
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -54,7 +57,7 @@ std::size_t seed_kmeanspp(ConstRMatrixView points, Rng& rng,
 }  // namespace
 
 KMeansResult kmeans(ConstRMatrixView points, std::size_t k, Rng& rng,
-                    const KMeansConfig& config, Workspace& ws) {
+                    Workspace& ws) {
   SPOTFI_EXPECTS(points.rows() >= 1, "kmeans needs at least one point");
   SPOTFI_EXPECTS(k >= 1, "kmeans needs at least one cluster");
   const std::size_t n = points.rows();
@@ -78,7 +81,7 @@ KMeansResult kmeans(ConstRMatrixView points, std::size_t k, Rng& rng,
   // reallocated (the value-initialized RMatrix it replaces started at
   // zero too, so the sums are unchanged).
   const RMatrixView next = workspace_matrix<double>(ws, k_eff, dim);
-  for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
     result.iterations = iter + 1;
     // Assign.
     bool changed = false;

@@ -13,10 +13,6 @@
 
 namespace spotfi {
 
-struct KMeansConfig {
-  std::size_t max_iterations = 100;
-};
-
 struct KMeansResult {
   /// k x D centroid matrix (k can shrink if there are fewer distinct
   /// points than requested clusters).
@@ -30,13 +26,13 @@ struct KMeansResult {
 
 /// Clusters the rows of `points` (n x D) into at most `k` clusters.
 /// Converged when no assignment changes between iterations, or when no
-/// centroid coordinate moves by a fixed tolerance (kmeans.cpp) or more.
+/// centroid coordinate moves by a fixed tolerance (kmeans.cpp) or more;
+/// stops after a fixed iteration cap (kmeans.cpp) either way.
 /// Requires n >= 1, k >= 1. Deterministic given the RNG state. All
 /// iteration scratch (seeding distances, counts, the per-iteration
 /// centroid accumulator) lives on `ws`, so the loop allocates nothing —
 /// only the returned result touches the heap.
 [[nodiscard]] KMeansResult kmeans(ConstRMatrixView points, std::size_t k,
-                                  Rng& rng, const KMeansConfig& config,
-                                  Workspace& ws);
+                                  Rng& rng, Workspace& ws);
 
 }  // namespace spotfi

@@ -9,8 +9,8 @@
 // real, implicit QL with Wilkinson shifts on that real tridiagonal, and
 // one complex x real product that turns the accumulated rotations into
 // the eigenvectors. It is backward stable and delivers orthonormal
-// eigenvectors to machine precision, at about 0.14 ms per 30x30
-// decomposition (BENCH_21.json, 4 CPUs).
+// eigenvectors to machine precision, at about 0.08 ms per 30x30
+// decomposition (BENCH_28.json, 4 CPUs; complex loops split real).
 //
 // Failure semantics: eigh never throws for convergence. Coherent multipath
 // routinely drives the covariance to (near) rank deficiency, so instead of

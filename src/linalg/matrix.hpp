@@ -31,6 +31,21 @@ namespace spotfi {
 
 using cplx = std::complex<double>;
 
+/// A complex array as its interleaved doubles: element k's real part at
+/// [2k], its imaginary part at [2k + 1] (the array layout the standard
+/// guarantees for std::complex). The per-packet kernels multiply through
+/// these views, each product written as the builtin's fast path
+/// (ac - bd, ad + bc; conj as a sign flip) in the same operand and
+/// summation order, so their bits are std::complex's for finite operands.
+/// std::complex's operator* also tests for a NaN result and branches to
+/// __muldc3, and that branch keeps GCC from vectorizing the loop.
+[[nodiscard]] inline double* re_im(cplx* z) {
+  return reinterpret_cast<double*>(z);
+}
+[[nodiscard]] inline const double* re_im(const cplx* z) {
+  return reinterpret_cast<const double*>(z);
+}
+
 namespace detail {
 template <typename T>
 struct is_complex : std::false_type {};
@@ -187,8 +202,9 @@ void matmul_into(ConstMatrixView<T> a, ConstMatrixView<T> b,
 
 /// g = a * a^H — the (unnormalized) covariance MUSIC eigendecomposes.
 /// Lower triangle only, mirrored; the row-dot runs two independent
-/// accumulators so the (serial) multiply-add dependency chain halves.
-/// Overwrites g completely.
+/// accumulators (even and odd k) so the (serial) multiply-add dependency
+/// chain halves. Complex rows are summed as split real arithmetic
+/// (re_im). Overwrites g completely.
 template <typename T>
 void gram_into(ConstMatrixView<T> a, MatrixView<T> g) {
   SPOTFI_EXPECTS(g.rows() == a.rows() && g.cols() == a.rows(),
@@ -199,30 +215,41 @@ void gram_into(ConstMatrixView<T> a, MatrixView<T> g) {
     T* grow = g.row_ptr(i);
     for (std::size_t j = 0; j <= i; ++j) {
       const T* rj = a.row_ptr(j);
-      T acc0{};
-      T acc1{};
-      std::size_t k = 0;
-      for (; k + 1 < cols; k += 2) {
-        if constexpr (detail::is_complex<T>::value) {
-          acc0 += ri[k] * std::conj(rj[k]);
-          acc1 += ri[k + 1] * std::conj(rj[k + 1]);
-        } else {
+      if constexpr (detail::is_complex<T>::value) {
+        // acc += x conj(y): (xr yr + xi yi, xi yr - xr yi).
+        const double* x = re_im(ri);
+        const double* y = re_im(rj);
+        double re0 = 0.0;
+        double im0 = 0.0;
+        double re1 = 0.0;
+        double im1 = 0.0;
+        std::size_t k = 0;
+        for (; k + 1 < cols; k += 2) {
+          const std::size_t e = 2 * k;
+          re0 += x[e] * y[e] + x[e + 1] * y[e + 1];
+          im0 += x[e + 1] * y[e] - x[e] * y[e + 1];
+          re1 += x[e + 2] * y[e + 2] + x[e + 3] * y[e + 3];
+          im1 += x[e + 3] * y[e + 2] - x[e + 2] * y[e + 3];
+        }
+        if (k < cols) {
+          const std::size_t e = 2 * k;
+          re0 += x[e] * y[e] + x[e + 1] * y[e + 1];
+          im0 += x[e + 1] * y[e] - x[e] * y[e + 1];
+        }
+        const T acc(re0 + re1, im0 + im1);
+        grow[j] = acc;
+        g(j, i) = std::conj(acc);
+      } else {
+        T acc0{};
+        T acc1{};
+        std::size_t k = 0;
+        for (; k + 1 < cols; k += 2) {
           acc0 += ri[k] * rj[k];
           acc1 += ri[k + 1] * rj[k + 1];
         }
-      }
-      if (k < cols) {
-        if constexpr (detail::is_complex<T>::value) {
-          acc0 += ri[k] * std::conj(rj[k]);
-        } else {
-          acc0 += ri[k] * rj[k];
-        }
-      }
-      const T acc = acc0 + acc1;
-      grow[j] = acc;
-      if constexpr (detail::is_complex<T>::value) {
-        g(j, i) = std::conj(acc);
-      } else {
+        if (k < cols) acc0 += ri[k] * rj[k];
+        const T acc = acc0 + acc1;
+        grow[j] = acc;
         g(j, i) = acc;
       }
     }

@@ -126,15 +126,22 @@ SweepTables sweep_tables(ConstCMatrixView noise, ConstCMatrixView ant,
     for (std::size_t b = a; b < ant_len; ++b, pair += n_terms) {
       cplx* c = pair + (sub_len - 1);
       for (std::size_t s = 0; s < sub_len; ++s) {
-        const cplx* row_a = noise.row_ptr(a * sub_len + s);
+        const double* row_a = re_im(noise.row_ptr(a * sub_len + s));
         const std::size_t t_end = b == a ? s + 1 : sub_len;
         for (std::size_t t = 0; t < t_end; ++t) {
-          const cplx* row_b = noise.row_ptr(b * sub_len + t);
-          cplx acc{};
+          // sum_e conj(E_n[a S + s, e]) E_n[b S + t, e]
+          const double* row_b = re_im(noise.row_ptr(b * sub_len + t));
+          double acc_re = 0.0;
+          double acc_im = 0.0;
           for (std::size_t e = 0; e < n_noise; ++e) {
-            acc += std::conj(row_a[e]) * row_b[e];
+            const double xr = row_a[2 * e];
+            const double xi = row_a[2 * e + 1];
+            const double yr = row_b[2 * e];
+            const double yi = row_b[2 * e + 1];
+            acc_re += xr * yr + xi * yi;
+            acc_im += xr * yi - xi * yr;
           }
-          *(c + s - t) += acc;
+          *(c + s - t) += cplx(acc_re, acc_im);
         }
       }
     }
@@ -156,12 +163,23 @@ SweepTables sweep_tables(ConstCMatrixView noise, ConstCMatrixView ant,
           }
           *m++ = c[0].real() + 2.0 * acc;
         } else {
-          cplx acc = c[0];
+          // c[0] + sum_{k>0} c[k] Omega^k + c[-k] conj(Omega^k).
+          const double* cp = re_im(c);
+          const double* om = re_im(omega_pow);
+          double acc_re = cp[0];
+          double acc_im = cp[1];
           for (std::size_t k = 1; k < sub_len; ++k) {
-            acc += c[k] * omega_pow[k] + *(c - k) * std::conj(omega_pow[k]);
+            const double pr = cp[2 * k];  // c[k]
+            const double pi = cp[2 * k + 1];
+            const double nr = *(cp - 2 * k);  // c[-k]
+            const double ni = *(cp - 2 * k + 1);
+            const double wr = om[2 * k];
+            const double wi = om[2 * k + 1];
+            acc_re += (pr * wr - pi * wi) + (nr * wr + ni * wi);
+            acc_im += (pr * wi + pi * wr) + (ni * wr - nr * wi);
           }
-          *m++ = acc.real();
-          *m++ = acc.imag();
+          *m++ = acc_re;
+          *m++ = acc_im;
         }
       }
     }

@@ -29,7 +29,7 @@ TEST(KMeans, RecoversWellSeparatedBlobs) {
   Workspace ws;
   Rng rng(1);
   const RMatrix points = three_blobs(rng);
-  const KMeansResult result = kmeans(points, 3, rng, {}, ws);
+  const KMeansResult result = kmeans(points, 3, rng, ws);
   ASSERT_EQ(result.centroids.rows(), 3u);
   // Each true center should be close to some centroid.
   for (const auto& truth : {Vec2{0.0, 0.0}, Vec2{10.0, 0.0}, Vec2{0.0, 10.0}}) {
@@ -54,8 +54,8 @@ TEST(KMeans, InertiaDecreasesWithMoreClusters) {
   Rng rng(2);
   const RMatrix points = three_blobs(rng);
   Rng r1(3), r2(3);
-  const double inertia1 = kmeans(points, 1, r1, {}, ws).inertia;
-  const double inertia3 = kmeans(points, 3, r2, {}, ws).inertia;
+  const double inertia1 = kmeans(points, 1, r1, ws).inertia;
+  const double inertia3 = kmeans(points, 3, r2, ws).inertia;
   EXPECT_GT(inertia1, 5.0 * inertia3);
 }
 
@@ -65,7 +65,7 @@ TEST(KMeans, MoreClustersThanPointsShrinks) {
   points(0, 0) = 1.0;
   points(1, 0) = 5.0;
   Rng rng(4);
-  const KMeansResult result = kmeans(points, 10, rng, {}, ws);
+  const KMeansResult result = kmeans(points, 10, rng, ws);
   EXPECT_LE(result.centroids.rows(), 2u);
   EXPECT_NEAR(result.inertia, 0.0, 1e-12);
 }
@@ -74,7 +74,7 @@ TEST(KMeans, DuplicatePointsCollapse) {
   Workspace ws;
   RMatrix points(5, 1, 3.0);  // five identical points
   Rng rng(5);
-  const KMeansResult result = kmeans(points, 3, rng, {}, ws);
+  const KMeansResult result = kmeans(points, 3, rng, ws);
   EXPECT_EQ(result.centroids.rows(), 1u);
   EXPECT_NEAR(result.centroids(0, 0), 3.0, 1e-12);
 }
@@ -85,7 +85,7 @@ TEST(KMeans, SinglePoint) {
   points(0, 0) = 7.0;
   points(0, 1) = -2.0;
   Rng rng(6);
-  const KMeansResult result = kmeans(points, 5, rng, {}, ws);
+  const KMeansResult result = kmeans(points, 5, rng, ws);
   ASSERT_EQ(result.centroids.rows(), 1u);
   EXPECT_DOUBLE_EQ(result.centroids(0, 0), 7.0);
 }
@@ -93,8 +93,8 @@ TEST(KMeans, SinglePoint) {
 TEST(KMeans, EmptyInputThrows) {
   Workspace ws;
   Rng rng(7);
-  EXPECT_THROW(kmeans(RMatrix(0, 2), 3, rng, {}, ws), ContractViolation);
-  EXPECT_THROW(kmeans(RMatrix(3, 2), 0, rng, {}, ws), ContractViolation);
+  EXPECT_THROW(kmeans(RMatrix(0, 2), 3, rng, ws), ContractViolation);
+  EXPECT_THROW(kmeans(RMatrix(3, 2), 0, rng, ws), ContractViolation);
 }
 
 TEST(KMeans, DeterministicGivenRngState) {
@@ -102,8 +102,8 @@ TEST(KMeans, DeterministicGivenRngState) {
   Rng rng(8);
   const RMatrix points = three_blobs(rng);
   Rng r1(9), r2(9);
-  const KMeansResult a = kmeans(points, 3, r1, {}, ws);
-  const KMeansResult b = kmeans(points, 3, r2, {}, ws);
+  const KMeansResult a = kmeans(points, 3, r1, ws);
+  const KMeansResult b = kmeans(points, 3, r2, ws);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_DOUBLE_EQ(a.inertia, b.inertia);
 }

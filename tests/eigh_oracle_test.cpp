@@ -27,19 +27,32 @@
 // 3 x 10 subarray and min_relative_peak = 0, with refinement on and off.
 // Every column's bound must be at least each of its cells, and every
 // swept cell must equal the full grid's.
+//
+// SplitRealKernels: eigh, the complex gram_into and the MUSIC sweep
+// tables multiply as split real arithmetic on interleaved (re, im)
+// doubles. Each must reproduce, bit for bit, the std::complex kernel it
+// replaced (tests/complex_kernel_reference.hpp): on the corpus packets
+// above, on random low-rank-plus-noise covariances, on inputs that put
+// eigh's scale exponent and its Hermitian bound on a knife edge, and
+// through JointMusicEstimator::spectrum() and MusicAoaEstimator's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <ostream>
 #include <utility>
 #include <vector>
 
 #include "cluster/direct_path.hpp"
+#include "common/rng.hpp"
+#include "complex_kernel_reference.hpp"
 #include "csi/sanitize.hpp"
 #include "csi/smoothing.hpp"
 #include "jacobi_oracle.hpp"
+#include "linalg/hermitian_eig.hpp"
 #include "spectrum_reference.hpp"
 #include "music/estimators.hpp"
 #include "music/peaks.hpp"
@@ -390,6 +403,270 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CorpusCase{"office", &office_deployment, 21},
                       CorpusCase{"high-nlos", &high_nlos_deployment, 22},
                       CorpusCase{"corridor", &corridor_deployment, 23}));
+
+/// True when the two arrays hold the same bytes.
+template <typename T>
+bool same_bytes(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+bool same_bytes(const RMatrix& a, const RMatrix& b) {
+  return a.rows() == b.rows() && same_bytes<double>(a.flat(), b.flat());
+}
+
+/// gram_into on x, served and reference, byte for byte.
+void expect_gram_matches_reference(const CMatrix& x) {
+  CMatrix got(x.rows(), x.rows());
+  CMatrix want(x.rows(), x.rows());
+  gram_into<cplx>(x, got.view());
+  complex_reference::gram_into(x, want.view());
+  EXPECT_TRUE(same_bytes<cplx>(got.flat(), want.flat())) << "gram";
+}
+
+/// eigh on a, served and reference, byte for byte: eigenvalues,
+/// eigenvectors, max_residual, rcond and converged.
+void expect_eigh_matches_reference(ConstCMatrixView a, Workspace& ws) {
+  Workspace::Frame frame(ws);
+  const EighResult got = eigh(a, ws);
+  const EighResult want = complex_reference::eigh(a, ws);
+  EXPECT_EQ(got.converged, want.converged);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.max_residual),
+            std::bit_cast<std::uint64_t>(want.max_residual));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.rcond),
+            std::bit_cast<std::uint64_t>(want.rcond));
+  EXPECT_TRUE(same_bytes<double>(got.eigenvalues, want.eigenvalues))
+      << "eigenvalues";
+  bool vectors = true;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    vectors = vectors && same_bytes<cplx>(got.eigenvectors.row(i),
+                                          want.eigenvectors.row(i));
+  }
+  EXPECT_TRUE(vectors) << "eigenvectors";
+}
+
+/// A random Hermitian n x n matrix, entries of unit order.
+CMatrix random_hermitian(std::size_t n, Rng& rng) {
+  CMatrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a(i, i) = rng.normal();
+    for (std::size_t j = 0; j < i; ++j) {
+      a(i, j) = cplx(rng.normal(), rng.normal());
+      a(j, i) = std::conj(a(i, j));
+    }
+  }
+  return a;
+}
+
+TEST(SplitRealKernels, GramAndEighMatchComplexReferenceOnCorpus) {
+  const SmoothingConfig smoothing;
+  Workspace ws;
+  std::size_t checked = 0;
+  for (const CorpusCase& c :
+       {CorpusCase{"office", &office_deployment, 21},
+        CorpusCase{"high-nlos", &high_nlos_deployment, 22},
+        CorpusCase{"corridor", &corridor_deployment, 23}}) {
+    for (const CMatrix& packet : corpus(c)) {
+      SCOPED_TRACE(::testing::Message() << c.name << " packet " << checked);
+      const CMatrix x = smoothed_csi(packet, smoothing);
+      expect_gram_matches_reference(x);
+      expect_eigh_matches_reference(x.gram(), ws);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 3 * kPacketsPerDeployment);
+}
+
+TEST(SplitRealKernels, GramAndEighMatchComplexReferenceOnLowRankCovariances) {
+  // X = S + noise with S of rank 1-8, 30 x 32 like the smoothed CSI; every
+  // fifth scaled by 1e-3, and every seventh of another (odd or tiny) shape
+  // so the two-wide loops run their tails.
+  Rng rng(28);
+  Workspace ws;
+  constexpr std::size_t kShapes[][2] = {{29, 31}, {7, 9}, {3, 2}, {2, 5},
+                                        {1, 1},   {17, 17}};
+  for (std::size_t t = 0; t < 200; ++t) {
+    SCOPED_TRACE(::testing::Message() << "covariance " << t);
+    std::size_t rows = 30;
+    std::size_t cols = 32;
+    if (t % 7 == 6) {
+      rows = kShapes[(t / 7) % std::size(kShapes)][0];
+      cols = kShapes[(t / 7) % std::size(kShapes)][1];
+    }
+    const std::size_t rank = 1 + t % 8;
+    CMatrix left(rows, rank);
+    CMatrix right(rank, cols);
+    for (cplx& v : left.flat()) v = cplx(rng.normal(), rng.normal());
+    for (cplx& v : right.flat()) v = cplx(rng.normal(), rng.normal());
+    CMatrix x = left * right;
+    const double noise = 1e-2 * (1.0 + static_cast<double>(t % 5));
+    for (cplx& v : x.flat()) {
+      v += noise * cplx(rng.normal(), rng.normal());
+      if (t % 5 == 0) v *= 1e-3;
+    }
+    expect_gram_matches_reference(x);
+    expect_eigh_matches_reference(x.gram(), ws);
+  }
+}
+
+TEST(SplitRealKernels, ScaleExponentEdgesMatchComplexReference) {
+  // eigh's scale is the largest |a_ij| after symmetrizing; its
+  // power-of-two exponent must be the one std::abs would give.
+  Rng rng(281);
+  const std::size_t n = 30;
+  Workspace ws;
+  const double pow2 = std::ldexp(1.0, 3);
+  for (const double top : {std::nextafter(pow2, 0.0), pow2,
+                           std::nextafter(pow2, 2.0 * pow2)}) {
+    for (const bool diagonal : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "largest entry " << top
+                                        << (diagonal ? " on" : " off")
+                                        << " the diagonal");
+      CMatrix a = random_hermitian(n, rng);  // |a_ij| well below 8
+      if (diagonal) {
+        a(4, 4) = top;
+      } else {
+        a(4, 9) = top;
+        a(9, 4) = top;
+      }
+      expect_eigh_matches_reference(a, ws);
+    }
+  }
+
+  // One entry at 2^600 in a unit-scale matrix: its square overflows.
+  CMatrix spike = random_hermitian(n, rng);
+  spike(5, 2) = cplx(std::ldexp(1.0, 600), std::ldexp(0.75, 600));
+  spike(2, 5) = std::conj(spike(5, 2));
+  expect_eigh_matches_reference(spike, ws);
+
+  // Entries at 2^600 and 2^-600 mixed: squares overflow and underflow.
+  CMatrix mixed = random_hermitian(n, rng);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      const int power = (i + 2 * j) % 3 == 0 ? 600 : -600;
+      mixed(i, j) = cplx(std::ldexp(mixed(i, j).real(), power),
+                         std::ldexp(mixed(i, j).imag(), power));
+      mixed(j, i) = std::conj(mixed(i, j));
+    }
+  }
+  expect_eigh_matches_reference(mixed, ws);
+}
+
+TEST(SplitRealKernels, HermitianBoundIsDecidedAsByTheComplexReference) {
+  // scale = 3 (the diagonal), every other |avg| below it; the one
+  // asymmetric pair has a(1, 2) = 0 and a(2, 1) = delta, so the asymmetry
+  // is |delta| exactly. The bound is asym <= 1e-8 * 3.
+  Rng rng(282);
+  const std::size_t n = 30;
+  Workspace ws;
+  const double bound = 1e-8 * 3.0;
+  for (const double delta :
+       {0.5 * bound, std::nextafter(bound, 0.0), bound,
+        std::nextafter(bound, 1.0), 2.0 * bound}) {
+    SCOPED_TRACE(::testing::Message() << "asymmetry " << delta);
+    CMatrix a = random_hermitian(n, rng);
+    for (cplx& v : a.flat()) v *= 0.25;
+    a(0, 0) = 3.0;
+    a(1, 2) = 0.0;
+    a(2, 1) = delta;
+    if (delta > bound) {
+      EXPECT_THROW((void)eigh(a, ws), ContractViolation);
+      EXPECT_THROW((void)complex_reference::eigh(a, ws), ContractViolation);
+    } else {
+      expect_eigh_matches_reference(a, ws);
+    }
+  }
+}
+
+TEST(SplitRealKernels, SpectrumCellsMatchComplexReference) {
+  // spectrum() composes gram_into, eigh and the sweep tables; the
+  // reference composes their std::complex forms with the threshold model
+  // order, on the default 2 x 15 subarray and on a 3 x 10 one.
+  std::vector<JointMusicConfig> configs(2);
+  configs[1].smoothing = SmoothingConfig{.sub_len = 10, .ant_len = 3};
+  Workspace ws;
+  for (const JointMusicConfig& cfg : configs) {
+    const JointMusicEstimator est(kLink, cfg);
+    const std::size_t ant_len = cfg.smoothing.ant_len;
+    const std::size_t sub_len = cfg.smoothing.sub_len;
+    const std::size_t dim = ant_len * sub_len;
+    CMatrix ant(est.aoa_grid().size(), ant_len);
+    for (std::size_t i = 0; i < ant.rows(); ++i) {
+      const CVector v = aoa_steering(est.aoa_grid()[i], ant_len, kLink);
+      std::copy(v.begin(), v.end(), ant.row(i).begin());
+    }
+    CMatrix sub(est.tof_grid().size(), sub_len);
+    for (std::size_t j = 0; j < sub.rows(); ++j) {
+      const CVector v = tof_steering(est.tof_grid()[j], sub_len, kLink);
+      std::copy(v.begin(), v.end(), sub.row(j).begin());
+    }
+    for (const CorpusCase& c :
+         {CorpusCase{"office", &office_deployment, 21},
+          CorpusCase{"high-nlos", &high_nlos_deployment, 22},
+          CorpusCase{"corridor", &corridor_deployment, 23}}) {
+      const std::vector<CMatrix> packets = corpus(c);
+      for (std::size_t n = 0; n < packets.size(); ++n) {
+        SCOPED_TRACE(::testing::Message() << c.name << " packet " << n
+                                          << " ant_len " << ant_len);
+        Workspace::Frame frame(ws);
+        const CMatrix x = smoothed_csi(packets[n], cfg.smoothing);
+        const CMatrixView g = workspace_matrix<cplx>(ws, dim, dim);
+        complex_reference::gram_into(x, g);
+        const EighResult eig = complex_reference::eigh(g, ws);
+        ASSERT_TRUE(eig.converged);
+        const std::size_t order = threshold_order(
+            RVector(eig.eigenvalues.begin(), eig.eigenvalues.end()),
+            cfg.subspace);
+        const RMatrix want = complex_reference::sweep_cells(
+            complex_reference::sweep_tables(
+                ConstCMatrixView(eig.eigenvectors)
+                    .block(0, 0, dim, dim - order),
+                ant, sub));
+        EXPECT_TRUE(same_bytes(est.spectrum(packets[n]).values, want));
+      }
+    }
+  }
+}
+
+TEST(SplitRealKernels, AntennaMusicCellsMatchComplexReference) {
+  // MusicAoaEstimator: the raw 3 x 30 CSI as the measurement, its
+  // spectrum the sweep's one-column case.
+  const MusicAoaEstimator est(kLink);
+  const MusicAoaConfig& cfg = est.config();
+  SubspaceConfig sub_cfg = cfg.subspace;
+  sub_cfg.max_signal_dims =
+      std::min(sub_cfg.max_signal_dims, kLink.n_antennas - 1);
+  const cplx one{1.0, 0.0};
+  Workspace ws;
+  for (const CorpusCase& c :
+       {CorpusCase{"office", &office_deployment, 21},
+        CorpusCase{"corridor", &corridor_deployment, 23}}) {
+    const std::vector<CMatrix> packets = corpus(c);
+    for (std::size_t n = 0; n < packets.size(); ++n) {
+      SCOPED_TRACE(::testing::Message() << c.name << " packet " << n);
+      const AoaSpectrum sp = est.spectrum(packets[n]);
+      CMatrix ant(sp.aoa_grid_rad.size(), kLink.n_antennas);
+      for (std::size_t i = 0; i < ant.rows(); ++i) {
+        const CVector v =
+            aoa_steering(sp.aoa_grid_rad[i], kLink.n_antennas, kLink);
+        std::copy(v.begin(), v.end(), ant.row(i).begin());
+      }
+      Workspace::Frame frame(ws);
+      const std::size_t dim = kLink.n_antennas;
+      const CMatrixView g = workspace_matrix<cplx>(ws, dim, dim);
+      complex_reference::gram_into(packets[n], g);
+      const EighResult eig = complex_reference::eigh(g, ws);
+      ASSERT_TRUE(eig.converged);
+      const std::size_t order = threshold_order(
+          RVector(eig.eigenvalues.begin(), eig.eigenvalues.end()), sub_cfg);
+      const RMatrix want = complex_reference::sweep_cells(
+          complex_reference::sweep_tables(
+              ConstCMatrixView(eig.eigenvectors).block(0, 0, dim, dim - order),
+              ant, ConstCMatrixView(&one, 1, 1)));
+      EXPECT_TRUE(same_bytes<double>(sp.values, want.flat()));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace spotfi
