@@ -31,6 +31,12 @@ otherwise retire its gate silently, so a missing one fails. The session
 throughput benches (`BM_SessionRounds/*`) participate in the normalized
 >threshold gate like every other benchmark.
 
+The reference loop is latency-bound and the kernels are not, so the
+ratios do not carry across CPU models. The gate prints each side's
+`cpu_model`, `mhz_per_cpu` and `num_cpus` from the snapshot context and
+warns when the recorded CPU models or clock rates differ; the pass/fail
+rule does not read them.
+
 Usage:
     bench_regression.py <baseline.json> <candidate.json>
         [--threshold 0.15] [--reference BM_Reference_DependentLoop]
@@ -92,7 +98,25 @@ def load_entries(path):
     for suite in raw.get("suites", {}).values():
         for b in suite:
             entries[require(b, "name", path)] = b
-    return entries, bool(raw.get("smoke"))
+    return entries, bool(raw.get("smoke")), raw.get("context", {})
+
+
+def host_warnings(base_ctx, cand_ctx):
+    """Why the two snapshots may not compare: the hosts differ.
+
+    A CPU model counts as recorded when the snapshot names one other
+    than bench_to_json.sh's "unknown".
+    """
+    warnings = []
+    models = [ctx.get("cpu_model") for ctx in (base_ctx, cand_ctx)]
+    if all(m not in (None, "unknown") for m in models) and \
+            models[0] != models[1]:
+        warnings.append(f"CPU models differ ({models[0]!r} vs "
+                        f"{models[1]!r})")
+    clocks = [ctx.get("mhz_per_cpu") for ctx in (base_ctx, cand_ctx)]
+    if clocks[0] != clocks[1]:
+        warnings.append(f"mhz_per_cpu differs ({clocks[0]} vs {clocks[1]})")
+    return warnings
 
 
 def main():
@@ -124,8 +148,8 @@ def main():
         sys.exit("bench_regression: expected <candidate> or "
                  "<baseline> <candidate>")
 
-    base, base_smoke = load_entries(args.baseline)
-    cand, cand_smoke = load_entries(args.candidate)
+    base, base_smoke, base_ctx = load_entries(args.baseline)
+    cand, cand_smoke, cand_ctx = load_entries(args.candidate)
     if base_smoke or cand_smoke:
         # Smoke numbers come from near-zero min-time runs and are pure
         # noise; gating on them would make CI flaky.
@@ -140,6 +164,14 @@ def main():
     ref_cand = require(cand[args.reference], "real_time_ns", args.candidate)
     if ref_base <= 0 or ref_cand <= 0:
         sys.exit("bench_regression: non-positive reference timing")
+
+    for name, ctx in (("baseline", base_ctx), ("candidate", cand_ctx)):
+        print(f"{name} host: cpu_model {ctx.get('cpu_model', 'unrecorded')}, "
+              f"mhz_per_cpu {ctx.get('mhz_per_cpu')}, "
+              f"num_cpus {ctx.get('num_cpus')}")
+    for warning in host_warnings(base_ctx, cand_ctx):
+        print(f"WARNING: {warning}: normalized ratios do not carry across "
+              "hosts, so this comparison may not mean what it says")
 
     failures = []
     print(f"reference {args.reference}: baseline {ref_base:.1f} ns, "

@@ -9,6 +9,11 @@
 #   --smoke  near-zero min-time per benchmark: exercises the full runner
 #            path in seconds (CI uses this; numbers are NOT stable).
 #
+# The snapshot's `context` is google-benchmark's (num_cpus, mhz_per_cpu,
+# ...) plus `cpu_model`, the first `model name` line of /proc/cpuinfo
+# ("unknown" where there is none): bench_regression.py's normalized
+# ratios only carry between hosts of the same CPU model.
+#
 # Benches registered with Repetitions() + ReportAggregatesOnly() (the ones
 # whose single iteration fills the time budget, and the reference loop
 # bench_regression.py normalizes by) are stored under their plain name
@@ -72,6 +77,20 @@ import sys
 # (a bench registered with ->Unit(kMillisecond) reports milliseconds);
 # the snapshot stores nanoseconds.
 NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def cpu_model():
+    """The first `model name` line of /proc/cpuinfo, or "unknown"."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+
 # google-benchmark appends "/repeats:N" to a repeated bench's name.
 REPEATS = re.compile(r"/repeats:\d+$")
 
@@ -125,6 +144,7 @@ for name, path in (("perf_music", music_path),
         if entry["name"] in cvs:
             entry["real_time_cv"] = cvs[entry["name"]]
     merged["suites"][name] = suite
+merged["context"]["cpu_model"] = cpu_model()
 # Snapshots from machines with different core counts do not compare
 # (the threads:N benches), so the count sits beside the results.
 merged["num_cpus"] = merged["context"].get("num_cpus")

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     PathComponent p;
     p.aoa_rad = true_aoa;
     p.tof_s = true_tof;
-    p.gain_db = -92.0 + snr_db - imp.tx_power_dbm;
+    p.gain_db = -92.0 + snr_db - kTxPowerDbm;
     p.is_direct = true;
     const CsiSynthesizer synth(link, imp);
 

@@ -43,7 +43,7 @@ double CsiSynthesizer::received_power_dbm(
     std::span<const PathComponent> paths) const {
   double mw = 0.0;
   for (const auto& p : paths) {
-    mw += std::pow(10.0, (impairments_.tx_power_dbm + p.gain_db) / 10.0);
+    mw += std::pow(10.0, (kTxPowerDbm + p.gain_db) / 10.0);
   }
   return 10.0 * std::log10(std::max(mw, 1e-12));
 }

@@ -33,6 +33,9 @@ struct CsiPacket {
   double timestamp_s = 0.0;
 };
 
+/// Transmit power [dBm]; path gains are relative to this.
+inline constexpr double kTxPowerDbm = 15.0;
+
 struct ImpairmentConfig {
   /// Fixed part of the sampling time offset for a link [s].
   double sto_base_s = 50e-9;
@@ -43,8 +46,6 @@ struct ImpairmentConfig {
   bool random_common_phase = true;
   /// Thermal noise floor [dBm] used to derive per-entry SNR.
   double noise_floor_dbm = -92.0;
-  /// Transmit power [dBm]; path gains are relative to this.
-  double tx_power_dbm = 15.0;
   /// Log-normal shadowing on the reported RSSI [dB].
   double rssi_shadowing_db = 2.0;
   /// Quantize CSI to 8-bit I/Q (Intel 5300 behaviour).

@@ -9,6 +9,11 @@ namespace spotfi {
 
 namespace {
 const ApFaultProfile kCleanProfile{};
+/// CSI entries one NaN burst overwrites.
+constexpr std::size_t kNanBurstLen = 4;
+/// Bits one bit-flip fault flips, and the longest garbage run [bytes].
+constexpr std::size_t kBitsPerFlip = 1;
+constexpr std::size_t kGarbageLenMax = 32;
 }  // namespace
 
 const ApFaultProfile& FaultPlan::profile(std::size_t ap_id) const {
@@ -49,18 +54,11 @@ CsiPacket FaultInjector::corrupt(const ApFaultProfile& profile, ApState& state,
       }
       ++stats_.dead_chain_zeroed;
     }
-    if (profile.zero_row_prob > 0.0 && rng.uniform() < profile.zero_row_prob) {
-      const std::size_t m = rng.uniform_index(packet.csi.rows());
-      for (std::size_t n = 0; n < packet.csi.cols(); ++n) {
-        packet.csi(m, n) = cplx{};
-      }
-      ++stats_.rows_zeroed;
-    }
     if (profile.nan_burst_prob > 0.0 &&
         rng.uniform() < profile.nan_burst_prob) {
       const double nan = std::numeric_limits<double>::quiet_NaN();
       const std::size_t total = packet.csi.rows() * packet.csi.cols();
-      const std::size_t burst = std::min(profile.nan_burst_len, total);
+      const std::size_t burst = std::min(kNanBurstLen, total);
       const std::size_t start = rng.uniform_index(total - burst + 1);
       for (std::size_t k = start; k < start + burst; ++k) {
         packet.csi(k / packet.csi.cols(), k % packet.csi.cols()) =
@@ -158,8 +156,7 @@ std::vector<std::uint8_t> corrupt_spans(
   for (std::size_t i = 0; i < frames.size(); ++i) {
     const auto [off, len] = frames[i];
     if (plan.garbage_prob > 0.0 && rng.uniform() < plan.garbage_prob) {
-      const std::size_t n =
-          1 + rng.uniform_index(std::max<std::size_t>(plan.garbage_len_max, 1));
+      const std::size_t n = 1 + rng.uniform_index(kGarbageLenMax);
       for (std::size_t k = 0; k < n; ++k) {
         out.push_back(static_cast<std::uint8_t>(rng.uniform_index(256)));
       }
@@ -181,7 +178,7 @@ std::vector<std::uint8_t> corrupt_spans(
       corrupted = true;
     }
     if (plan.bit_flip_prob > 0.0 && rng.uniform() < plan.bit_flip_prob) {
-      for (std::size_t b = 0; b < plan.bits_per_flip; ++b) {
+      for (std::size_t b = 0; b < kBitsPerFlip; ++b) {
         const std::size_t bit = rng.uniform_index(frame.size() * 8);
         frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       }
@@ -331,18 +328,6 @@ std::vector<PathComponent> coherent_path_group(std::size_t n, double aoa_rad,
     p.is_direct = k == 0;
   }
   return paths;
-}
-
-std::vector<ArrayPose> collinear_ap_line(std::size_t n, Vec2 origin, Vec2 step,
-                                         double facing_rad) {
-  SPOTFI_EXPECTS(n >= 2, "collinear_ap_line needs at least two APs");
-  std::vector<ArrayPose> poses(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    poses[k].position = {origin.x + static_cast<double>(k) * step.x,
-                         origin.y + static_cast<double>(k) * step.y};
-    poses[k].normal_rad = facing_rad;
-  }
-  return poses;
 }
 
 void inject_numerical_fault(CsiPacket& packet, NumericalFaultKind kind,

@@ -49,11 +49,9 @@ struct ApFaultProfile {
   /// Freeze the timestamp: repeat the previously delivered timestamp
   /// (firmware clock stall), making the packet look stale.
   double stale_prob = 0.0;
-  /// Corrupt a burst of CSI entries with NaN (parsing race).
+  /// Corrupt a burst of 4 consecutive CSI entries with NaN (parsing
+  /// race).
   double nan_burst_prob = 0.0;
-  std::size_t nan_burst_len = 4;
-  /// Zero one random antenna row for this packet (transient AGC glitch).
-  double zero_row_prob = 0.0;
   /// Persistently dead RF chain: this antenna row is zeroed on every
   /// packet. Negative = none.
   int dead_chain = -1;
@@ -77,7 +75,6 @@ struct FaultStats {
   std::size_t reordered = 0;
   std::size_t stale_stamped = 0;
   std::size_t nan_corrupted = 0;
-  std::size_t rows_zeroed = 0;
   std::size_t dead_chain_zeroed = 0;
   std::size_t clipped = 0;
   std::size_t delivered = 0;
@@ -113,7 +110,7 @@ class FaultInjector {
     bool any_delivered = false;
   };
 
-  /// In-place corruption faults (NaN burst, zeroed rows, clipping, stale
+  /// In-place corruption faults (NaN burst, dead chain, clipping, stale
   /// timestamp). Returns the possibly-corrupted packet.
   [[nodiscard]] CsiPacket corrupt(const ApFaultProfile& profile,
                                   ApState& state, CsiPacket packet, Rng& rng);
@@ -138,14 +135,12 @@ class FaultInjector {
 /// Per-frame corruption probabilities (i.i.d. per frame). Defaults are
 /// all-clean.
 struct ByteFaultPlan {
-  /// Flip `bits_per_flip` random bits somewhere in the frame.
+  /// Flip one random bit somewhere in the frame.
   double bit_flip_prob = 0.0;
-  std::size_t bits_per_flip = 1;
   /// Cut the frame off mid-record (its tail never reaches the log).
   double truncate_prob = 0.0;
-  /// Splice a run of random garbage bytes in front of the frame.
+  /// Splice a run of 1 to 32 random garbage bytes in front of the frame.
   double garbage_prob = 0.0;
-  std::size_t garbage_len_max = 32;
   /// Emit the frame twice (retransmitted/duplicated capture).
   double duplicate_prob = 0.0;
   /// When > 0, each duplicate copy resurfaces after a uniform 0..gap_max
@@ -235,14 +230,6 @@ inline constexpr std::size_t kNumericalFaultKindCount = 6;
 /// smoothed-covariance eigendecomposition. Gains/phases vary per path.
 [[nodiscard]] std::vector<PathComponent> coherent_path_group(
     std::size_t n, double aoa_rad, double tof_s, double gain_db, Rng& rng);
-
-/// `n` AP poses evenly spaced along the line from `origin` with `step`
-/// between consecutive APs, all facing `facing_rad` — the degenerate
-/// corridor geometry where every bearing through a point on the line is
-/// parallel and the triangulation Fisher information is singular.
-[[nodiscard]] std::vector<ArrayPose> collinear_ap_line(std::size_t n,
-                                                       Vec2 origin, Vec2 step,
-                                                       double facing_rad);
 
 /// Replaces/overwrites `packet.csi` with the degeneracy selected by
 /// `kind` (rank collapse synthesizes fresh CSI from a coherent bundle;

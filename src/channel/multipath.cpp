@@ -20,6 +20,13 @@ double ArrayPose::apparent_aoa_of(Vec2 source) const {
 
 namespace {
 
+/// Reference gain at 1 m [dB]; folds in free-space loss at 1 m (~47 dB at
+/// 5.3 GHz) and antenna gains, so RSSI comes out in realistic dBm when
+/// combined with the TX power.
+constexpr double kReferenceGainDb = -47.0;
+/// Free-space distance exponent.
+constexpr double kPathLossExponent = 2.0;
+
 /// Attenuation phase of a path: carrier phase accumulated over the flight
 /// plus any extra interaction phase. Reduced mod 2*pi for conditioning.
 double path_phase(double tof_s, double carrier_hz, double extra_rad) {
@@ -39,10 +46,9 @@ void add_path(std::vector<PathComponent>& out, const ArrayPose& pose,
   out.push_back(p);
 }
 
-double distance_gain_db(double length_m, const MultipathConfig& cfg) {
+double distance_gain_db(double length_m) {
   const double d = std::max(length_m, 0.3);
-  return cfg.reference_gain_db -
-         10.0 * cfg.path_loss_exponent * std::log10(d);
+  return kReferenceGainDb - 10.0 * kPathLossExponent * std::log10(d);
 }
 
 }  // namespace
@@ -57,7 +63,7 @@ std::vector<PathComponent> enumerate_paths(const FloorPlan& plan,
   // --- Direct path ---
   {
     const double len = distance(target, pose.position);
-    const double gain = distance_gain_db(len, cfg) -
+    const double gain = distance_gain_db(len) -
                         plan.transmission_loss_db(target, pose.position);
     add_path(paths, pose, target, len, gain, 0.0, /*is_direct=*/true, cfg);
   }
@@ -75,7 +81,7 @@ std::vector<PathComponent> enumerate_paths(const FloorPlan& plan,
     if (len <= 1e-6) continue;
     // Attenuation: distance loss over the full unfolded length, the bounce
     // loss, and transmission through any *other* walls on both legs.
-    double gain = distance_gain_db(len, cfg) - wall.material.reflection_loss_db;
+    double gain = distance_gain_db(len) - wall.material.reflection_loss_db;
     gain -= plan.transmission_loss_db(target, bounce, w);
     gain -= plan.transmission_loss_db(bounce, pose.position, w);
     // Reflection flips the field: pi phase shift at the bounce.
@@ -106,7 +112,7 @@ std::vector<PathComponent> enumerate_paths(const FloorPlan& plan,
                            distance(bounce1, bounce2) +
                            distance(bounce2, pose.position);
         if (len <= 1e-6) continue;
-        double gain = distance_gain_db(len, cfg) -
+        double gain = distance_gain_db(len) -
                       first.material.reflection_loss_db -
                       second.material.reflection_loss_db;
         gain -= plan.transmission_loss_db(target, bounce1, wa);
@@ -125,7 +131,7 @@ std::vector<PathComponent> enumerate_paths(const FloorPlan& plan,
     const double len =
         distance(target, sc.position) + distance(sc.position, pose.position);
     if (len <= 1e-6) continue;
-    double gain = distance_gain_db(len, cfg) - sc.scatter_loss_db;
+    double gain = distance_gain_db(len) - sc.scatter_loss_db;
     gain -= plan.transmission_loss_db(target, sc.position);
     gain -= plan.transmission_loss_db(sc.position, pose.position);
     add_path(paths, pose, sc.position, len, gain, 0.5 * kPi,

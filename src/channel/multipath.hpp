@@ -65,12 +65,6 @@ struct Scatterer {
 };
 
 struct MultipathConfig {
-  /// Reference gain at 1 m [dB]; folds in free-space loss at 1 m
-  /// (~47 dB at 5.3 GHz) and antenna gains, so RSSI comes out in
-  /// realistic dBm when combined with the TX power.
-  double reference_gain_db = -47.0;
-  /// Free-space-like distance exponent (2.0 = free space).
-  double path_loss_exponent = 2.0;
   /// Paths weaker than the strongest by more than this are dropped.
   double relative_floor_db = 35.0;
   /// Keep at most this many strongest paths.

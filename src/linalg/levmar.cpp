@@ -9,6 +9,27 @@
 namespace spotfi {
 namespace {
 
+/// Damping: starting value, and the factors an uphill (up) or accepted
+/// (down) trial applies to it.
+constexpr double kInitialLambda = 1e-3;
+constexpr double kLambdaUp = 10.0;
+constexpr double kLambdaDown = 0.5;
+/// Stop when the step norm falls below this.
+constexpr double kStepTolerance = 1e-10;
+/// Stop when the cost improvement ratio falls below this.
+constexpr double kCostTolerance = 1e-12;
+/// Relative step size for the finite-difference Jacobian: the step for
+/// parameter j is kFdStep * max(|x[j]|, 1). Both callers in the library
+/// solve over (x, y) in metres, where a unit floor fits.
+constexpr double kFdStep = 1e-6;
+/// Trust guard: reject any trial step whose norm exceeds this factor
+/// times the current parameter scale (prevents a near-singular normal
+/// system from catapulting the iterate into a non-finite region).
+constexpr double kMaxStepFactor = 1e4;
+/// Trust guard: once damping has been driven above this the system is
+/// hopeless; stop instead of spinning the attempt loop.
+constexpr double kMaxLambda = 1e12;
+
 double half_squared_norm(std::span<const double> r) {
   double s = 0.0;
   for (double v : r) s += v * v;
@@ -35,17 +56,12 @@ bool all_finite(ConstRMatrixView a) {
 /// is the perturbed-parameter scratch (size n), `rp`/`rm` the two probes'
 /// residuals (size m).
 void finite_difference_jacobian(const ResidualFn& f,
-                                std::span<const double> x,
-                                const LevMarOptions& options, RMatrixView j,
+                                std::span<const double> x, RMatrixView j,
                                 std::span<double> xp, std::span<double> rp,
                                 std::span<double> rm) {
   std::copy(x.begin(), x.end(), xp.begin());
   for (std::size_t col = 0; col < x.size(); ++col) {
-    const double scale = options.fd_scales.empty()
-                             ? 1.0
-                             : std::abs(options.fd_scales[col]);
-    const double step =
-        options.fd_step * std::max(std::abs(x[col]), std::max(scale, 1e-300));
+    const double step = kFdStep * std::max(std::abs(x[col]), 1.0);
     const double orig = xp[col];
     xp[col] = orig + step;
     f(xp, rp);
@@ -72,9 +88,6 @@ LevMarResult levenberg_marquardt(const ResidualFn& residuals, std::size_t m,
   SPOTFI_EXPECTS(m >= x0.size(),
                  "need at least as many residuals as parameters");
   SPOTFI_EXPECTS(options.max_iterations > 0, "max_iterations must be > 0");
-  SPOTFI_EXPECTS(
-      options.fd_scales.empty() || options.fd_scales.size() == x0.size(),
-      "fd_scales must be empty or match the parameter count");
 
   LevMarResult result;
   result.x.assign(x0.begin(), x0.end());
@@ -115,20 +128,15 @@ LevMarResult levenberg_marquardt(const ResidualFn& residuals, std::size_t m,
     return result;
   }
 
-  double lambda = options.initial_lambda;
+  double lambda = kInitialLambda;
 
   // Characteristic parameter scale for the step-size trust guard.
-  double x_scale = 0.0;
-  for (std::size_t a = 0; a < n; ++a) {
-    const double s = options.fd_scales.empty() ? 1.0 : options.fd_scales[a];
-    x_scale = std::max(x_scale, std::max(std::abs(result.x[a]), s));
-  }
-  x_scale = std::max(x_scale, 1e-300);
+  double x_scale = 1.0;
+  for (const double v : result.x) x_scale = std::max(x_scale, std::abs(v));
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
-    finite_difference_jacobian(residuals, result.x, options, j, fd_x, fd_rp,
-                               fd_rm);
+    finite_difference_jacobian(residuals, result.x, j, fd_x, fd_rp, fd_rm);
     if (!all_finite(ConstRMatrixView(j))) {
       // The current point is finite but its neighborhood is not (FD probes
       // crossed into a NaN region). No usable descent direction exists.
@@ -153,7 +161,7 @@ LevMarResult levenberg_marquardt(const ResidualFn& residuals, std::size_t m,
     bool stepped = false;
     bool saw_nonfinite_trial = false;
     for (int attempt = 0; attempt < 12 && !stepped; ++attempt) {
-      if (lambda > options.max_lambda) break;
+      if (lambda > kMaxLambda) break;
       for (std::size_t a = 0; a < n; ++a) {
         const auto src = jtj.row(a);
         std::copy(src.begin(), src.end(), damped.row(a).begin());
@@ -165,16 +173,16 @@ LevMarResult levenberg_marquardt(const ResidualFn& residuals, std::size_t m,
         solve_spd_into(ConstRMatrixView(damped), neg_jtr, dx, ws);
       } catch (const NumericalError&) {
         count_numerics(&NumericsCounters::levmar_solve_failed);
-        lambda *= options.lambda_up;
+        lambda *= kLambdaUp;
         continue;
       }
       const double step_norm = norm2(std::span<const double>(dx));
       if (!std::isfinite(step_norm) ||
-          step_norm > options.max_step_factor * x_scale) {
+          step_norm > kMaxStepFactor * x_scale) {
         // Trust guard: a near-singular system produced an absurd step;
         // treat it like an uphill trial and damp harder.
         count_numerics(&NumericsCounters::levmar_solve_failed);
-        lambda *= options.lambda_up;
+        lambda *= kLambdaUp;
         continue;
       }
 
@@ -186,7 +194,7 @@ LevMarResult levenberg_marquardt(const ResidualFn& residuals, std::size_t m,
         ++result.nonfinite_trials;
         saw_nonfinite_trial = true;
         count_numerics(&NumericsCounters::levmar_nonfinite_trials);
-        lambda *= options.lambda_up;
+        lambda *= kLambdaUp;
         continue;
       }
 
@@ -196,15 +204,14 @@ LevMarResult levenberg_marquardt(const ResidualFn& residuals, std::size_t m,
         std::copy(x_try.begin(), x_try.end(), result.x.begin());
         std::swap(r, r_try);
         result.cost = cost_try;
-        lambda = std::max(lambda * options.lambda_down, 1e-12);
+        lambda = std::max(lambda * kLambdaDown, 1e-12);
         stepped = true;
-        if (step_norm < options.step_tolerance ||
-            improvement < options.cost_tolerance) {
+        if (step_norm < kStepTolerance || improvement < kCostTolerance) {
           result.converged = true;
           return result;
         }
       } else {
-        lambda *= options.lambda_up;
+        lambda *= kLambdaUp;
       }
     }
     if (!stepped) {

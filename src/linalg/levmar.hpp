@@ -32,29 +32,6 @@ using ResidualFn =
 
 struct LevMarOptions {
   int max_iterations = 100;
-  double initial_lambda = 1e-3;
-  double lambda_up = 10.0;
-  double lambda_down = 0.5;
-  /// Stop when the step norm falls below this.
-  double step_tolerance = 1e-10;
-  /// Stop when the cost improvement ratio falls below this.
-  double cost_tolerance = 1e-12;
-  /// Relative step size for the finite-difference Jacobian. The actual
-  /// step for parameter j is fd_step * max(|x[j]|, scale_j) where scale_j
-  /// comes from `fd_scales` (1.0 when unset).
-  double fd_step = 1e-6;
-  /// Per-parameter characteristic scales for the finite-difference step.
-  /// Empty means every parameter uses scale 1.0. Parameters whose natural
-  /// magnitude is far from 1 (e.g. ToF values around 1e-8 s) need their
-  /// scale here or the FD step swamps (or never perturbs) the parameter.
-  RVector fd_scales;
-  /// Trust guard: reject any trial step whose norm exceeds this factor
-  /// times the current parameter scale (prevents a near-singular normal
-  /// system from catapulting the iterate into a non-finite region).
-  double max_step_factor = 1e4;
-  /// Trust guard: once damping has been driven above this the system is
-  /// hopeless; stop instead of spinning the attempt loop.
-  double max_lambda = 1e12;
 };
 
 struct LevMarResult {
@@ -63,7 +40,7 @@ struct LevMarResult {
   int iterations = 0;
   bool converged = false;
   /// True when the run was abandoned because the current point (not just a
-  /// trial) had non-finite residuals/cost, or damping blew past max_lambda
+  /// trial) had non-finite residuals/cost, or damping blew past its cap
   /// with non-finite trials in flight. `x`/`cost` are then the last finite
   /// state when one exists, but must not be treated as a solution.
   bool diverged = false;

@@ -22,7 +22,6 @@ constexpr NamedCounter kCounters[] = {
     {"starts-rejected", &NumericsCounters::localizer_starts_rejected},
     {"gmm-variance-floored", &NumericsCounters::gmm_variance_floored},
     {"gmm-nonfinite", &NumericsCounters::gmm_nonfinite},
-    {"gdop-degenerate", &NumericsCounters::gdop_degenerate},
 };
 
 }  // namespace

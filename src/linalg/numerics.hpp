@@ -39,7 +39,6 @@ struct NumericsCounters {
   std::size_t localizer_starts_rejected = 0;  ///< diverged multi-start seeds
   std::size_t gmm_variance_floored = 0;   ///< GMM fed all-coincident points
   std::size_t gmm_nonfinite = 0;          ///< EM saw a non-finite likelihood
-  std::size_t gdop_degenerate = 0;        ///< collinear bearing geometry
 
   [[nodiscard]] std::size_t total() const;
   [[nodiscard]] bool any() const { return total() > 0; }

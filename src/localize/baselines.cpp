@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/levmar.hpp"
 #include "linalg/solve.hpp"
 
 namespace spotfi {
@@ -58,8 +59,8 @@ Vec2 trilaterate_rssi(std::span<const ApObservation> observations,
     }
   };
   const RVector x0{centroid.x, centroid.y};
-  const LevMarResult res = levenberg_marquardt(
-      residuals, observations.size(), x0, config.levmar);
+  const LevMarResult res =
+      levenberg_marquardt(residuals, observations.size(), x0);
   return {res.x[0], res.x[1]};
 }
 

@@ -14,7 +14,6 @@
 
 #include <vector>
 
-#include "linalg/levmar.hpp"
 #include "localize/observation.hpp"
 #include "localize/pathloss.hpp"
 #include "music/estimators.hpp"
@@ -28,7 +27,6 @@ namespace spotfi {
 
 struct RssiTrilaterationConfig {
   PathLossModel path_loss{};
-  LevMarOptions levmar{};
 };
 
 /// Ranges each AP via the path-loss model and solves for the position

@@ -242,7 +242,7 @@ LocationEstimate SpotFiLocalizer::locate(
     ++best.starts_tried;
     const double x0[2] = {seed.x, seed.y};
     const LevMarResult res =
-        levenberg_marquardt(residuals, m, x0, config_.levmar, ws);
+        levenberg_marquardt(residuals, m, x0, {}, ws);
     // A diverged run carries no usable solution, and a NaN cost would
     // silently lose every `<` comparison — either way the start must be
     // rejected explicitly, never allowed to leave `best` default-initialized

@@ -58,7 +58,6 @@ struct LocalizerConfig {
   /// Bounds keeping the fitted path-loss exponent physical.
   double min_exponent = 1.2;
   double max_exponent = 6.0;
-  LevMarOptions levmar{};
 };
 
 struct LocationEstimate {

@@ -6,30 +6,27 @@
 
 namespace spotfi {
 
-std::vector<int> OfdmConfig::occupied_subcarriers() const {
-  SPOTFI_EXPECTS(max_occupied > 0 &&
-                     static_cast<std::size_t>(max_occupied) < fft_size / 2,
-                 "occupied band exceeds the FFT size");
+std::vector<int> occupied_subcarriers() {
   std::vector<int> indices;
-  for (int k = -max_occupied; k <= max_occupied; ++k) {
+  for (int k = -kMaxOccupied; k <= kMaxOccupied; ++k) {
     if (k != 0) indices.push_back(k);
   }
   return indices;
 }
 
-std::size_t OfdmConfig::bin_of(int subcarrier_index) const {
+std::size_t bin_of(int subcarrier_index) {
   SPOTFI_EXPECTS(std::abs(subcarrier_index) <
-                     static_cast<int>(fft_size / 2),
+                     static_cast<int>(kFftSize / 2),
                  "subcarrier index out of range");
   return subcarrier_index >= 0
              ? static_cast<std::size_t>(subcarrier_index)
-             : fft_size + static_cast<std::size_t>(subcarrier_index);
+             : kFftSize + static_cast<std::size_t>(subcarrier_index);
 }
 
-std::vector<double> ltf_sequence(const OfdmConfig& cfg) {
+std::vector<double> ltf_sequence() {
   // Deterministic +-1 values from a tiny LCG so TX and RX agree without
   // sharing state; mimics the standard's fixed LTF sign pattern.
-  const auto occupied = cfg.occupied_subcarriers();
+  const auto occupied = occupied_subcarriers();
   std::vector<double> seq;
   seq.reserve(occupied.size());
   std::uint32_t state = 0x1337u;
@@ -40,12 +37,12 @@ std::vector<double> ltf_sequence(const OfdmConfig& cfg) {
   return seq;
 }
 
-CVector ltf_time_symbol(const OfdmConfig& cfg) {
-  const auto occupied = cfg.occupied_subcarriers();
-  const auto seq = ltf_sequence(cfg);
-  CVector freq(cfg.fft_size, cplx{});
+CVector ltf_time_symbol() {
+  const auto occupied = occupied_subcarriers();
+  const auto seq = ltf_sequence();
+  CVector freq(kFftSize, cplx{});
   for (std::size_t i = 0; i < occupied.size(); ++i) {
-    freq[cfg.bin_of(occupied[i])] = cplx(seq[i], 0.0);
+    freq[bin_of(occupied[i])] = cplx(seq[i], 0.0);
   }
   CVector time = ifft(freq);
   // Normalize to unit average power.
@@ -56,8 +53,8 @@ CVector ltf_time_symbol(const OfdmConfig& cfg) {
   for (auto& v : time) v *= scale;
   // Prepend the cyclic prefix.
   CVector symbol;
-  symbol.reserve(cfg.symbol_samples());
-  symbol.insert(symbol.end(), time.end() - cfg.cyclic_prefix, time.end());
+  symbol.reserve(kSymbolSamples);
+  symbol.insert(symbol.end(), time.end() - kCyclicPrefix, time.end());
   symbol.insert(symbol.end(), time.begin(), time.end());
   return symbol;
 }

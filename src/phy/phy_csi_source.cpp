@@ -8,14 +8,14 @@ namespace spotfi {
 
 PhyCsiSynthesizer::PhyCsiSynthesizer(PhyConfig phy,
                                      ImpairmentConfig impairments)
-    : phy_(phy), impairments_(impairments), frame_(transmit_ltf_frame(phy_)) {
+    : phy_(phy), impairments_(impairments), frame_(transmit_ltf_frame()) {
   SPOTFI_EXPECTS(phy_.link.n_subcarriers == 30,
                  "waveform source reports the 5300's 30-subcarrier grid");
 }
 
 LinkConfig PhyCsiSynthesizer::reported_link() const {
   LinkConfig link = phy_.link;
-  link.subcarrier_spacing_hz = 4.0 * phy_.ofdm.subcarrier_spacing_hz();
+  link.subcarrier_spacing_hz = 4.0 * kSubcarrierSpacingHz;
   link.n_subcarriers = 30;
   return link;
 }
@@ -45,7 +45,7 @@ CsiPacket PhyCsiSynthesizer::synthesize(std::span<const PathComponent> paths,
   // Link budget -> per-antenna waveform SNR.
   double rx_mw = 0.0;
   for (const auto& p : paths) {
-    rx_mw += std::pow(10.0, (impairments_.tx_power_dbm + p.gain_db) / 10.0);
+    rx_mw += std::pow(10.0, (kTxPowerDbm + p.gain_db) / 10.0);
   }
   const double rx_dbm = 10.0 * std::log10(std::max(rx_mw, 1e-12));
   PhyConfig phy = phy_;
@@ -59,7 +59,7 @@ CsiPacket PhyCsiSynthesizer::synthesize(std::span<const PathComponent> paths,
   for (auto& p : shifted) p.gain_db -= strongest;
 
   const CMatrix rx = apply_multipath_channel(frame_, shifted, phy, rng);
-  PhyCsiResult received = receive_csi(rx, phy);
+  PhyCsiResult received = receive_csi(rx);
 
   CsiPacket packet;
   packet.timestamp_s = timestamp_s;

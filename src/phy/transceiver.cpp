@@ -6,18 +6,26 @@
 #include "phy/fft.hpp"
 
 namespace spotfi {
+namespace {
 
-PhyFrame transmit_ltf_frame(const PhyConfig& cfg) {
-  SPOTFI_EXPECTS(cfg.n_ltf >= 1, "need at least one LTF symbol");
-  const CVector symbol = ltf_time_symbol(cfg.ofdm);
+/// Leading silence before the frame [samples]; the receiver's search for
+/// the frame start models the packet-detection delay.
+constexpr std::size_t kLeadSilence = 96;
+/// Number of LTF training symbols (averaged at the receiver).
+constexpr std::size_t kLtfSymbols = 2;
+
+}  // namespace
+
+PhyFrame transmit_ltf_frame() {
+  const CVector symbol = ltf_time_symbol();
   PhyFrame frame;
-  frame.samples.assign(cfg.lead_silence, cplx{});
-  frame.frame_start = cfg.lead_silence;
-  for (std::size_t s = 0; s < cfg.n_ltf; ++s) {
+  frame.samples.assign(kLeadSilence, cplx{});
+  frame.frame_start = kLeadSilence;
+  for (std::size_t s = 0; s < kLtfSymbols; ++s) {
     frame.samples.insert(frame.samples.end(), symbol.begin(), symbol.end());
   }
   // Trailing pad so delayed copies fit.
-  frame.samples.insert(frame.samples.end(), cfg.ofdm.fft_size, cplx{});
+  frame.samples.insert(frame.samples.end(), kFftSize, cplx{});
   return frame;
 }
 
@@ -43,7 +51,7 @@ CMatrix apply_multipath_channel(const PhyFrame& frame,
     std::fill(accum.begin(), accum.end(), cplx{});
     for (const auto& path : paths) {
       SPOTFI_EXPECTS(path.tof_s >= 0.0, "negative path delay");
-      SPOTFI_EXPECTS(path.tof_s * cfg.ofdm.sample_rate_hz <
+      SPOTFI_EXPECTS(path.tof_s * kSampleRateHz <
                          static_cast<double>(n_fft - n),
                      "path delay exceeds the frame padding");
       const double phi_arg = -2.0 * kPi * cfg.link.antenna_spacing_m *
@@ -52,7 +60,7 @@ CMatrix apply_multipath_channel(const PhyFrame& frame,
       const cplx g = path.complex_gain() *
                      std::polar(1.0, phi_arg * static_cast<double>(m));
       // Baseband frequency of FFT bin k (negative above n_fft/2).
-      const double df = cfg.ofdm.sample_rate_hz / static_cast<double>(n_fft);
+      const double df = kSampleRateHz / static_cast<double>(n_fft);
       const cplx rot =
           std::polar(1.0, -2.0 * kPi * df * path.tof_s);
       // Walk bins 0..n/2 with the positive-frequency phasor and mirror
@@ -84,18 +92,15 @@ CMatrix apply_multipath_channel(const PhyFrame& frame,
   return rx;
 }
 
-PhyCsiResult receive_csi(const CMatrix& rx_streams, const PhyConfig& cfg) {
+PhyCsiResult receive_csi(const CMatrix& rx_streams) {
   const std::size_t n_ant = rx_streams.rows();
   const std::size_t n = rx_streams.cols();
-  const std::size_t fft_size = cfg.ofdm.fft_size;
-  const std::size_t cp = cfg.ofdm.cyclic_prefix;
-  const std::size_t sym = cfg.ofdm.symbol_samples();
-  const std::size_t frame_len = cfg.n_ltf * sym;
+  const std::size_t frame_len = kLtfSymbols * kSymbolSamples;
   SPOTFI_EXPECTS(n >= frame_len, "receive stream shorter than one frame");
 
   // Packet detection: cross-correlate antenna 0 with the known LTF core.
-  const CVector symbol = ltf_time_symbol(cfg.ofdm);
-  const std::span<const cplx> core(symbol.data() + cp, fft_size);
+  const CVector symbol = ltf_time_symbol();
+  const std::span<const cplx> core(symbol.data() + kCyclicPrefix, kFftSize);
   double core_energy = 0.0;
   for (const auto& v : core) core_energy += std::norm(v);
 
@@ -103,8 +108,8 @@ PhyCsiResult receive_csi(const CMatrix& rx_streams, const PhyConfig& cfg) {
   const auto rx0 = rx_streams.row(0);
   for (std::size_t p = 0; p + frame_len <= n; ++p) {
     cplx acc{};
-    for (std::size_t t = 0; t < fft_size; ++t) {
-      acc += rx0[p + cp + t] * std::conj(core[t]);
+    for (std::size_t t = 0; t < kFftSize; ++t) {
+      acc += rx0[p + kCyclicPrefix + t] * std::conj(core[t]);
     }
     corr[p] = std::abs(acc);
   }
@@ -115,29 +120,30 @@ PhyCsiResult receive_csi(const CMatrix& rx_streams, const PhyConfig& cfg) {
   std::size_t start = static_cast<std::size_t>(peak_it - corr.begin());
   // The repeated LTF produces equal peaks one symbol apart; take the
   // earliest one of comparable height.
-  while (start >= sym && corr[start - sym] >= 0.8 * corr[start]) {
-    start -= sym;
+  while (start >= kSymbolSamples &&
+         corr[start - kSymbolSamples] >= 0.8 * corr[start]) {
+    start -= kSymbolSamples;
   }
 
   // Channel estimation: average the per-symbol estimates.
-  const auto occupied = cfg.ofdm.occupied_subcarriers();
-  const auto seq = ltf_sequence(cfg.ofdm);
+  const auto occupied = occupied_subcarriers();
+  const auto seq = ltf_sequence();
   CMatrix channel(n_ant, occupied.size());
-  for (std::size_t s = 0; s < cfg.n_ltf; ++s) {
-    const std::size_t sym_start = start + s * sym + cp;
-    SPOTFI_EXPECTS(sym_start + fft_size <= n, "detected frame runs off end");
+  for (std::size_t s = 0; s < kLtfSymbols; ++s) {
+    const std::size_t sym_start = start + s * kSymbolSamples + kCyclicPrefix;
+    SPOTFI_EXPECTS(sym_start + kFftSize <= n, "detected frame runs off end");
     for (std::size_t m = 0; m < n_ant; ++m) {
-      CVector time(fft_size);
-      for (std::size_t t = 0; t < fft_size; ++t) {
+      CVector time(kFftSize);
+      for (std::size_t t = 0; t < kFftSize; ++t) {
         time[t] = rx_streams(m, sym_start + t);
       }
       fft_in_place(time, false);
       for (std::size_t i = 0; i < occupied.size(); ++i) {
-        channel(m, i) += time[cfg.ofdm.bin_of(occupied[i])] / seq[i];
+        channel(m, i) += time[bin_of(occupied[i])] / seq[i];
       }
     }
   }
-  const double inv = 1.0 / static_cast<double>(cfg.n_ltf);
+  const double inv = 1.0 / static_cast<double>(kLtfSymbols);
   for (auto& v : channel.flat()) v *= inv;
 
   // Report the Intel 5300's 30-subcarrier subset (every 4th occupied
@@ -149,8 +155,7 @@ PhyCsiResult receive_csi(const CMatrix& rx_streams, const PhyConfig& cfg) {
     const int k = occupied[i];
     if (k % 4 == 2 || k % 4 == -2) report.push_back(i);
   }
-  SPOTFI_ASSERT(report.size() == 30 || cfg.ofdm.max_occupied != 58,
-                "unexpected report subset size");
+  SPOTFI_ASSERT(report.size() == 30, "unexpected report subset size");
   result.csi = CMatrix(n_ant, report.size());
   for (std::size_t m = 0; m < n_ant; ++m) {
     for (std::size_t j = 0; j < report.size(); ++j) {

@@ -25,26 +25,21 @@
 namespace spotfi {
 
 struct PhyConfig {
-  OfdmConfig ofdm{};
   /// Antenna array geometry and carrier for the AoA phase.
   LinkConfig link = LinkConfig::intel5300_40mhz();
-  /// Leading silence before the frame [samples]; the receiver's search
-  /// for the frame start models the packet-detection delay.
-  std::size_t lead_silence = 96;
-  /// Number of LTF training symbols (averaged at the receiver).
-  std::size_t n_ltf = 2;
   /// Complex AWGN SNR per receive antenna [dB].
   double snr_db = 30.0;
 };
 
-/// A transmitted frame: leading silence plus n_ltf LTF symbols.
+/// A transmitted frame: 96 samples of leading silence plus two LTF
+/// symbols.
 struct PhyFrame {
   CVector samples;
   /// Sample index where the first LTF symbol's cyclic prefix begins.
   std::size_t frame_start = 0;
 };
 
-[[nodiscard]] PhyFrame transmit_ltf_frame(const PhyConfig& cfg);
+[[nodiscard]] PhyFrame transmit_ltf_frame();
 
 /// Passes `frame` through the multipath channel: each path delays the
 /// waveform by tof_s (fractional-sample, linear interpolation), scales it
@@ -67,7 +62,6 @@ struct PhyCsiResult {
 /// subcarriers from the LTF symbols, and reports the 5300's subcarrier
 /// subset. Throws DetectionError if no plausible frame is found — a missed
 /// detection is a channel outcome, not a numerical failure.
-[[nodiscard]] PhyCsiResult receive_csi(const CMatrix& rx_streams,
-                                       const PhyConfig& cfg);
+[[nodiscard]] PhyCsiResult receive_csi(const CMatrix& rx_streams);
 
 }  // namespace spotfi

@@ -3,6 +3,12 @@
 #include <algorithm>
 
 namespace spotfi {
+namespace {
+
+/// Spacing between the packets of one burst [s].
+constexpr double kPacketIntervalS = 0.1;
+
+}  // namespace
 
 ExperimentRunner::ExperimentRunner(LinkConfig link, Deployment deployment,
                                    ExperimentConfig config)
@@ -14,15 +20,9 @@ ExperimentRunner::ExperimentRunner(LinkConfig link, Deployment deployment,
   for (std::size_t idx : config_.ap_indices) {
     SPOTFI_EXPECTS(idx < deployment_.aps.size(), "AP index out of range");
   }
-  // Keep the localizer's search area in sync with the deployment unless
-  // the caller overrode it.
-  if (config_.server.localizer.area_min == Vec2{0.0, 0.0} &&
-      config_.server.localizer.area_max == Vec2{20.0, 20.0}) {
-    config_.server.localizer.area_min = deployment_.area_min;
-    config_.server.localizer.area_max = deployment_.area_max;
-  }
-  // Match the multipath carrier to the link.
-  config_.multipath.carrier_hz = link_.carrier_hz;
+  config_.server.localizer.area_min = deployment_.area_min;
+  config_.server.localizer.area_max = deployment_.area_max;
+  multipath_.carrier_hz = link_.carrier_hz;
 }
 
 std::vector<ArrayPose> ExperimentRunner::used_aps() const {
@@ -43,7 +43,7 @@ std::vector<ApGroundTruth> ExperimentRunner::ground_truth(Vec2 target) const {
     t.line_of_sight = deployment_.plan.line_of_sight(pose.position, target);
     const auto paths = enumerate_paths(deployment_.plan,
                                        deployment_.scatterers, pose, target,
-                                       config_.multipath);
+                                       multipath_);
     t.direct_path_present =
         std::any_of(paths.begin(), paths.end(),
                     [](const PathComponent& p) { return p.is_direct; });
@@ -65,18 +65,18 @@ std::vector<ApCapture> ExperimentRunner::simulate_captures(Vec2 target,
   for (const auto& pose : used_aps()) {
     const auto paths = enumerate_paths(deployment_.plan,
                                        deployment_.scatterers, pose, target,
-                                       config_.multipath);
+                                       multipath_);
     ApCapture capture;
     capture.pose = pose;
     Rng ap_rng = rng.fork();
     capture.packets =
         waveform ? waveform->synthesize_burst(paths,
                                               config_.packets_per_group,
-                                              config_.packet_interval_s,
+                                              kPacketIntervalS,
                                               ap_rng)
                  : analytic.synthesize_burst(paths,
                                              config_.packets_per_group,
-                                             config_.packet_interval_s,
+                                             kPacketIntervalS,
                                              ap_rng);
     captures.push_back(std::move(capture));
   }

@@ -18,11 +18,11 @@ struct ExperimentConfig {
   /// Packets per localization group (the paper chops traces into groups
   /// of 40; Fig. 9(b) varies this down to 6).
   std::size_t packets_per_group = 15;
-  double packet_interval_s = 0.1;
-  MultipathConfig multipath{};
   ImpairmentConfig impairments{};
   /// Algorithm 2 fuses every AP; it has no outlier-AP step, so the
-  /// figures run the served round with leave-one-out rejection off.
+  /// figures run the served round with leave-one-out rejection off. The
+  /// runner always takes the localizer's search area from the
+  /// deployment, whatever `server.localizer` names.
   ServerConfig server = [] {
     ServerConfig cfg;
     cfg.fusion.loo_rejection = false;
@@ -89,6 +89,8 @@ class ExperimentRunner {
   LinkConfig link_;
   Deployment deployment_;
   ExperimentConfig config_;
+  /// Path enumeration at the link's carrier.
+  MultipathConfig multipath_;
 };
 
 /// Convenience: extract the error series from a set of runs.

@@ -4,6 +4,19 @@
 #include <utility>
 
 namespace spotfi {
+namespace {
+
+/// Factor each retransmission multiplies a frame's timeout by, and each
+/// connect attempt the reconnect delay by.
+constexpr double kRtoBackoff = 2.0;
+/// Cap on the retransmit timeout [s].
+constexpr double kRtoMaxS = 5.0;
+/// Reconnect delays: the first attempt of an outage fires at once, the
+/// next after kReconnectBackoffInitialS, then doubling up to the cap [s].
+constexpr double kReconnectBackoffInitialS = 0.1;
+constexpr double kReconnectBackoffMaxS = 5.0;
+
+}  // namespace
 
 const char* to_string(TransportErrorKind kind) {
   switch (kind) {
@@ -78,9 +91,9 @@ TransportSender::TransportSender(LinkSimulator& link, TransportConfig config)
     : link_(&link), config_(config), rng_(config.seed) {
   SPOTFI_EXPECTS(config_.send_window >= 1,
                  "TransportSender: send_window must be >= 1");
-  SPOTFI_EXPECTS(config_.rto_initial_s > 0.0 && config_.rto_backoff >= 1.0 &&
-                     config_.rto_max_s >= config_.rto_initial_s,
-                 "TransportSender: retransmit timer config invalid");
+  SPOTFI_EXPECTS(config_.rto_initial_s > 0.0 &&
+                     config_.rto_initial_s <= kRtoMaxS,
+                 "TransportSender: rto_initial_s must be in (0, 5] s");
   SPOTFI_EXPECTS(config_.liveness_timeout_s > config_.heartbeat_interval_s,
                  "TransportSender: liveness timeout must exceed the "
                  "heartbeat interval");
@@ -89,7 +102,7 @@ TransportSender::TransportSender(LinkSimulator& link, TransportConfig config)
                  "TransportSender: timer_jitter_frac must be in [0, 1)");
   window_.resize(config_.send_window);
   rx_buf_.reserve(2 * config_.send_window + 8);
-  connect_backoff_s_ = config_.reconnect_backoff_initial_s;
+  connect_backoff_s_ = kReconnectBackoffInitialS;
 }
 
 double TransportSender::jittered(double base_s) {
@@ -146,7 +159,7 @@ void TransportSender::transmit(SendSlot& slot, double now_s,
   if (retransmission) {
     ++slot.retries;
     ++stats_.retransmissions;
-    slot.rto_s = std::min(slot.rto_s * config_.rto_backoff, config_.rto_max_s);
+    slot.rto_s = std::min(slot.rto_s * kRtoBackoff, kRtoMaxS);
   }
   slot.next_retx_s = now_s + jittered(slot.rto_s);
   last_tx_s_ = now_s;
@@ -170,7 +183,7 @@ void TransportSender::enter_connecting(double now_s,
                                        const TransportError& why) {
   state_ = State::kConnecting;
   last_error_ = why;
-  connect_backoff_s_ = config_.reconnect_backoff_initial_s;
+  connect_backoff_s_ = kReconnectBackoffInitialS;
   connect_attempts_this_outage_ = 0;
   next_connect_at_s_ = now_s;  // first attempt fires immediately
 }
@@ -254,8 +267,8 @@ void TransportSender::tick(double now_s) {
     link_->send(LinkDirection::kUplink, std::move(f), now_s);
     last_tx_s_ = now_s;
     next_connect_at_s_ = now_s + jittered(connect_backoff_s_);
-    connect_backoff_s_ = std::min(connect_backoff_s_ * config_.rto_backoff,
-                                 config_.reconnect_backoff_max_s);
+    connect_backoff_s_ =
+        std::min(connect_backoff_s_ * kRtoBackoff, kReconnectBackoffMaxS);
     return;  // nothing else to do until the handshake answers
   }
   if (state_ != State::kEstablished) return;

@@ -81,10 +81,9 @@ struct TransportConfig {
   /// Receiver reorder/dedup window (frames ahead of the delivery mark it
   /// will buffer; anything further is out_of_window and retransmitted).
   std::size_t reorder_window = 64;
-  /// Initial retransmit timeout [s]; doubles per retry up to rto_max_s.
+  /// Initial retransmit timeout [s], in (0, 5]; doubles per retry up to
+  /// 5 s (transport.cpp's timer constants).
   double rto_initial_s = 0.2;
-  double rto_backoff = 2.0;
-  double rto_max_s = 5.0;
   /// Uniform +-fraction of jitter on every timer, so retransmit storms
   /// from many senders decorrelate. Drawn from the transport's own
   /// seeded Rng — deterministic per seed.
@@ -97,12 +96,10 @@ struct TransportConfig {
   /// Receive-side silence after which the sender declares the connection
   /// lost [s]. Must exceed heartbeat_interval_s.
   double liveness_timeout_s = 2.0;
-  /// Reconnect backoff: attempts fire immediately, then after this
-  /// delay, doubling (by rto_backoff) up to the max.
-  double reconnect_backoff_initial_s = 0.1;
-  double reconnect_backoff_max_s = 5.0;
   /// Connect attempts per outage before the sender gives up and fails
-  /// every pending frame (kRetriesExhausted). 0 = never give up.
+  /// every pending frame (kRetriesExhausted). 0 = never give up. The
+  /// first attempt fires at once, the next after 0.1 s, doubling up to
+  /// 5 s between attempts.
   std::size_t max_reconnects = 0;
   /// Seed of the transport's private timer-jitter Rng.
   std::uint64_t seed = 1;

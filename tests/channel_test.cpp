@@ -345,8 +345,7 @@ TEST(CsiSynthesis, RssiTracksReceivedPower) {
   Rng rng(4);
   const auto packet =
       synth.synthesize(std::span<const PathComponent>(&p, 1), 0.0, rng);
-  EXPECT_NEAR(packet.rssi_dbm,
-              synth.impairments().tx_power_dbm + p.gain_db, 1e-9);
+  EXPECT_NEAR(packet.rssi_dbm, kTxPowerDbm + p.gain_db, 1e-9);
 }
 
 TEST(CsiSynthesis, BurstTimestampsAreSpaced) {

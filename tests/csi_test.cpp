@@ -11,10 +11,8 @@
 #include "csi/phase.hpp"
 #include "csi/sanitize.hpp"
 #include "csi/smoothing.hpp"
-#include "csi/regrid.hpp"
 #include "csi/trace.hpp"
 #include "linalg/hermitian_eig.hpp"
-#include "music/estimators.hpp"
 #include "music/steering.hpp"
 
 namespace spotfi {
@@ -279,96 +277,6 @@ TEST(SpatialSmoothing, SnapshotLayout) {
   EXPECT_EQ(x(1, 0), csi(1, 0));
   EXPECT_EQ(x(0, 4), csi(1, 0));
   EXPECT_EQ(x(1, 4), csi(2, 0));
-}
-
-// --- subcarrier grids and regridding ---
-
-/// CSI for one path on an arbitrary (possibly non-uniform) grid: phase at
-/// subcarrier k is -2*pi*(offset_k - offset_0)*tof plus the antenna term.
-CMatrix csi_on_grid(const SubcarrierGrid& grid, const LinkConfig& link,
-                    double aoa_rad, double tof_s) {
-  CMatrix csi(link.n_antennas, grid.size());
-  const cplx phi = phi_factor(aoa_rad, link);
-  cplx ant{1.0, 0.0};
-  for (std::size_t m = 0; m < link.n_antennas; ++m) {
-    for (std::size_t k = 0; k < grid.size(); ++k) {
-      const double df = grid.offset_hz(k) - grid.offset_hz(0);
-      csi(m, k) = ant * std::polar(1.0, -2.0 * kPi * df * tof_s);
-    }
-    ant *= phi;
-  }
-  return csi;
-}
-
-TEST(SubcarrierGrid, Intel5300Grids) {
-  const auto g40 = SubcarrierGrid::intel5300_40mhz();
-  EXPECT_EQ(g40.size(), 30u);
-  EXPECT_TRUE(g40.is_uniform());
-  EXPECT_EQ(g40.indices.front(), -58);
-  EXPECT_EQ(g40.indices.back(), 58);
-
-  const auto g20 = SubcarrierGrid::intel5300_20mhz();
-  EXPECT_EQ(g20.size(), 30u);
-  EXPECT_FALSE(g20.is_uniform());
-  EXPECT_EQ(g20.indices.front(), -28);
-  EXPECT_EQ(g20.indices.back(), 28);
-}
-
-TEST(SubcarrierGrid, UniformSpacingMatchesLinkConfig) {
-  const auto g40 = SubcarrierGrid::intel5300_40mhz();
-  EXPECT_NEAR(g40.offset_hz(1) - g40.offset_hz(0),
-              LinkConfig::intel5300_40mhz().subcarrier_spacing_hz, 1e-6);
-}
-
-TEST(Regrid, UniformGridIsNearIdentity) {
-  const LinkConfig link = LinkConfig::intel5300_40mhz();
-  const auto grid = SubcarrierGrid::intel5300_40mhz();
-  const CMatrix csi = csi_on_grid(grid, link, deg_to_rad(20.0), 50e-9);
-  const RegridResult out = regrid_csi(csi, grid, link, 30);
-  EXPECT_NEAR(out.spacing_hz, link.subcarrier_spacing_hz, 1e-6);
-  EXPECT_LT((out.csi - csi).max_abs(), 1e-9);
-}
-
-TEST(Regrid, NonUniform20MhzGridBecomesUsable) {
-  // Synthesize on the true (non-uniform) 20 MHz report grid, regrid, and
-  // check the estimator recovers the path on the regridded data.
-  LinkConfig link = LinkConfig::intel5300_20mhz();
-  const auto grid = SubcarrierGrid::intel5300_20mhz();
-  const double aoa = deg_to_rad(-25.0);
-  const double tof = 80e-9;
-  const CMatrix raw = csi_on_grid(grid, link, aoa, tof);
-  const RegridResult out = regrid_csi(raw, grid, link, 30);
-
-  const JointMusicEstimator estimator(out.link);
-  const auto estimates = estimator.estimate(out.csi);
-  ASSERT_FALSE(estimates.empty());
-  EXPECT_NEAR(rad_to_deg(estimates[0].aoa_rad), -25.0, 1.0);
-  EXPECT_NEAR(estimates[0].tof_s * 1e9, 80.0, 5.0);
-}
-
-TEST(Regrid, InterpolatedValuesBetweenNeighbours) {
-  // Two subcarriers, midpoint target: exact average.
-  SubcarrierGrid grid;
-  grid.indices = {0, 4};
-  LinkConfig link;
-  link.n_antennas = 1;
-  CMatrix csi(1, 2);
-  csi(0, 0) = cplx(1.0, 0.0);
-  csi(0, 1) = cplx(0.0, 1.0);
-  const RegridResult out = regrid_csi(csi, grid, link, 3);
-  EXPECT_NEAR(std::abs(out.csi(0, 1) - cplx(0.5, 0.5)), 0.0, 1e-12);
-  EXPECT_EQ(out.csi(0, 0), csi(0, 0));
-  EXPECT_EQ(out.csi(0, 2), csi(0, 1));
-}
-
-TEST(Regrid, InvalidInputsThrow) {
-  const LinkConfig link = LinkConfig::intel5300_40mhz();
-  const auto grid = SubcarrierGrid::intel5300_40mhz();
-  EXPECT_THROW(regrid_csi(CMatrix(3, 10), grid, link), ContractViolation);
-  SubcarrierGrid unsorted;
-  unsorted.indices = {3, 1, 2};
-  EXPECT_THROW(regrid_csi(CMatrix(3, 3), unsorted, link),
-               ContractViolation);
 }
 
 // --- trace format ---

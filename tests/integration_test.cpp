@@ -2,7 +2,7 @@
 // end-to-end through realistic paths — simulator -> trace formats ->
 // sanitization -> super-resolution -> clustering -> localization — plus
 // system-level properties (determinism, the value of Algorithm 1, both
-// front ends, regridded 20 MHz input, tracking over a moving target).
+// front ends, tracking over a moving target).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,6 @@
 #include "common/angles.hpp"
 #include "core/tracker.hpp"
 #include "csi/intel5300.hpp"
-#include "csi/regrid.hpp"
 #include "csi/sanitize.hpp"
 #include "csi/trace.hpp"
 #include "testbed/experiment.hpp"
@@ -159,50 +158,6 @@ TEST(Integration, EspritFrontEndLocalizesToo) {
   Rng rng(5);
   const TargetRun run = runner.run_target({8.0, 5.5}, rng);
   EXPECT_LT(run.error_m, 2.5);
-}
-
-TEST(Integration, Regridded20MhzPipeline) {
-  // Synthesize on the true non-uniform 20 MHz report grid for one free
-  // space link, regrid, and run the per-AP stage.
-  LinkConfig link20 = LinkConfig::intel5300_20mhz();
-  const auto grid = SubcarrierGrid::intel5300_20mhz();
-  const ArrayPose pose{{0.0, 0.0}, 0.0};
-  const Vec2 target{7.0, 2.0};
-
-  // Manual per-grid synthesis (one direct path), with STO per packet.
-  Rng rng(6);
-  std::vector<CsiPacket> packets;
-  const double tof = distance(pose.position, target) / kSpeedOfLight;
-  const double aoa = pose.aoa_of(target);
-  LinkConfig regridded_link;
-  for (int p = 0; p < 8; ++p) {
-    const double sto = rng.uniform(20e-9, 80e-9);
-    CMatrix csi(link20.n_antennas, grid.size());
-    const double phi_arg = -2.0 * kPi * link20.antenna_spacing_m *
-                           std::sin(aoa) * link20.carrier_hz / kSpeedOfLight;
-    for (std::size_t m = 0; m < csi.rows(); ++m) {
-      for (std::size_t k = 0; k < grid.size(); ++k) {
-        const double df = grid.offset_hz(k) - grid.offset_hz(0);
-        csi(m, k) = std::polar(
-            1.0, phi_arg * static_cast<double>(m) -
-                     2.0 * kPi * df * (tof + sto) +
-                     0.001 * rng.normal());
-      }
-    }
-    const RegridResult out = regrid_csi(csi, grid, link20, 30);
-    regridded_link = out.link;
-    CsiPacket packet;
-    packet.csi = out.csi;
-    packet.rssi_dbm = -50.0;
-    packet.timestamp_s = 0.1 * p;
-    packets.push_back(std::move(packet));
-  }
-
-  const ApProcessor processor(regridded_link, pose, {});
-  const ApOutcome outcome = processor.process_robust(packets, rng);
-  ASSERT_EQ(outcome.stage, ApStage::kPrimary) << outcome.note;
-  EXPECT_NEAR(rad_to_deg(outcome.result.observation.direct_aoa_rad),
-              rad_to_deg(aoa), 3.0);
 }
 
 TEST(Integration, TrackerFollowsMovingTarget) {

@@ -8,7 +8,6 @@
 
 #include "common/angles.hpp"
 #include "localize/baselines.hpp"
-#include "localize/gdop.hpp"
 #include "localize/spotfi_localizer.hpp"
 
 namespace spotfi {
@@ -297,79 +296,6 @@ TEST(ArrayTrackLocate, InvalidConfigThrows) {
   ArrayTrackConfig cfg;
   cfg.grid_step_m = 0.0;
   EXPECT_THROW((void)arraytrack_locate(spectra, cfg), ContractViolation);
-}
-
-// --- GDOP ---
-
-TEST(Gdop, PerpendicularBearingsGiveCircularEllipse) {
-  // Two APs at equal distance d with orthogonal lines of sight: each
-  // bearing constrains one axis with sigma*d.
-  const double d = 5.0;
-  const double sigma = deg_to_rad(3.0);
-  const std::vector<ArrayPose> aps{ArrayPose{{-d, 0.0}, 0.0},
-                                   ArrayPose{{0.0, -d}, kPi / 2.0}};
-  const GdopResult g = bearing_gdop(aps, {0.0, 0.0}, sigma);
-  EXPECT_NEAR(g.major_m, sigma * d, 1e-9);
-  EXPECT_NEAR(g.minor_m, sigma * d, 1e-9);
-  EXPECT_NEAR(g.drms_m, std::sqrt(2.0) * sigma * d, 1e-9);
-}
-
-TEST(Gdop, UnequalRangesGiveTheirOwnAxes) {
-  // Perpendicular bearings from 3 m and 8 m, rotated 30 degrees off the
-  // axes: the covariance has unequal eigenvalues and an off-diagonal
-  // term, and each semi-axis is sigma times the range of the AP whose
-  // bearing constrains it.
-  const double sigma = deg_to_rad(3.0);
-  const double rot = deg_to_rad(30.0);
-  const Vec2 u{std::cos(rot), std::sin(rot)};
-  const std::vector<ArrayPose> aps{
-      ArrayPose{u * -3.0, rot}, ArrayPose{u.perp() * -8.0, rot + kPi / 2.0}};
-  const GdopResult g = bearing_gdop(aps, {0.0, 0.0}, sigma);
-  EXPECT_NEAR(g.major_m, 8.0 * sigma, 1e-9);
-  EXPECT_NEAR(g.minor_m, 3.0 * sigma, 1e-9);
-}
-
-TEST(Gdop, NearCollinearBearingsBlowUpTheMajorAxis) {
-  const double sigma = deg_to_rad(3.0);
-  // Two APs almost in line with the target: bearings nearly parallel.
-  const std::vector<ArrayPose> good{ArrayPose{{-5.0, 0.0}, 0.0},
-                                    ArrayPose{{0.0, -5.0}, kPi / 2.0}};
-  const std::vector<ArrayPose> bad{ArrayPose{{-5.0, 0.0}, 0.0},
-                                   ArrayPose{{-5.0, 0.4}, 0.0}};
-  const GdopResult g_good = bearing_gdop(good, {0.0, 0.0}, sigma);
-  const GdopResult g_bad = bearing_gdop(bad, {0.0, 0.0}, sigma);
-  EXPECT_GT(g_bad.major_m, 5.0 * g_good.major_m);
-}
-
-TEST(Gdop, ErrorGrowsWithRange) {
-  const double sigma = deg_to_rad(3.0);
-  auto square = [&](double d) {
-    const std::vector<ArrayPose> aps{ArrayPose{{-d, 0.0}, 0.0},
-                                     ArrayPose{{0.0, -d}, kPi / 2.0}};
-    return bearing_gdop(aps, {0.0, 0.0}, sigma).drms_m;
-  };
-  EXPECT_NEAR(square(10.0) / square(5.0), 2.0, 1e-9);
-}
-
-TEST(Gdop, MoreApsReduceError) {
-  const double sigma = deg_to_rad(3.0);
-  std::vector<ArrayPose> aps{ArrayPose{{-5.0, 0.0}, 0.0},
-                             ArrayPose{{0.0, -5.0}, kPi / 2.0}};
-  const double two = bearing_gdop(aps, {0.0, 0.0}, sigma).drms_m;
-  aps.push_back(ArrayPose{{5.0, 0.0}, kPi});
-  aps.push_back(ArrayPose{{0.0, 5.0}, -kPi / 2.0});
-  const double four = bearing_gdop(aps, {0.0, 0.0}, sigma).drms_m;
-  EXPECT_NEAR(four, two / std::sqrt(2.0), 1e-9);
-}
-
-TEST(Gdop, DegenerateGeometryThrows) {
-  const std::vector<ArrayPose> collinear{ArrayPose{{-5.0, 0.0}, 0.0},
-                                         ArrayPose{{-10.0, 0.0}, 0.0}};
-  EXPECT_THROW((void)bearing_gdop(collinear, {0.0, 0.0}, deg_to_rad(3.0)),
-               NumericalError);
-  EXPECT_THROW((void)bearing_gdop({}, {0.0, 0.0}, 0.05), ContractViolation);
-  EXPECT_THROW((void)bearing_gdop(collinear, {0.0, 0.0}, 0.0),
-               ContractViolation);
 }
 
 }  // namespace

@@ -126,7 +126,7 @@ inline LocationEstimate locate(std::span<const ApObservation> observations,
   for (const Vec2 seed : seeds) {
     ++best.starts_tried;
     const LevMarResult res =
-        levenberg_marquardt(residuals, m, RVector{seed.x, seed.y}, cfg.levmar);
+        levenberg_marquardt(residuals, m, RVector{seed.x, seed.y});
     if (res.diverged || !std::isfinite(res.cost) ||
         !std::isfinite(res.x[0]) || !std::isfinite(res.x[1])) {
       ++best.starts_rejected;

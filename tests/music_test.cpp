@@ -1129,7 +1129,7 @@ TEST(Crlb, EstimatorRmseInSaneEnvelopeOfBound) {
   imp.max_snr_db = 200.0;
   imp.noise_floor_dbm = -92.0;
   PathComponent p = make_path(20.0, 60.0, 0.0);
-  p.gain_db = -92.0 + snr_db - imp.tx_power_dbm;
+  p.gain_db = -92.0 + snr_db - kTxPowerDbm;
   p.is_direct = true;
   const CsiSynthesizer synth(kLink, imp);
   const JointMusicEstimator estimator(kLink);

@@ -1,9 +1,8 @@
 // Edge-case tests for the numerical fault containment layer: the
 // NumericsScope telemetry, the strict SPD solve's throws and the complex
 // solve's jitter ladder, eigensolver diagnostics on defective and
-// rank-deficient inputs, Levenberg-Marquardt's non-finite containment and
-// per-parameter FD scaling, GMM flooring on coincident data, and
-// degenerate GDOP geometry.
+// rank-deficient inputs, Levenberg-Marquardt's non-finite containment, and
+// GMM flooring on coincident data.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include "linalg/levmar.hpp"
 #include "linalg/numerics.hpp"
 #include "linalg/solve.hpp"
-#include "localize/gdop.hpp"
 
 namespace spotfi {
 namespace {
@@ -34,9 +32,9 @@ TEST(NumericsScope, CountsOnlyWhileActive) {
     NumericsScope scope;
     EXPECT_TRUE(numerics_scope_active());
     count_numerics(&NumericsCounters::solve_regularized);
-    count_numerics(&NumericsCounters::gdop_degenerate, 3);
+    count_numerics(&NumericsCounters::gmm_nonfinite, 3);
     EXPECT_EQ(scope.counters().solve_regularized, 1u);
-    EXPECT_EQ(scope.counters().gdop_degenerate, 3u);
+    EXPECT_EQ(scope.counters().gmm_nonfinite, 3u);
     EXPECT_EQ(scope.counters().total(), 4u);
     EXPECT_TRUE(scope.counters().any());
   }
@@ -505,39 +503,6 @@ TEST(LevMarContainment, NanWallIsContainedAndResultStaysFinite) {
   EXPECT_EQ(scope.counters().levmar_nonfinite_trials, res.nonfinite_trials);
 }
 
-TEST(LevMarContainment, FdScalesResolveTinyParameters) {
-  // Root of sin(1e8 * p - 3): the parameter lives at 3e-8. The default
-  // FD step (1e-6 * max(1, |p|) = 1e-6) spans 100 radians of the
-  // argument — pure aliasing. A per-parameter scale of 1e-8 shrinks the
-  // step to ~1e-14, giving an accurate derivative.
-  const ResidualFn f = [](std::span<const double> p, std::span<double> r) {
-    r[0] = std::sin(1e8 * p[0] - 3.0);
-  };
-  LevMarOptions scaled;
-  scaled.fd_scales = RVector{1e-8};
-  const LevMarResult good = levenberg_marquardt(f, 1, RVector{2e-8}, scaled);
-  EXPECT_TRUE(good.converged);
-  EXPECT_NEAR(good.x[0], 3e-8, 1e-10);
-
-  const LevMarResult bad = levenberg_marquardt(f, 1, RVector{2e-8});
-  // Whatever the aliased run does, it cannot have tracked the true root
-  // with a 1e-6 step; it must not be trusted at the 1e-10 level.
-  EXPECT_TRUE(std::isfinite(bad.cost));
-  EXPECT_GT(std::abs(bad.x[0] - 3e-8), 1e-9);
-}
-
-TEST(LevMarContainment, FdScalesShapeIsValidated) {
-  const ResidualFn f = [](std::span<const double> x, std::span<double> r) {
-    r[0] = x[0];
-    r[1] = x[1];
-  };
-  LevMarOptions opts;
-  opts.fd_scales = RVector{1.0};  // two parameters, one scale
-  EXPECT_THROW(
-      (void)levenberg_marquardt(f, 2, RVector{1.0, 2.0}, opts),
-      ContractViolation);
-}
-
 // --- GMM coincident data ---
 
 TEST(GmmDegenerate, CoincidentPointsFloorVarianceAndCount) {
@@ -568,32 +533,6 @@ TEST(GmmDegenerate, SpreadDataDoesNotCount) {
   (void)fit_gmm(points, 3, rng, {}, thread_workspace());
   EXPECT_EQ(scope.counters().gmm_variance_floored, 0u);
   EXPECT_EQ(scope.counters().gmm_nonfinite, 0u);
-}
-
-// --- GDOP degenerate geometry ---
-
-TEST(GdopDegenerate, CollinearApsReturnErrorAndCount) {
-  // Three APs on the x-axis, query point also on the x-axis: every
-  // bearing is parallel, the Fisher information is rank one.
-  const std::vector<ArrayPose> aps = {
-      {{0.0, 0.0}, 0.0}, {{2.0, 0.0}, 0.0}, {{4.0, 0.0}, 0.0}};
-  NumericsScope scope;
-  const auto r = try_bearing_gdop(aps, {10.0, 0.0}, 0.02);
-  ASSERT_FALSE(r.has_value());
-  EXPECT_NE(r.error().find("degenerate"), std::string::npos);
-  EXPECT_EQ(scope.counters().gdop_degenerate, 1u);
-  EXPECT_THROW((void)bearing_gdop(aps, {10.0, 0.0}, 0.02), NumericalError);
-}
-
-TEST(GdopDegenerate, OffAxisPointIsWellPosed) {
-  const std::vector<ArrayPose> aps = {
-      {{0.0, 0.0}, 0.0}, {{2.0, 0.0}, 0.0}, {{4.0, 0.0}, 0.0}};
-  NumericsScope scope;
-  const auto r = try_bearing_gdop(aps, {2.0, 5.0}, 0.02);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_GT(r->drms_m, 0.0);
-  EXPECT_GE(r->major_m, r->minor_m);
-  EXPECT_EQ(scope.counters().gdop_degenerate, 0u);
 }
 
 }  // namespace

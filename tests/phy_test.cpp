@@ -8,7 +8,6 @@
 
 #include "channel/csi_synthesis.hpp"
 #include "common/angles.hpp"
-#include "csi/regrid.hpp"
 #include "music/estimators.hpp"
 #include "phy/fft.hpp"
 #include "phy/transceiver.hpp"
@@ -78,38 +77,34 @@ TEST(Fft, NonPowerOfTwoThrows) {
 // --- OFDM ---
 
 TEST(Ofdm, NumerologyMatches5300) {
-  const OfdmConfig cfg;
-  EXPECT_NEAR(cfg.subcarrier_spacing_hz(), 312.5e3, 1e-6);
-  EXPECT_EQ(cfg.symbol_samples(), 160u);
-  EXPECT_EQ(cfg.occupied_subcarriers().size(), 116u);  // +-1..58 minus DC
+  EXPECT_NEAR(kSubcarrierSpacingHz, 312.5e3, 1e-6);
+  EXPECT_EQ(kSymbolSamples, 160u);
+  EXPECT_EQ(occupied_subcarriers().size(), 116u);  // +-1..58 minus DC
 }
 
 TEST(Ofdm, BinMappingWrapsNegatives) {
-  const OfdmConfig cfg;
-  EXPECT_EQ(cfg.bin_of(1), 1u);
-  EXPECT_EQ(cfg.bin_of(-1), 127u);
-  EXPECT_EQ(cfg.bin_of(-58), 70u);
-  EXPECT_THROW((void)cfg.bin_of(64), ContractViolation);
+  EXPECT_EQ(bin_of(1), 1u);
+  EXPECT_EQ(bin_of(-1), 127u);
+  EXPECT_EQ(bin_of(-58), 70u);
+  EXPECT_THROW((void)bin_of(64), ContractViolation);
 }
 
 TEST(Ofdm, LtfSymbolHasUnitPowerAndCyclicPrefix) {
-  const OfdmConfig cfg;
-  const CVector symbol = ltf_time_symbol(cfg);
-  ASSERT_EQ(symbol.size(), cfg.symbol_samples());
+  const CVector symbol = ltf_time_symbol();
+  ASSERT_EQ(symbol.size(), kSymbolSamples);
   double power = 0.0;
   for (const auto& v : symbol) power += std::norm(v);
   // CP repeats core samples, so total power ~= symbol_samples.
   EXPECT_NEAR(power / static_cast<double>(symbol.size()), 1.0, 0.05);
   // CP equals the core's tail.
-  for (std::size_t t = 0; t < cfg.cyclic_prefix; ++t) {
-    EXPECT_LT(std::abs(symbol[t] - symbol[t + cfg.fft_size]), 1e-12);
+  for (std::size_t t = 0; t < kCyclicPrefix; ++t) {
+    EXPECT_LT(std::abs(symbol[t] - symbol[t + kFftSize]), 1e-12);
   }
 }
 
 TEST(Ofdm, LtfSequenceIsDeterministicPlusMinusOne) {
-  const OfdmConfig cfg;
-  const auto a = ltf_sequence(cfg);
-  const auto b = ltf_sequence(cfg);
+  const auto a = ltf_sequence();
+  const auto b = ltf_sequence();
   EXPECT_EQ(a, b);
   int plus = 0;
   for (const double v : a) {
@@ -135,12 +130,12 @@ PathComponent phy_path(double aoa_deg, double tof_ns, double gain_db,
 
 TEST(Transceiver, DetectsFrameAtTruePosition) {
   const PhyConfig cfg;
-  const PhyFrame frame = transmit_ltf_frame(cfg);
+  const PhyFrame frame = transmit_ltf_frame();
   const auto p = phy_path(0.0, 0.0, 0.0);
   Rng rng(3);
   const CMatrix rx = apply_multipath_channel(
       frame, std::span<const PathComponent>(&p, 1), cfg, rng);
-  const PhyCsiResult result = receive_csi(rx, cfg);
+  const PhyCsiResult result = receive_csi(rx);
   // Zero delay: detection lands on the true frame start (within a couple
   // of samples of correlator ambiguity).
   EXPECT_NEAR(static_cast<double>(result.detected_start),
@@ -150,33 +145,32 @@ TEST(Transceiver, DetectsFrameAtTruePosition) {
 TEST(Transceiver, IntegerDelayMovesDetection) {
   PhyConfig cfg;
   cfg.snr_db = 40.0;
-  const PhyFrame frame = transmit_ltf_frame(cfg);
+  const PhyFrame frame = transmit_ltf_frame();
   // 1 sample at 40 Msps = 25 ns.
   const auto p = phy_path(0.0, 50.0, 0.0);  // two samples
   Rng rng(4);
   const CMatrix rx = apply_multipath_channel(
       frame, std::span<const PathComponent>(&p, 1), cfg, rng);
-  const PhyCsiResult result = receive_csi(rx, cfg);
+  const PhyCsiResult result = receive_csi(rx);
   EXPECT_NEAR(static_cast<double>(result.detected_start),
               static_cast<double>(frame.frame_start) + 2.0, 2.0);
 }
 
 TEST(Transceiver, CsiShapeIs3x30) {
   const PhyConfig cfg;
-  const PhyFrame frame = transmit_ltf_frame(cfg);
+  const PhyFrame frame = transmit_ltf_frame();
   const auto p = phy_path(10.0, 30.0, 0.0);
   Rng rng(5);
   const CMatrix rx = apply_multipath_channel(
       frame, std::span<const PathComponent>(&p, 1), cfg, rng);
-  const PhyCsiResult result = receive_csi(rx, cfg);
+  const PhyCsiResult result = receive_csi(rx);
   EXPECT_EQ(result.csi.rows(), 3u);
   EXPECT_EQ(result.csi.cols(), 30u);
 }
 
 TEST(Transceiver, NoSignalThrows) {
-  const PhyConfig cfg;
   CMatrix silence(3, 1000);
-  EXPECT_THROW(receive_csi(silence, cfg), DetectionError);
+  EXPECT_THROW(receive_csi(silence), DetectionError);
 }
 
 TEST(Transceiver, AntennaPhaseMatchesAoaModel) {
@@ -184,13 +178,13 @@ TEST(Transceiver, AntennaPhaseMatchesAoaModel) {
   // Phi(theta) from Eq. 1.
   PhyConfig cfg;
   cfg.snr_db = 60.0;
-  const PhyFrame frame = transmit_ltf_frame(cfg);
+  const PhyFrame frame = transmit_ltf_frame();
   const double aoa_deg = 35.0;
   const auto p = phy_path(aoa_deg, 0.0, 0.0);
   Rng rng(6);
   const CMatrix rx = apply_multipath_channel(
       frame, std::span<const PathComponent>(&p, 1), cfg, rng);
-  const PhyCsiResult result = receive_csi(rx, cfg);
+  const PhyCsiResult result = receive_csi(rx);
   const double expected = -2.0 * kPi * cfg.link.antenna_spacing_m *
                           std::sin(deg_to_rad(aoa_deg)) *
                           cfg.link.carrier_hz / kSpeedOfLight;
@@ -206,21 +200,21 @@ TEST(Transceiver, FractionalDelayShowsAsPhaseSlope) {
   // reported subcarriers — the ToF observable of Sec. 3.1.2.
   PhyConfig cfg;
   cfg.snr_db = 60.0;
-  const PhyFrame frame = transmit_ltf_frame(cfg);
+  const PhyFrame frame = transmit_ltf_frame();
   const double tof_ns = 60.0;  // 2.4 samples
   const auto p = phy_path(0.0, tof_ns, 0.0);
   Rng rng(7);
   const CMatrix rx = apply_multipath_channel(
       frame, std::span<const PathComponent>(&p, 1), cfg, rng);
-  const PhyCsiResult result = receive_csi(rx, cfg);
+  const PhyCsiResult result = receive_csi(rx);
   // Detected integer offset absorbs whole samples; the measured slope
   // corresponds to the remaining fractional delay.
   const double detect_delay =
       static_cast<double>(result.detected_start - frame.frame_start) /
-      cfg.ofdm.sample_rate_hz;
+      kSampleRateHz;
   const double residual_tof = tof_ns * 1e-9 - detect_delay;
   // Reported grid spacing: 4 bins of 312.5 kHz.
-  const double spacing = 4.0 * cfg.ofdm.subcarrier_spacing_hz();
+  const double spacing = 4.0 * kSubcarrierSpacingHz;
   const double expected_step = -2.0 * kPi * spacing * residual_tof;
   double mean_step = 0.0;
   int count = 0;
@@ -243,17 +237,17 @@ TEST(Transceiver, WaveformCsiMatchesAnalyticModelEstimates) {
   // common to all paths.
   PhyConfig cfg;
   cfg.snr_db = 55.0;
-  const PhyFrame frame = transmit_ltf_frame(cfg);
+  const PhyFrame frame = transmit_ltf_frame();
   const std::vector<PathComponent> paths{phy_path(20.0, 40.0, 0.0),
                                          phy_path(-45.0, 140.0, -6.0, false)};
   Rng rng(8);
   const CMatrix rx = apply_multipath_channel(frame, paths, cfg, rng);
-  const PhyCsiResult result = receive_csi(rx, cfg);
+  const PhyCsiResult result = receive_csi(rx);
 
   ImpairmentConfig imp;
   const CsiSynthesizer synth(cfg.link, imp);
   LinkConfig link = cfg.link;
-  link.subcarrier_spacing_hz = 4.0 * cfg.ofdm.subcarrier_spacing_hz();
+  link.subcarrier_spacing_hz = 4.0 * kSubcarrierSpacingHz;
   const CMatrix ideal = synth.ideal_csi(paths);
 
   const JointMusicEstimator estimator(link);
@@ -281,15 +275,15 @@ TEST(Transceiver, MusicRecoversAoaFromWaveformCsi) {
   // End to end: waveform -> CSI -> SpotFi's estimator.
   PhyConfig cfg;
   cfg.snr_db = 35.0;
-  const PhyFrame frame = transmit_ltf_frame(cfg);
+  const PhyFrame frame = transmit_ltf_frame();
   const auto p = phy_path(-30.0, 50.0, 0.0);
   Rng rng(9);
   const CMatrix rx = apply_multipath_channel(
       frame, std::span<const PathComponent>(&p, 1), cfg, rng);
-  const PhyCsiResult result = receive_csi(rx, cfg);
+  const PhyCsiResult result = receive_csi(rx);
 
   LinkConfig link = cfg.link;
-  link.subcarrier_spacing_hz = 4.0 * cfg.ofdm.subcarrier_spacing_hz();
+  link.subcarrier_spacing_hz = 4.0 * kSubcarrierSpacingHz;
   const JointMusicEstimator estimator(link);
   const auto estimates = estimator.estimate(result.csi);
   ASSERT_FALSE(estimates.empty());

@@ -78,7 +78,7 @@ TEST(SnrMonotonicity, AoaErrorShrinksWithSnr) {
     imp.noise_floor_dbm = -92.0;
     // Choose path gain so rx power gives the requested SNR.
     PathComponent p = path_at(25.0, 60.0);
-    p.gain_db = -92.0 + snr_db - imp.tx_power_dbm;
+    p.gain_db = -92.0 + snr_db - kTxPowerDbm;
     const CsiSynthesizer synth(kLink, imp);
     const JointMusicEstimator estimator(kLink);
     std::vector<double> errors;

@@ -13,7 +13,6 @@
 #include "core/server.hpp"
 #include "linalg/hermitian_eig.hpp"
 #include "linalg/numerics.hpp"
-#include "localize/gdop.hpp"
 #include "localize/spotfi_localizer.hpp"
 #include "testbed/deployment.hpp"
 
@@ -142,20 +141,6 @@ TEST(StressSuite, RankCollapseProducesRankOneCovariance) {
   for (std::size_t k = 0; k + 1 < eig.eigenvalues.size(); ++k) {
     EXPECT_LT(std::abs(eig.eigenvalues[k]), 1e-8 * top);
   }
-}
-
-// The corridor geometry the injector builds is exactly the GDOP
-// degeneracy: on the AP line every bearing is parallel.
-TEST(StressSuite, CollinearApLineIsGdopDegenerateOnTheLine) {
-  const auto aps = collinear_ap_line(5, {0.0, 1.0}, {2.0, 0.0}, kPi / 2.0);
-  ASSERT_EQ(aps.size(), 5u);
-  NumericsScope scope;
-  const auto on_line = try_bearing_gdop(aps, {20.0, 1.0}, 0.02);
-  EXPECT_FALSE(on_line.has_value());
-  EXPECT_EQ(scope.counters().gdop_degenerate, 1u);
-  const auto off_line = try_bearing_gdop(aps, {4.0, 6.0}, 0.02);
-  ASSERT_TRUE(off_line.has_value());
-  EXPECT_TRUE(std::isfinite(off_line->drms_m));
 }
 
 // Observations no regularization can save: every multi-start seed sees a

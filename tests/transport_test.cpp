@@ -4,6 +4,7 @@
 // partitions, and the SessionManager sink wiring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -256,6 +257,60 @@ TEST(Transport, RetransmitsWithExponentialBackoffThroughAnOutage) {
   EXPECT_EQ(tx.acked, 1u);
   EXPECT_EQ(tx.pending, 0u);
   EXPECT_TRUE(sender.quiescent());
+}
+
+TEST(Transport, TimersDoubleUpToTheFiveSecondCap) {
+  LinkFaultModel model;
+  model.down_windows = {{0.5, 1e9}};  // dies for good after the handshake
+  LinkSimulator link(model);
+  RecordingSink sink;
+  TransportConfig cfg = quiet_config();
+  cfg.rto_initial_s = 0.2;
+  cfg.max_retries = 7;           // the epoch ends after 7 retransmissions
+  cfg.liveness_timeout_s = 1e6;  // so the retry budget, not liveness
+  TransportSender sender(link, cfg);
+  TransportReceiver receiver(link, sink.fn(), cfg);
+
+  run_both(sender, receiver, 0.0, 0.4);
+  ASSERT_TRUE(sender.established());
+  CsiPacket p = marked_packet(1);
+  ASSERT_TRUE(sender.send(0, p, 1.0).has_value());  // transmits at 1.0
+
+  // Record the tick at which each data transmission and each connect
+  // attempt happens.
+  constexpr double kTick = 0.01;
+  std::vector<double> data_at{1.0};
+  std::vector<double> connect_at;
+  TransportStats before = sender.stats();
+  for (int i = 1; i <= 6000; ++i) {
+    const double t = 1.0 + kTick * i;
+    sender.tick(t);
+    const TransportStats after = sender.stats();
+    if (after.transmissions > before.transmissions) data_at.push_back(t);
+    if (after.connect_attempts > before.connect_attempts) {
+      connect_at.push_back(t);
+    }
+    before = after;
+  }
+
+  // Retransmissions: 0.2 s doubling per retry, capped at 5 s.
+  const std::vector<double> data_gaps{0.2, 0.4, 0.8, 1.6, 3.2, 5.0, 5.0};
+  ASSERT_EQ(data_at.size(), data_gaps.size() + 1);
+  for (std::size_t k = 0; k < data_gaps.size(); ++k) {
+    EXPECT_NEAR(data_at[k + 1] - data_at[k], data_gaps[k], kTick + 1e-9)
+        << "retransmission " << k + 1;
+  }
+
+  // The retry budget is spent one timeout after the last retransmission;
+  // reconnect attempts then back off 0.1 s doubling, capped at 5 s.
+  ASSERT_GE(connect_at.size(), 10u);
+  EXPECT_NEAR(connect_at.front() - data_at.back(), 5.0, 2.0 * kTick + 1e-9);
+  double gap = 0.1;
+  for (std::size_t k = 1; k < connect_at.size(); ++k) {
+    EXPECT_NEAR(connect_at[k] - connect_at[k - 1], gap, kTick + 1e-9)
+        << "connect attempt " << k + 1;
+    gap = std::min(2.0 * gap, 5.0);
+  }
 }
 
 // --- receiver classification, driven by hand-built frames ------------------
