@@ -1,7 +1,9 @@
 // End-to-end pipeline performance: per-AP packet-group processing
 // (Algorithm 2 lines 2-10), the localization solve (line 12), and one
-// full 6-AP localization round — the numbers behind "SpotFi is
-// lightweight" (Sec. 4.4.4 wants small packet counts partly for latency).
+// full 6-AP localization round, as the figures run it and as the session
+// layer serves it (with leave-one-out rejection) — the numbers behind
+// "SpotFi is lightweight" (Sec. 4.4.4 wants small packet counts partly
+// for latency).
 //
 // The group/round benches are parameterized by thread count (the bench
 // arg, shown as e.g. BM_FullRound6Aps/threads:4): thread counts are set
@@ -107,6 +109,23 @@ void BM_FullRound6Aps(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullRound6Aps)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)->Arg(6);
+
+/// The served round: the same six captures with leave-one-out rejection
+/// on, the session layer's default, so the fusion stage's primary solve
+/// and one subset solve per AP run as one pool batch after the per-AP
+/// fan-out.
+void BM_ServedRound6Aps(benchmark::State& state) {
+  auto& f = fixture();
+  ServerConfig cfg = f.runner.config().server;
+  cfg.fusion.loo_rejection = true;
+  cfg.num_threads = static_cast<std::size_t>(state.range(0));
+  const SpotFiServer server(f.link, cfg);
+  Rng rng(13);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(server.try_localize(f.captures, rng));
+  }
+}
+BENCHMARK(BM_ServedRound6Aps)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
 
 // --- stage-level benches (DESIGN.md §15) -------------------------------
 // One number per StageBreakdown phase — the kernel each phase meters:

@@ -63,12 +63,12 @@ class Workspace {
   /// Alignment of every checkout (covers cplx and SIMD-friendly loads).
   static constexpr std::size_t kAlign = 16;
   /// First-block size: one default-grid MUSIC packet peaks at ~85 KB
-  /// (the sweep's per-column Grams and AoA weights, ~16 KB; the swept
-  /// ToF columns, 1.4 KB each; the subspace views; and the ~24 KB of
-  /// eigensolver scratch, released before the sweep), and at ~0.5 MiB
-  /// on a flat spectrum whose every ToF column reaches the peak floor,
-  /// so a packet, and the group and fusion frames around it, warm up in
-  /// a single block.
+  /// (the sweep's per-column Grams, ~10 KB; the swept ToF columns,
+  /// 1.4 KB each; the subspace views; and the ~24 KB of eigensolver
+  /// scratch, released before the sweep), and at ~0.5 MiB on a flat
+  /// spectrum whose every ToF column reaches the peak floor, so a
+  /// packet and the group frame around it, like a fusion solve, warm up
+  /// in a single block.
   static constexpr std::size_t kDefaultBlockBytes = std::size_t{1} << 20;
 
   Workspace() = default;

@@ -22,6 +22,20 @@ constexpr double kLooMaxAoaMissRad = 0.6;
 /// there trades a decent consensus for a biased one.
 constexpr double kLooMedianFactor = 3.0;
 
+/// One Eq. 9 solve of a fusion pass and what it brought back. The slots
+/// of a pass live on the dispatcher's frame, so every field is trivially
+/// copyable; a failed primary solve's message travels separately.
+struct FusionSolve {
+  /// The usable observation this solve leaves out; usable.size() for
+  /// the primary solve, which keeps them all.
+  std::size_t drop = 0;
+  bool ok = false;
+  LocationEstimate estimate;
+  StageBreakdown breakdown;
+  NumericsCounters numerics;
+  std::size_t workspace_peak_bytes = 0;
+};
+
 }  // namespace
 
 SpotFiServer::SpotFiServer(LinkConfig link, ServerConfig config)
@@ -41,7 +55,7 @@ std::size_t SpotFiServer::num_threads() const {
   return pool_ ? pool_->size() : 1;
 }
 
-void SpotFiServer::for_each_ap(
+void SpotFiServer::fan_out(
     std::size_t n, const std::function<void(std::size_t)>& task) const {
   if (pool_) {
     pool_->parallel_for(n, task);
@@ -93,7 +107,7 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
   const std::size_t n = captures.size();
   const ApProcessorConfig ap_cfg = ap_config();
   std::vector<ApOutcome> outcomes(n);
-  for_each_ap(n, [&](std::size_t i) {
+  fan_out(n, [&](std::size_t i) {
     if (captures[i].packets.empty()) return;  // folded below
     const ApProcessor processor(link_, captures[i].pose, ap_cfg);
     outcomes[i] =
@@ -104,11 +118,6 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
   // fusion-stage events (localizer multi-start rejections, LOO subset
   // solves) land here.
   NumericsScope numerics_scope;
-
-  // Fusion-stage scratch comes off the dispatching thread's arena; the
-  // frame also meters the stage's peak footprint for the round telemetry.
-  Workspace& ws = pool_ ? pool_->workspace() : thread_workspace();
-  Workspace::Frame fusion_frame(ws);
 
   LocalizationRound round;
   round.ap_results.reserve(n);
@@ -155,20 +164,67 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
     return RoundError{"fewer than two usable AP observations", usable.size()};
   }
 
-  // The primary solve and every LOO re-solve share one telemetry
-  // bucket: each runs under a kLocalize meter on the frame it fills, so
-  // the bucket's time is their sum and its peak the largest one solve's.
+  // Fusion (Eq. 9). The solves of one pass do not depend on each
+  // other, so a pass runs as one batch on the pool (DESIGN.md §10): pass
+  // 1 is the primary solve plus, with leave-one-out on, the subset
+  // without each usable bearing; every later pass is the survivors'
+  // subsets. A solve runs on its lane's arena under a detached numerics
+  // scope and its own breakdown, and catches its own exception; its
+  // result lands in its slot, and the slots fold here in task order.
+  // Each solve meters kLocalize on the frame it fills, so the bucket's
+  // time is the solves' sum and its peak the largest one solve's.
   const SpotFiLocalizer localizer(config_.localizer);
-  const auto locate = [&](std::span<const ApObservation> observations,
-                          const Workspace::Frame& frame) {
-    StageMeter meter(&round.stage_breakdown, frame, StagePhase::kLocalize);
-    return localizer.locate(observations, ws);
+  std::string primary_error;  // built only when the primary solve throws
+  Workspace& ws = pool_ ? pool_->workspace() : thread_workspace();
+  const auto run_pass = [&](bool primary) {
+    const bool loo =
+        config_.fusion.loo_rejection && usable.size() > kLooMinAps;
+    std::size_t n_solves = primary ? 1 : 0;
+    for (const ApObservation& obs : usable) {
+      // An RSSI-only AP has no bearing to disagree with.
+      if (loo && obs.has_aoa) ++n_solves;
+    }
+    const std::span<FusionSolve> solves = ws.take<FusionSolve>(n_solves);
+    std::size_t t = 0;
+    if (primary) solves[t++].drop = usable.size();
+    for (std::size_t drop = 0; loo && drop < usable.size(); ++drop) {
+      if (usable[drop].has_aoa) solves[t++].drop = drop;
+    }
+    fan_out(n_solves, [&](std::size_t task) {
+      FusionSolve& solve = solves[task];
+      NumericsScope scope{kDetachedScope};
+      Workspace& lane = pool_ ? pool_->workspace() : thread_workspace();
+      Workspace::Frame frame(lane);
+      std::span<const ApObservation> observations = usable;
+      if (solve.drop < usable.size()) {
+        const std::span<ApObservation> subset =
+            lane.take<ApObservation>(usable.size() - 1);
+        std::size_t fill = 0;
+        for (std::size_t j = 0; j < usable.size(); ++j) {
+          if (j != solve.drop) subset[fill++] = usable[j];
+        }
+        observations = subset;
+      }
+      try {
+        StageMeter meter(&solve.breakdown, frame, StagePhase::kLocalize);
+        solve.estimate = localizer.locate(observations, lane);
+        solve.ok = true;
+      } catch (const std::exception& e) {
+        // A degenerate subset sits its pass out; a failed primary solve
+        // fails the round below.
+        if (solve.drop == usable.size()) primary_error = e.what();
+      }
+      solve.numerics = scope.counters();
+      solve.workspace_peak_bytes = frame.peak_bytes();
+    });
+    for (const FusionSolve& solve : solves) {
+      count_numerics(solve.numerics);
+      round.stage_breakdown.merge(solve.breakdown);
+      round.workspace_peak_bytes =
+          std::max(round.workspace_peak_bytes, solve.workspace_peak_bytes);
+    }
+    return solves;
   };
-  try {
-    round.location = locate(usable, fusion_frame);
-  } catch (const std::exception& e) {
-    return RoundError{std::string("localizer: ") + e.what(), usable.size()};
-  }
 
   // Leave-one-out residual rejection. For each AP, solve without it and
   // measure how far its measured bearing misses the consensus of the
@@ -177,56 +233,49 @@ Expected<LocalizationRound, RoundError> SpotFiServer::try_localize_forked(
   // that still contains it, so a single pass can finger the wrong AP —
   // iterating until nothing exceeds the threshold (or the floor is hit)
   // peels outliers off one at a time.
-  if (config_.fusion.loo_rejection) {
-    while (usable.size() > kLooMinAps) {
-      Workspace::Frame pass_frame(ws);
-      const std::span<double> misses = ws.take<double>(usable.size());
-      std::size_t n_misses = 0;
-      double worst_miss = 0.0;
-      std::size_t worst = usable.size();
-      LocationEstimate worst_estimate;
-      for (std::size_t drop = 0; drop < usable.size(); ++drop) {
-        if (!usable[drop].has_aoa) continue;  // no bearing to disagree with
-        Workspace::Frame loo_frame(ws);
-        const std::span<ApObservation> subset =
-            ws.take<ApObservation>(usable.size() - 1);
-        std::size_t fill = 0;
-        for (std::size_t j = 0; j < usable.size(); ++j) {
-          if (j != drop) subset[fill++] = usable[j];
-        }
-        try {
-          const LocationEstimate est = locate(subset, loo_frame);
-          const double miss = std::abs(
-              wrap_pi(usable[drop].pose.apparent_aoa_of(est.position) -
-                      usable[drop].direct_aoa_rad));
-          misses[n_misses++] = miss;
-          if (miss > worst_miss) {
-            worst_miss = miss;
-            worst = drop;
-            worst_estimate = est;
-          }
-        } catch (const std::exception&) {
-          // A degenerate subset just doesn't participate.
-        }
+  for (bool first = true;; first = false) {
+    Workspace::Frame pass_frame(ws);
+    std::span<const FusionSolve> subsets = run_pass(first);
+    if (first) {
+      const FusionSolve& primary = subsets.front();
+      if (!primary.ok) {
+        return RoundError{"localizer: " + primary_error, usable.size()};
       }
-      if (worst >= usable.size() || worst_miss <= kLooMaxAoaMissRad ||
-          worst_miss <= kLooMedianFactor *
-                            percentile_in_place(misses.first(n_misses), 50.0)) {
-        break;
-      }
-      round.location = worst_estimate;
-      round.rejected_aps.push_back(usable_ap[worst]);
-      round.degraded = true;
-      round.notes.push_back(
-          "ap " + std::to_string(usable_ap[worst]) +
-          ": rejected as outlier by leave-one-out residuals");
-      usable.erase(usable.begin() + static_cast<std::ptrdiff_t>(worst));
-      usable_ap.erase(usable_ap.begin() + static_cast<std::ptrdiff_t>(worst));
+      round.location = primary.estimate;
+      subsets = subsets.subspan(1);
     }
+    const std::span<double> misses = ws.take<double>(subsets.size());
+    std::size_t n_misses = 0;
+    double worst_miss = 0.0;
+    const FusionSolve* worst = nullptr;
+    for (const FusionSolve& solve : subsets) {
+      if (!solve.ok) continue;
+      const ApObservation& left_out = usable[solve.drop];
+      const double miss = std::abs(
+          wrap_pi(left_out.pose.apparent_aoa_of(solve.estimate.position) -
+                  left_out.direct_aoa_rad));
+      misses[n_misses++] = miss;
+      if (miss > worst_miss) {
+        worst_miss = miss;
+        worst = &solve;
+      }
+    }
+    if (worst == nullptr || worst_miss <= kLooMaxAoaMissRad ||
+        worst_miss <= kLooMedianFactor *
+                          percentile_in_place(misses.first(n_misses), 50.0)) {
+      break;
+    }
+    const std::size_t drop = worst->drop;
+    round.location = worst->estimate;
+    round.rejected_aps.push_back(usable_ap[drop]);
+    round.degraded = true;
+    round.notes.push_back(
+        "ap " + std::to_string(usable_ap[drop]) +
+        ": rejected as outlier by leave-one-out residuals");
+    usable.erase(usable.begin() + static_cast<std::ptrdiff_t>(drop));
+    usable_ap.erase(usable_ap.begin() + static_cast<std::ptrdiff_t>(drop));
   }
   round.numerics = numerics_scope.counters();
-  round.workspace_peak_bytes =
-      std::max(round.workspace_peak_bytes, fusion_frame.peak_bytes());
   return round;
 }
 

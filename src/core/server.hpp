@@ -43,14 +43,15 @@ struct ServerConfig {
   ApProcessorConfig ap{};
   LocalizerConfig localizer{};
   FusionConfig fusion{};
-  /// Lanes of concurrency for the per-AP (and nested per-packet) stages:
-  /// 0 = hardware concurrency, 1 = strictly serial (no worker threads
-  /// are created and no synchronization runs). The SPOTFI_THREADS
-  /// environment variable overrides this value at server construction.
-  /// Every estimate, note, and numerics digest is identical for every
-  /// setting: per-AP Rng streams are forked from the caller's generator
-  /// in capture order before dispatch, results are slotted by index, and
-  /// worker-side counters are merged in index order (see DESIGN.md §10).
+  /// Lanes of concurrency for the per-AP (and nested per-packet) stages
+  /// and for the Eq. 9 solves of each fusion pass: 0 = hardware
+  /// concurrency, 1 = strictly serial (no worker threads are created and
+  /// no synchronization runs). The SPOTFI_THREADS environment variable
+  /// overrides this value at server construction. Every estimate, note,
+  /// and numerics digest is identical for every setting: per-AP Rng
+  /// streams are forked from the caller's generator in capture order
+  /// before dispatch, results are slotted by index, and worker-side
+  /// counters are merged in index order (see DESIGN.md §10).
   std::size_t num_threads = 0;
   /// When set, the server uses this pool instead of constructing its own
   /// and `num_threads` is ignored. The multi-tenant session layer hands
@@ -84,8 +85,9 @@ struct LocalizationRound {
   NumericsCounters numerics;
   /// Scratch-arena footprint of the round: the largest single frame
   /// opened anywhere — max over every AP's
-  /// ApOutcome::workspace_peak_bytes and the fusion stage's own frame
-  /// (localizer multi-starts, LOO subset solves).
+  /// ApOutcome::workspace_peak_bytes and every fusion solve's frame (the
+  /// primary solve's multi-starts, or an LOO subset and its solve), each
+  /// opened on the arena of the lane that ran it.
   std::size_t workspace_peak_bytes = 0;
   /// The overload rung this round was planned at (kPrimary outside the
   /// session layer). The rung is a floor on each AP's configured entry
@@ -94,8 +96,11 @@ struct LocalizationRound {
   /// Per-stage cost split of the round: every AP's
   /// ApOutcome::stage_breakdown folded in capture order (times sum;
   /// arena peaks take the max, since APs share the lane arenas), plus
-  /// the fusion stage's own kLocalize bucket (primary solve + LOO
-  /// re-solves; times sum, the peak is the largest single solve's).
+  /// every fusion solve's kLocalize bucket (primary solve + LOO
+  /// re-solves) folded in task order. Its time is lane-seconds: solves
+  /// of one pass may run at once on different lanes, so the sum can
+  /// exceed the fusion stage's wall time. The peak is the largest single
+  /// solve's.
   StageBreakdown stage_breakdown;
 };
 
@@ -145,10 +150,10 @@ class SpotFiServer {
   [[nodiscard]] std::size_t num_threads() const;
 
  private:
-  /// Runs `task(i)` for every capture index, across the pool when one
-  /// exists.
-  void for_each_ap(std::size_t n,
-                   const std::function<void(std::size_t)>& task) const;
+  /// Runs `task(i)` for every i in [0, n) — the APs of a round, or the
+  /// Eq. 9 solves of one fusion pass — across the pool when one exists.
+  void fan_out(std::size_t n,
+               const std::function<void(std::size_t)>& task) const;
   /// The per-AP processor config with the server's pool injected.
   [[nodiscard]] ApProcessorConfig ap_config() const;
 

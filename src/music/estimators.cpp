@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "music/steering.hpp"
 #include "music/steering_cache.hpp"
@@ -69,7 +68,9 @@ ConstCMatrixView steering_view(const SteeringAxisTable& axis) {
 /// stores M(j)'s ant_len^2 real degrees of freedom (the diagonal, Re/Im
 /// above it). A cell is then one real dot product of that row with AoA
 /// row i's matching `weights` (|ant_a|^2, and 2 Re / -2 Im of
-/// ant_a conj(ant_b)), whatever the noise dimension.
+/// ant_a conj(ant_b)), whatever the noise dimension. The weights and
+/// their per-slot extremes depend on the AoA steering rows alone, so
+/// they are built once with the interned AoA table (steering_cache).
 /// Cost: O(ant_len^2 * S^2 * D) for the coefficients,
 /// O(N_tof * ant_len^2 * S) for the per-column Grams, O(ant_len^2) per
 /// cell swept.
@@ -77,41 +78,26 @@ struct SweepTables {
   std::size_t ant_len = 0;
   std::size_t dof = 0;                 ///< ant_len^2
   std::span<const double> weights;     ///< n_aoa x dof
+  std::span<const double> weight_lo;   ///< dof
+  std::span<const double> weight_hi;   ///< dof
   std::span<const double> gram;        ///< n_tof x dof
 
   [[nodiscard]] std::size_t n_aoa() const { return weights.size() / dof; }
   [[nodiscard]] std::size_t n_tof() const { return gram.size() / dof; }
 };
 
-/// Builds the tables on `ws` (they live until the caller's enclosing
-/// frame closes; the polynomial coefficients are released on return).
-SweepTables sweep_tables(ConstCMatrixView noise, ConstCMatrixView ant,
+/// Builds the per-packet Grams on `ws` (they live until the caller's
+/// enclosing frame closes; the polynomial coefficients are released on
+/// return) next to the AoA axis's cached weights.
+SweepTables sweep_tables(ConstCMatrixView noise, const SteeringAxisTable& ant,
                          ConstCMatrixView sub, Workspace& ws) {
-  const std::size_t n_aoa = ant.rows();
   const std::size_t n_tof = sub.rows();
-  const std::size_t ant_len = ant.cols();
+  const std::size_t ant_len = ant.len;
   const std::size_t sub_len = sub.cols();
   const std::size_t n_noise = noise.cols();
   const std::size_t dof = ant_len * ant_len;
   SPOTFI_EXPECTS(noise.rows() == ant_len * sub_len,
                  "noise basis length disagrees with the steering tables");
-
-  const std::span<double> weights = ws.take<double>(n_aoa * dof);
-  for (std::size_t ai = 0; ai < n_aoa; ++ai) {
-    const cplx* ant_vec = ant.row_ptr(ai);
-    double* w = &weights[ai * dof];
-    for (std::size_t a = 0; a < ant_len; ++a) {
-      for (std::size_t b = a; b < ant_len; ++b) {
-        if (b == a) {
-          *w++ = std::norm(ant_vec[a]);
-        } else {
-          const cplx p = ant_vec[a] * std::conj(ant_vec[b]);
-          *w++ = 2.0 * p.real();
-          *w++ = -2.0 * p.imag();
-        }
-      }
-    }
-  }
   const std::span<double> gram = ws.take<double>(n_tof * dof);
 
   Workspace::Frame frame(ws);
@@ -184,7 +170,7 @@ SweepTables sweep_tables(ConstCMatrixView noise, ConstCMatrixView ant,
       }
     }
   }
-  return {ant_len, dof, weights, gram};
+  return {ant_len, dof, ant.weights, ant.weight_lo, ant.weight_hi, gram};
 }
 
 /// The one sweep kernel: the cells of ToF column j for AoA rows
@@ -223,8 +209,9 @@ void sweep_all(const SweepTables& t, RMatrixView values) {
 ///
 /// A cell's denominator is sum_k w_ik m_jk. Over the AoA table each
 /// diagonal weight |ant_a|^2 lies in [lo_a, hi_a], and each off-diagonal
-/// pair of weights (2 Re p, -2 Im p) has norm at most R_ab, so by
-/// Cauchy-Schwarz on the pair the denominator is at least
+/// pair of weights (2 Re p, -2 Im p) has norm at most R_ab (the axis
+/// table's weight_lo / weight_hi), so by Cauchy-Schwarz on the pair the
+/// denominator is at least
 ///   B_j = sum_a (m_aa >= 0 ? lo_a : hi_a) m_aa - sum_{a<b} R_ab ||m_ab||.
 /// The computed dot product may fall below its exact value by its
 /// rounding, at most gamma_dof * S with S = sum_k |w_ik m_jk|; the
@@ -237,33 +224,8 @@ void sweep_all(const SweepTables& t, RMatrixView values) {
 /// 1e12 or NaN. The sweep skips no such column.
 std::span<const double> column_bounds(const SweepTables& t, Workspace& ws) {
   const std::size_t dof = t.dof;
-  const std::size_t n_aoa = t.n_aoa();
-  // Per weight slot: a diagonal slot's least and largest weight; an
-  // off-diagonal pair's R_ab in its first slot's `hi`.
-  const std::span<double> lo = ws.take<double>(dof);
-  const std::span<double> hi = ws.take<double>(dof);
-  for (std::size_t k = 0; k < dof; ++k) {
-    lo[k] = std::numeric_limits<double>::infinity();
-  }
-  for (std::size_t ai = 0; ai < n_aoa; ++ai) {
-    const double* w = &t.weights[ai * dof];
-    std::size_t k = 0;
-    for (std::size_t a = 0; a < t.ant_len; ++a) {
-      lo[k] = std::min(lo[k], w[k]);
-      hi[k] = std::max(hi[k], w[k]);
-      ++k;
-      for (std::size_t b = a + 1; b < t.ant_len; ++b, k += 2) {
-        hi[k] = std::max(hi[k], w[k] * w[k] + w[k + 1] * w[k + 1]);
-      }
-    }
-  }
-  for (std::size_t a = 0, k = 0; a < t.ant_len; ++a) {
-    ++k;
-    for (std::size_t b = a + 1; b < t.ant_len; ++b, k += 2) {
-      hi[k] = std::sqrt(hi[k]);
-    }
-  }
-
+  const std::span<const double> lo = t.weight_lo;
+  const std::span<const double> hi = t.weight_hi;
   const std::size_t n_tof = t.n_tof();
   const std::span<double> bound = ws.take<double>(n_tof);
   for (std::size_t ti = 0; ti < n_tof; ++ti) {
@@ -297,7 +259,7 @@ struct PrunedSweep {
   SweptSpectrum spectrum;
 };
 
-PrunedSweep pruned_sweep(ConstCMatrixView noise, ConstCMatrixView ant,
+PrunedSweep pruned_sweep(ConstCMatrixView noise, const SteeringAxisTable& ant,
                          ConstCMatrixView sub, double min_relative,
                          Workspace& ws) {
   const SweepTables t = sweep_tables(noise, ant, sub, ws);
@@ -342,8 +304,8 @@ AoaTofSpectrum JointMusicEstimator::spectrum(const CMatrix& csi) const {
   sp.aoa_grid_rad = aoa_axis_->grid;
   sp.tof_grid_s = tof_axis_->grid;
   sp.values = RMatrix(sp.aoa_grid_rad.size(), sp.tof_grid_s.size());
-  sweep_all(sweep_tables(sub.noise, steering_view(*aoa_axis_),
-                         steering_view(*tof_axis_), ws),
+  sweep_all(sweep_tables(sub.noise, *aoa_axis_, steering_view(*tof_axis_),
+                         ws),
             sp.values.view());
   return sp;
 }
@@ -359,9 +321,8 @@ SubspacesRef JointMusicEstimator::stage_subspace(ConstCMatrixView csi,
 
 SweptSpectrum JointMusicEstimator::sweep_spectrum(const SubspacesRef& sub,
                                                   Workspace& ws) const {
-  return pruned_sweep(sub.noise, steering_view(*aoa_axis_),
-                      steering_view(*tof_axis_), config_.min_relative_peak,
-                      ws)
+  return pruned_sweep(sub.noise, *aoa_axis_, steering_view(*tof_axis_),
+                      config_.min_relative_peak, ws)
       .spectrum;
 }
 
@@ -371,8 +332,8 @@ std::size_t JointMusicEstimator::stage_spectrum(
   SPOTFI_EXPECTS(out.size() >= config_.max_paths,
                  "stage_spectrum output span smaller than max_paths");
   const PrunedSweep sweep =
-      pruned_sweep(sub.noise, steering_view(*aoa_axis_),
-                   steering_view(*tof_axis_), config_.min_relative_peak, ws);
+      pruned_sweep(sub.noise, *aoa_axis_, steering_view(*tof_axis_),
+                   config_.min_relative_peak, ws);
   const ColumnGrid& grid = sweep.spectrum.grid;
 
   // Twice max_paths, so that skipping the AoA edge rows below still
@@ -458,8 +419,8 @@ AoaSpectrum MusicAoaEstimator::spectrum(const CMatrix& csi) const {
   // The antenna-only array is the joint sweep's one-column case: one
   // length-1 subcarrier steering vector.
   const cplx one{1.0, 0.0};
-  sweep_all(sweep_tables(sub.noise, steering_view(*aoa_axis_),
-                         ConstCMatrixView(&one, 1, 1), ws),
+  sweep_all(sweep_tables(sub.noise, *aoa_axis_, ConstCMatrixView(&one, 1, 1),
+                         ws),
             RMatrixView(sp.values.data(), sp.values.size(), 1));
   return sp;
 }

@@ -69,6 +69,53 @@ CVector steering_table(const RVector& grid, std::size_t len, SteerFn&& steer) {
   return table;
 }
 
+/// Fills an AoA axis's sweep weights and their per-slot extremes from
+/// its steering rows.
+void add_sweep_weights(SteeringAxisTable& axis) {
+  const std::size_t len = axis.len;
+  const std::size_t dof = len * len;
+  const std::size_t n_aoa = axis.grid.size();
+  axis.weights.assign(n_aoa * dof, 0.0);
+  for (std::size_t ai = 0; ai < n_aoa; ++ai) {
+    const cplx* ant_vec = &axis.steering[ai * len];
+    double* w = &axis.weights[ai * dof];
+    for (std::size_t a = 0; a < len; ++a) {
+      for (std::size_t b = a; b < len; ++b) {
+        if (b == a) {
+          *w++ = std::norm(ant_vec[a]);
+        } else {
+          const cplx p = ant_vec[a] * std::conj(ant_vec[b]);
+          *w++ = 2.0 * p.real();
+          *w++ = -2.0 * p.imag();
+        }
+      }
+    }
+  }
+
+  RVector& lo = axis.weight_lo;
+  RVector& hi = axis.weight_hi;
+  lo.assign(dof, std::numeric_limits<double>::infinity());
+  hi.assign(dof, 0.0);
+  for (std::size_t ai = 0; ai < n_aoa; ++ai) {
+    const double* w = &axis.weights[ai * dof];
+    std::size_t k = 0;
+    for (std::size_t a = 0; a < len; ++a) {
+      lo[k] = std::min(lo[k], w[k]);
+      hi[k] = std::max(hi[k], w[k]);
+      ++k;
+      for (std::size_t b = a + 1; b < len; ++b, k += 2) {
+        hi[k] = std::max(hi[k], w[k] * w[k] + w[k + 1] * w[k + 1]);
+      }
+    }
+  }
+  for (std::size_t a = 0, k = 0; a < len; ++a) {
+    ++k;
+    for (std::size_t b = a + 1; b < len; ++b, k += 2) {
+      hi[k] = std::sqrt(hi[k]);
+    }
+  }
+}
+
 }  // namespace
 
 RVector linspace_grid(double lo, double hi, double step) {
@@ -136,6 +183,7 @@ std::shared_ptr<const SteeringAxisTable> SteeringTableCache::get(
           : steering_table(table->grid, len, [&](double tof) {
               return tof_steering(tof, len, link);
             });
+  if (axis == Axis::kAoa) add_sweep_weights(*table);
 
   const std::lock_guard<std::mutex> lock(state.mutex);
   const auto [it, inserted] = state.entries.emplace(key, std::move(table));

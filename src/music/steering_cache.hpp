@@ -33,6 +33,17 @@ struct SteeringAxisTable {
   RVector grid;
   CVector steering;
   std::size_t len = 0;
+  /// AoA axis only (empty on a ToF axis): the MUSIC sweep's weights, a
+  /// pure function of the steering rows. Row i holds len^2 reals for
+  /// steering row ant: per antenna a, |ant_a|^2, then 2 Re and -2 Im of
+  /// ant_a conj(ant_b) for each b > a.
+  RVector weights;
+  /// Per weight slot over the rows: a diagonal slot's least and largest
+  /// weight, and in an off-diagonal pair's first `hi` slot the largest
+  /// norm of the pair (music/estimators.cpp, column_bounds). The unused
+  /// slots hold lo = +inf and hi = 0.
+  RVector weight_lo;
+  RVector weight_hi;
 };
 
 /// Cache telemetry (process-wide totals).

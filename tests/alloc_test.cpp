@@ -177,9 +177,9 @@ TEST(ZeroAlloc, ArenaHighWaterMarkIsPinned) {
   // The per-packet footprint of the default MUSIC configuration. A
   // regression here means a buffer moved onto the arena (fine, update the
   // bound) or a config change exploded the grid (worth noticing either
-  // way). Default grid: the sweep's AoA weights and per-column Grams, the
-  // swept ToF columns (181 cells each, about a dozen on these packets)
-  // and the smoothing/eigen scratch; 84,480 B when last measured.
+  // way). Default grid: the sweep's per-column Grams, the swept ToF
+  // columns (181 cells each, about a dozen on these packets) and the
+  // smoothing/eigen scratch; 84,480 B when last measured.
   const auto packets = synthesize_group(2);
   const ApProcessor processor(kLink, ArrayPose{{0.0, 0.0}, 0.0}, {});
   Workspace ws;

@@ -262,6 +262,26 @@ struct RoundPair {
   LocalizationRound parallel;
 };
 
+/// One office round on `threads` lanes, localized with Rng(99).
+LocalizationRound localize_on_lanes(const ExperimentRunner& runner,
+                                    std::span<const ApCapture> captures,
+                                    std::size_t threads, bool loo_rejection) {
+  ServerConfig cfg;
+  cfg.num_threads = threads;
+  cfg.localizer.area_min = runner.deployment().area_min;
+  cfg.localizer.area_max = runner.deployment().area_max;
+  cfg.fusion.loo_rejection = loo_rejection;
+  const SpotFiServer server(runner.link(), cfg);
+  EXPECT_EQ(server.num_threads(), threads);
+  Rng rng(99);
+  auto result = server.try_localize(captures, rng);
+  if (!result.has_value()) {
+    ADD_FAILURE() << result.error().reason;
+    return {};
+  }
+  return std::move(result.value());
+}
+
 RoundPair run_round_both_ways(bool loo_rejection, bool poison_one_ap) {
   unsetenv("SPOTFI_THREADS");
   const LinkConfig link = LinkConfig::intel5300_40mhz();
@@ -271,25 +291,8 @@ RoundPair run_round_both_ways(bool loo_rejection, bool poison_one_ap) {
   Rng capture_rng(2024);
   auto captures = runner.simulate_captures({6.0, 3.5}, capture_rng);
   if (poison_one_ap) captures[2].packets.clear();
-
-  RoundPair pair;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ServerConfig cfg;
-    cfg.num_threads = threads;
-    cfg.localizer.area_min = runner.deployment().area_min;
-    cfg.localizer.area_max = runner.deployment().area_max;
-    cfg.fusion.loo_rejection = loo_rejection;
-    const SpotFiServer server(link, cfg);
-    EXPECT_EQ(server.num_threads(), threads);
-    Rng rng(99);
-    auto result = server.try_localize(captures, rng);
-    if (!result.has_value()) {
-      ADD_FAILURE() << result.error().reason;
-      return pair;
-    }
-    (threads == 1 ? pair.serial : pair.parallel) = std::move(result.value());
-  }
-  return pair;
+  return {localize_on_lanes(runner, captures, 1, loo_rejection),
+          localize_on_lanes(runner, captures, 4, loo_rejection)};
 }
 
 void expect_rounds_identical(const LocalizationRound& a,
@@ -341,6 +344,44 @@ TEST(ParallelDeterminism, DegradedRoundIdenticalAcrossThreadCounts) {
                                              /*poison_one_ap=*/true);
   EXPECT_TRUE(pair.serial.degraded);
   expect_rounds_identical(pair.serial, pair.parallel);
+}
+
+TEST(ParallelDeterminism, RejectingRoundIdenticalAcrossThreadCounts) {
+  // A round whose leave-one-out check rejects APs, so a later pass of
+  // subset solves runs across lanes as well as pass 1: the sixth office
+  // capture drawn from Rng(2024), target (4.0, 3.5) in groups of 6,
+  // rejects 2 APs.
+  unsetenv("SPOTFI_THREADS");
+  const LinkConfig link = LinkConfig::intel5300_40mhz();
+  ExperimentConfig exp_cfg;
+  exp_cfg.packets_per_group = 6;
+  const ExperimentRunner runner(link, office_deployment(), exp_cfg);
+  Rng capture_rng(2024);
+  std::vector<ApCapture> captures;
+  for (std::size_t t = 0; t <= 5; ++t) {
+    captures = runner.simulate_captures(runner.deployment().targets[t],
+                                        capture_rng);
+  }
+
+  std::vector<LocalizationRound> rounds;
+  for (const std::size_t threads : {1, 2, 4}) {
+    rounds.push_back(localize_on_lanes(runner, captures, threads,
+                                       /*loo_rejection=*/true));
+  }
+
+  const LocalizationRound& serial = rounds[0];
+  ASSERT_FALSE(serial.rejected_aps.empty());
+  for (std::size_t k = 1; k < rounds.size(); ++k) {
+    const LocalizationRound& other = rounds[k];
+    expect_rounds_identical(serial, other);
+    EXPECT_EQ(serial.location.cost, other.location.cost);
+    EXPECT_EQ(serial.workspace_peak_bytes, other.workspace_peak_bytes);
+    for (std::size_t p = 0; p < kStagePhaseCount; ++p) {
+      EXPECT_EQ(serial.stage_breakdown.workspace_peak_bytes[p],
+                other.stage_breakdown.workspace_peak_bytes[p])
+          << to_string(static_cast<StagePhase>(p));
+    }
+  }
 }
 
 TEST(ParallelDeterminism, CallerRngAdvancesIdentically) {

@@ -235,10 +235,10 @@ TEST(StageTelemetry, EspritRoundIsMeteredWholeAsSubspace) {
 }
 
 TEST(StageTelemetry, LocalizePeakIsOneSolveNotTheSum) {
-  // The primary solve and every leave-one-out re-solve run one after
-  // another on the same arena, so the kLocalize peak is the largest
-  // single solve's footprint: the re-solves (one AP fewer each) must not
-  // raise it above what the primary solve alone reports.
+  // The primary solve and every leave-one-out re-solve each meter their
+  // own frame, on whichever lane ran them, so the kLocalize peak is the
+  // largest single solve's footprint: the re-solves (one AP fewer each)
+  // must not raise it above what the primary solve alone reports.
   const auto captures = office_captures(4);
   constexpr auto kLocalize = static_cast<std::size_t>(StagePhase::kLocalize);
   std::size_t peak[2] = {0, 0};
